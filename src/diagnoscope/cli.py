@@ -59,6 +59,25 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _int_at_least(minimum: int):
+    """argparse type for an integer count no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer {text!r}")
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {value}")
+        return value
+
+    return parse
+
+
+_nonnegative = _int_at_least(0)
+_positive = _int_at_least(1)
+
+
 def _read_input(path: str) -> str:
     if path == "-":
         return sys.stdin.read()
@@ -281,7 +300,7 @@ def _add_input_options(sub) -> None:
         "--format", choices=("auto", "graph6", "edge-list"), default="auto",
         help="input format (default: auto-detect)",
     )
-    sub.add_argument("--cap", type=int, default=None, help="vertex-count cap override")
+    sub.add_argument("--cap", type=_nonnegative, default=None, help="vertex-count cap override")
 
 
 def build_parser() -> _Parser:
@@ -300,18 +319,18 @@ def build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="full diagnosability report as JSON")
     _add_input_options(p_an)
     p_an.add_argument("--model", choices=("pmc", "mm", "both"), default="both")
-    p_an.add_argument("--h-max", type=int, default=None, dest="h_max",
+    p_an.add_argument("--h-max", type=_nonnegative, default=None, dest="h_max",
                       help="edge budgets 0..K (default 1)")
     p_an.add_argument("--method", choices=("brute", "bounds", "auto"), default="auto")
     p_an.add_argument("--seed", type=int, default=0,
                       help="reserved for randomized methods; analysis itself is deterministic")
-    p_an.add_argument("--jobs", type=int, default=1, help="parallel scenario workers")
+    p_an.add_argument("--jobs", type=_positive, default=1, help="parallel scenario workers")
     p_an.add_argument("--name", default=None, help="graph name echoed in the report")
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rec = sub.add_parser("recognize", help="exceptional-family membership")
     _add_input_options(p_rec)
-    p_rec.add_argument("--recognizer-cap", type=int, default=None,
+    p_rec.add_argument("--recognizer-cap", type=_nonnegative, default=None,
                        help="max n for the exact structural search (default 20)")
     p_rec.set_defaults(func=_cmd_recognize)
 
@@ -329,13 +348,13 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--claims", default=None, help="comma-separated claim ids (default all)")
     p_ver.add_argument("--format", dest="report_format", choices=("table", "json"),
                        default="table")
-    p_ver.add_argument("--h-max", type=int, default=3, dest="h_max")
-    p_ver.add_argument("--max-n", type=int, default=16)
-    p_ver.add_argument("--max-scenarios", type=int, default=8192)
-    p_ver.add_argument("--trials", type=int, default=8,
+    p_ver.add_argument("--h-max", type=_nonnegative, default=3, dest="h_max")
+    p_ver.add_argument("--max-n", type=_nonnegative, default=16)
+    p_ver.add_argument("--max-scenarios", type=_nonnegative, default=8192)
+    p_ver.add_argument("--trials", type=_nonnegative, default=8,
                        help="edge-deletion connectivity trials per graph")
     p_ver.add_argument("--seed", type=int, default=20250810)
-    p_ver.add_argument("--jobs", type=int, default=1)
+    p_ver.add_argument("--jobs", type=_positive, default=1)
     p_ver.set_defaults(func=_cmd_verify)
 
     p_path = sub.add_parser("paths", help="connectivity and internally disjoint paths")

@@ -15,12 +15,18 @@ characterizations used here are:
 
 A graph is t-diagnosable under a model when every pair of distinct
 candidates of size at most t is distinguishable.  The decision procedure
-enumerates candidate pairs grouped by their union U and symmetric
-difference D: a pair is indistinguishable exactly when D avoids the
-relevant forbidden neighborhoods of V - U, which restricts D to a usually
-empty candidate mask and keeps the search sharp.  The enumeration covers
-the same quantifier domain as the direct pair scan (tests cross-check the
-two), ascending by |U| so the first witness found is small and canonical.
+groups candidate pairs by their union U and symmetric difference D and
+searches over D, not U.  Under PMC a pair is indistinguishable iff
+N[D] is inside U; under MM* each vertex x of N(D) - D must be in U or
+have N(x) inside U, and conditions (2)/(3) become a balanced split of D.
+So each D has a few minimal unions ("closures") whose size only grows
+with D, and the depth-first search over D stops as soon as no closure
+fits in 2t vertices.  On regular highly connected graphs that cuts the
+search to a handful of small D.  Every witness of the smallest size is a
+closure, so the search returns the same canonical witness as a scan of
+every U in order would: smallest |U|, then lexicographic U, then
+ascending D (tests cross-check it against such a scan and against the
+direct pair scan).
 
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.
@@ -31,7 +37,6 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
 from typing import Iterable, List, Optional, Tuple
 
 from .graphs import Graph, GraphError, bits_of
@@ -165,14 +170,109 @@ def _mm_split(adj: Tuple[int, ...], outside: int, d_mask: int, bound: int):
     return part1, d_mask ^ part1
 
 
+def _witness_for_union(adj: Tuple[int, ...], full: int, u_mask: int, t: int, mm: bool):
+    """First indistinguishable pair with union exactly ``u_mask``, or None.
+
+    For the outside set O = V - U, any indistinguishable D must avoid N(O)
+    under PMC, or N(W) under MM* where W is the set of outside vertices
+    that keep an outside neighbor; D then ranges over submasks of that
+    candidate mask in ascending order.
+    """
+    usize = u_mask.bit_count()
+    min_d = max(1, 2 * (usize - t))
+    o_mask = full ^ u_mask
+    blocked = 0
+    rest = o_mask
+    while rest:
+        low = rest & -rest
+        rest ^= low
+        a = adj[low.bit_length() - 1]
+        if mm:
+            if a & o_mask:
+                blocked |= a
+        else:
+            blocked |= a
+    cands = u_mask & ~blocked
+    if cands.bit_count() < min_d:
+        return None
+    d_mask = 0
+    while True:
+        d_mask = (d_mask - cands) & cands
+        if d_mask == 0:
+            return None
+        dsize = d_mask.bit_count()
+        if dsize < min_d:
+            continue
+        s_size = usize - dsize
+        if mm:
+            split = _mm_split(adj, o_mask, d_mask, t - s_size)
+            if split is None:
+                continue
+            d1, d2 = split
+        else:
+            half = dsize // 2
+            d1 = 0
+            for v in bits_of(d_mask):
+                if half == 0:
+                    break
+                d1 |= 1 << v
+                half -= 1
+            d2 = d_mask ^ d1
+        s_mask = u_mask ^ d_mask
+        f1 = s_mask | d1
+        f2 = s_mask | d2
+        if f1 > f2:
+            f1, f2 = f2, f1
+        return f1, f2
+
+
+def _closures(adj: Tuple[int, ...], d_mask: int, bound: int, mm: bool) -> List[int]:
+    """The closures of the difference D with at most ``bound`` vertices.
+
+    A closure is a smallest union U that D forces.  Under PMC the only
+    one is N[D].  Under MM* each vertex x of Gamma(D) = N(D) - D either
+    joins U or stays outside, and then all of N(x) must join U; the
+    closures are
+    D | (Gamma(D) - Out) | N(Out) over independent sets Out.  An
+    undecided vertex is never adjacent to an outside one (that neighbor
+    would already be in U), so independence needs no check.
+    """
+    gamma = 0
+    for v in bits_of(d_mask):
+        gamma |= adj[v]
+    gamma &= ~d_mask
+    if not mm:
+        u_mask = d_mask | gamma
+        return [u_mask] if u_mask.bit_count() <= bound else []
+    found = []
+    stack = [(d_mask, gamma)]
+    while stack:
+        u_mask, rest = stack.pop()
+        if u_mask.bit_count() > bound:
+            continue
+        rest &= ~u_mask
+        if not rest:
+            found.append(u_mask)
+            continue
+        low = rest & -rest
+        rest ^= low
+        stack.append((u_mask | adj[low.bit_length() - 1], rest))
+        stack.append((u_mask | low, rest))
+    return found
+
+
 def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
     """First indistinguishable pair with both sizes <= t, or None.
 
-    Pairs are grouped by U = F1 | F2 (ascending size, then lexicographic)
-    and D = F1 ^ F2 (ascending submask).  For a fixed U with outside
-    O = V - U, any indistinguishable D must avoid N(O) under PMC, or
-    N(W) under MM* where W is the set of outside vertices that keep an
-    outside neighbor; D then ranges over submasks of a candidate mask.
+    "First" orders pairs by U = F1 | F2 (ascending size, then
+    lexicographic) and then by D = F1 ^ F2 (ascending submask).  The
+    search runs over D, extended in ascending vertex order.  Any witness
+    (U, D) contains a closure of D (see ``_closures``) that is itself a
+    witness, so every witness of the smallest size is a closure, and
+    closure sizes only grow with D: a branch stops once no closure of D
+    fits within 2t, or within the smallest witness found so far.  The
+    lexicographically smallest witnessing closure of the smallest size
+    is then the first U, and ``_witness_for_union`` picks its first D.
     """
     n = g.n
     if t <= 0 or n == 0:
@@ -180,57 +280,32 @@ def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
     adj = g.adj_masks
     full = g.full_mask
     mm = model is DiagModel.MMSTAR
-    for usize in range(1, min(2 * t, n) + 1):
-        min_d = max(1, 2 * (usize - t))
-        for combo in combinations(range(n), usize):
-            u_mask = 0
-            for v in combo:
-                u_mask |= 1 << v
-            o_mask = full ^ u_mask
-            blocked = 0
-            rest = o_mask
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                a = adj[low.bit_length() - 1]
-                if mm:
-                    if a & o_mask:
-                        blocked |= a
-                else:
-                    blocked |= a
-            cands = u_mask & ~blocked
-            if cands.bit_count() < min_d:
+    bound = min(2 * t, n)
+    best_u = 0
+    found = None
+    checked = set()
+    stack = [(1 << v, v) for v in range(n - 1, -1, -1)]
+    while stack:
+        d_mask, top = stack.pop()
+        closures = _closures(adj, d_mask, bound, mm)
+        if not closures:
+            continue
+        dsize = d_mask.bit_count()
+        for u_mask in closures:
+            usize = u_mask.bit_count()
+            if usize > bound or dsize < 2 * (usize - t) or u_mask in checked:
                 continue
-            d_mask = 0
-            while True:
-                d_mask = (d_mask - cands) & cands
-                if d_mask == 0:
-                    break
-                dsize = d_mask.bit_count()
-                if dsize < min_d:
-                    continue
-                s_size = usize - dsize
-                if mm:
-                    split = _mm_split(adj, o_mask, d_mask, t - s_size)
-                    if split is None:
-                        continue
-                    d1, d2 = split
-                else:
-                    half = dsize // 2
-                    d1 = 0
-                    for v in bits_of(d_mask):
-                        if half == 0:
-                            break
-                        d1 |= 1 << v
-                        half -= 1
-                    d2 = d_mask ^ d1
-                s_mask = u_mask ^ d_mask
-                f1 = s_mask | d1
-                f2 = s_mask | d2
-                if f1 > f2:
-                    f1, f2 = f2, f1
-                return f1, f2
-    return None
+            if found is not None and usize == bound:
+                diff = u_mask ^ best_u
+                if not u_mask & diff & -diff:
+                    continue  # not lexicographically before best_u
+            checked.add(u_mask)
+            pair = _witness_for_union(adj, full, u_mask, t, mm)
+            if pair is not None:
+                best_u, found, bound = u_mask, pair, usize
+        for w in range(n - 1, top, -1):
+            stack.append((d_mask | 1 << w, w))
+    return found
 
 
 def is_t_diagnosable(g: Graph, t: int, model: DiagModel) -> DiagnosisDecision:

@@ -2,6 +2,8 @@ import json
 import subprocess
 import sys
 
+import pytest
+
 from diagnoscope.cli import main
 from diagnoscope.families import complete, hypercube, petersen
 from diagnoscope.formats import emit_edge_list, emit_graph6, gamma_spec_to_json, parse_graph6
@@ -141,6 +143,25 @@ class TestOtherCommands:
     def test_usage_error_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--model", "bogus")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--h-max", "-1"),
+        ("analyze", "--jobs", "0"),
+        ("analyze", "--jobs", "-3"),
+        ("analyze", "--jobs", "two"),
+        ("verify", "--h-max", "-1"),
+        ("verify", "--max-n", "-1"),
+        ("verify", "--max-scenarios", "-1"),
+        ("verify", "--trials", "-2"),
+        ("verify", "--jobs", "0"),
+        ("analyze", "--cap", "-1"),
+        ("recognize", "--recognizer-cap", "-5"),
+    ])
+    def test_out_of_range_count_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert f"argument {argv[1]}" in err
 
     def test_no_command_prints_help(self, capsys):
         code, _, err = run_cli(capsys)

@@ -1,8 +1,14 @@
-"""The decision engine is cross-validated against a reference enumerator
-built directly from the per-pair predicates: every pair of distinct
-subsets within the budget, checked one by one.  The engine and the
-reference share no code beyond the Graph type."""
+"""The decision engine is cross-validated against two references.
 
+``reference_is_t_diagnosable`` is built directly from the per-pair
+predicates: every pair of distinct subsets within the budget, checked one
+by one; it shares no code with the engine beyond the Graph type.
+``reference_first_witness`` is a frozen union-first enumerator that scans
+every union U in witness order, so it pins the exact canonical witness
+the engine must return; it shares only ``_mm_split``, which
+test_engine_stress checks against exhaustive split enumeration."""
+
+import random
 from itertools import combinations
 
 import pytest
@@ -11,6 +17,8 @@ from hypothesis import strategies as st
 
 from diagnoscope.diagnosis import (
     DiagModel,
+    _find_indistinguishable,
+    _mm_split,
     diagnosability,
     diagnosability_cap,
     distinguishable_mm,
@@ -18,7 +26,7 @@ from diagnoscope.diagnosis import (
     is_t_diagnosable,
 )
 from diagnoscope.families import complete, cycle, hypercube, petersen
-from diagnoscope.graphs import GraphError, build_graph, delete_edges, join, relabel
+from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges, join, relabel
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR
@@ -43,6 +51,51 @@ def reference_is_t_diagnosable(g, t, model):
             if not ok:
                 return False
     return True
+
+
+def reference_first_witness(g, t, model):
+    """First indistinguishable pair (f1, f2) as masks, or None.
+
+    Scans every union U = F1 | F2 by ascending size, then
+    lexicographically, and for each U every difference D = F1 ^ F2 in
+    ascending submask order among the vertices not blocked by the outside
+    set; the first pair found is the canonical witness.
+    """
+    n = g.n
+    if t <= 0 or n == 0:
+        return None
+    adj = g.adj_masks
+    full = g.full_mask
+    mm = model is MM
+    for usize in range(1, min(2 * t, n) + 1):
+        min_d = max(1, 2 * (usize - t))
+        for combo in combinations(range(n), usize):
+            u_mask = sum(1 << v for v in combo)
+            o_mask = full ^ u_mask
+            blocked = 0
+            for o in bits_of(o_mask):
+                if not mm or adj[o] & o_mask:
+                    blocked |= adj[o]
+            cands = u_mask & ~blocked
+            d_mask = 0
+            while True:
+                d_mask = (d_mask - cands) & cands
+                if d_mask == 0:
+                    break
+                dsize = d_mask.bit_count()
+                if dsize < min_d:
+                    continue
+                if mm:
+                    split = _mm_split(adj, o_mask, d_mask, t - (usize - dsize))
+                    if split is None:
+                        continue
+                    d1, d2 = split
+                else:
+                    d1 = sum(1 << v for v in list(bits_of(d_mask))[: dsize // 2])
+                    d2 = d_mask ^ d1
+                s_mask = u_mask ^ d_mask
+                return tuple(sorted((s_mask | d1, s_mask | d2)))
+    return None
 
 
 @st.composite
@@ -184,6 +237,40 @@ class TestIsTDiagnosable:
                         == reference_is_t_diagnosable(g, t, model)
                     ), (g.edges, t, model)
 
+    def test_first_witness_matches_reference_exhaustively(self):
+        # every graph on at most 5 vertices, every budget up to 3, both models
+        for n in range(1, 6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for bits in range(1 << len(pairs)):
+                g = build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+                for t in range(0, 4):
+                    for model in (PMC, MM):
+                        assert _find_indistinguishable(g, t, model) == (
+                            reference_first_witness(g, t, model)
+                        ), (g.edges, t, model)
+
+    def test_first_witness_matches_reference_on_random_graphs(self):
+        rng = random.Random("first-witness")
+        for _ in range(300):
+            n = rng.randrange(6, 11)
+            p = rng.random()
+            g = build_graph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            for t in range(1, 5):
+                for model in (PMC, MM):
+                    assert _find_indistinguishable(g, t, model) == (
+                        reference_first_witness(g, t, model)
+                    ), (g.edges, t, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_q5_three_diagnosable(self, model):
+        assert is_t_diagnosable(hypercube(5), 3, model).diagnosable
+
+    def test_q5_pmc_six_witness(self):
+        w = is_t_diagnosable(hypercube(5), 6, PMC).witness
+        assert (sorted(w.f1), sorted(w.f2)) == ([1, 2, 4, 8, 16], [0, 1, 2, 4, 8, 16])
+
     @given(graphs(), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
     def test_downward_monotonicity(self, g, t, model):
@@ -208,6 +295,11 @@ class TestDiagnosability:
 
     def test_petersen_mm(self):
         assert diagnosability(petersen(), MM) == 3
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_hypercube_frontier(self, dim, model):
+        assert diagnosability(hypercube(dim), model) == dim
 
     def test_single_vertex(self):
         assert diagnosability(complete(1), PMC) == 0
