@@ -109,6 +109,14 @@ def load_graph(path: str, fmt: str = "auto", cap: Optional[int] = None) -> Tuple
     return parse_graph6(first, cap=cap), "graph6"
 
 
+def _load_nonempty(args) -> Tuple[Graph, str]:
+    """``load_graph`` for commands that are undefined on zero vertices."""
+    g, fmt = load_graph(args.input, args.format, args.cap)
+    if g.n == 0:
+        raise FormatError("graph has no vertices")
+    return g, fmt
+
+
 def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
@@ -156,7 +164,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_analyze(args) -> int:
-    g, fmt = load_graph(args.input, args.format, args.cap)
+    g, fmt = _load_nonempty(args)
     name = args.name or (args.input if args.input != "-" else "stdin")
     conn = vertex_connectivity(g)
     common = max_common_neighbors(g).value if g.n >= 2 else 0
@@ -272,7 +280,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_paths(args) -> int:
-    g, _ = load_graph(args.input, args.format, args.cap)
+    g, _ = _load_nonempty(args)
     if args.pair:
         u, v = args.pair
         family = internally_disjoint_paths(g, u, v)

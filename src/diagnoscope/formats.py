@@ -14,7 +14,7 @@ from typing import Optional
 
 from .families import GammaSpec
 from .graphs import Graph, GraphError, build_graph
-from .tolerance import BoundReport, ToleranceResult
+from .tolerance import BoundReport
 
 
 class FormatError(ValueError):
@@ -284,14 +284,3 @@ def bounds_to_json(report: BoundReport) -> dict:
     ]
     return out
 
-
-def tolerance_to_json(result: ToleranceResult) -> dict:
-    out = {
-        "model": result.model.value,
-        "h": result.h,
-        "value": result.value,
-        "method": result.method,
-    }
-    if result.worst_scenario is not None:
-        out["worst_scenario"] = [list(e) for e in result.worst_scenario]
-    return out

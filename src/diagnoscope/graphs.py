@@ -154,13 +154,6 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def mask_of(vertices: Iterable[int]) -> int:
-    mask = 0
-    for v in vertices:
-        mask |= 1 << v
-    return mask
-
-
 def build_graph(n: int, edge_list: Iterable[Tuple[int, int]], *, cap: int | None = None) -> Graph:
     """Build a graph from a raw edge list, deduplicating undirected pairs.
 

@@ -8,11 +8,12 @@ enumerates those.
 
 Under PMC the per-scenario loop can be folded away exactly: a candidate
 pair becomes indistinguishable after deleting F_e iff F_e covers every
-edge between the outside region and the symmetric difference, so the
-worst scenario for a pair (U, D) costs exactly the number of such edges.
-One scan over (U, D) pairs therefore yields the whole value table for
-every budget at once.  The scenario sweep remains the oracle the folded
-scan is tested against, and is the production path for MM*.
+edge between the outside region and the symmetric difference D, so the
+worst scenario for a pair costs exactly the number of such edges.  A
+depth-first search over D, trading each neighbor of D between the union
+and the deleted edges, therefore yields the whole value table for every
+budget at once.  The scenario sweep remains the oracle the folded table
+is tested against, and is the production path for MM*.
 
 Scenario enumeration is embarrassingly parallel; with jobs > 1 chunks are
 farmed to worker processes and reduced by (value, scenario) so results
@@ -63,19 +64,26 @@ class BoundReport:
 
 @lru_cache(maxsize=4096)
 def _pmc_break_table(g: Graph):
-    """Folded PMC scan: per deletion cost r, the smallest breaking threshold.
+    """Folded PMC table: per deletion cost r, the smallest breaking threshold.
 
-    For every candidate pair grouped as (U, D) with outside O = V - U, the
-    pair is indistinguishable after deleting exactly the edges between O
-    and D; it defeats t-diagnosability for all t >= |U| - floor(|D| / 2).
-    Deleting h edges at a minimum-degree vertex shows the answer for
-    budget h is at most delta - h, so only pairs with breaking threshold
-    at most delta + 1 can matter and |U| <= 2 * (delta + 1) bounds the scan.
+    A candidate pair with union U and symmetric difference D becomes
+    indistinguishable exactly when the edges between D and V - U are
+    deleted; it then defeats t-diagnosability for all
+    t >= |U| - floor(|D| / 2).  A vertex of V - U with no edge to D only
+    raises that threshold by leaving U, so every optimal pair has
+    U = N[D] - Out for some Out inside Gamma(D) = N(D) - D, at cost
+    r = sum of the edges from each Out vertex to D.  The search therefore
+    runs over D, extended in ascending vertex order, and for each D over
+    every Out of cost at most delta (deleting more isolates a vertex).
+    Any pair grown from D has threshold >= (|N[D]| - r) / 2 and |N[D]|
+    only grows with D, so a branch stops once |N[D]| exceeds
+    2 * thresholds[r] + r for every r.
 
     Returns (thresholds, scenarios): thresholds[r] is the minimum breaking
     threshold over pairs whose outside-to-D edge set has size r <= delta,
-    and scenarios[r] is that edge set for the first such pair in scan
-    order (size ascending, then lexicographic).
+    and scenarios[r] is that edge set for the first such pair in the order
+    of a scan over every U (size ascending, then lexicographic U, then
+    ascending D).
     """
     n = g.n
     delta = g.min_degree
@@ -84,51 +92,39 @@ def _pmc_break_table(g: Graph):
     infinite = n + 2
     best = [infinite] * (delta + 1)
     witness: list = [None] * (delta + 1)
-    max_u = min(2 * (delta + 1), n)
-    cur_max = infinite  # pairs at or above every stored threshold cannot help
-    for usize in range(1, max_u + 1):
-        for combo in combinations(range(n), usize):
-            u_mask = 0
-            for v in combo:
-                u_mask |= 1 << v
-            o_mask = full ^ u_mask
-            costs = {}
-            cands = 0
-            for v in combo:
-                c = (adj[v] & o_mask).bit_count()
-                if c <= delta:
-                    costs[v] = c
-                    cands |= 1 << v
-            if not cands:
-                continue
-            if usize - (cands.bit_count() >> 1) >= cur_max:
-                continue
-            d_mask = 0
-            while True:
-                d_mask = (d_mask - cands) & cands
-                if d_mask == 0:
-                    break
-                threshold = usize - (d_mask.bit_count() >> 1)
-                if threshold >= cur_max:
-                    continue
-                r = 0
-                rest = d_mask
-                while rest:
-                    low = rest & -rest
-                    rest ^= low
-                    r += costs[low.bit_length() - 1]
-                    if r > delta:
-                        break
-                if r <= delta and threshold < best[r]:
-                    best[r] = threshold
-                    witness[r] = (u_mask, d_mask)
-                    cur_max = max(best)
-    scenarios = []
-    for r in range(delta + 1):
-        if witness[r] is None:
-            scenarios.append(None)
+    limit = n  # |N[D]| <= n, so nothing is cut before the first pairs
+    stack = [(1 << v, v) for v in range(n - 1, -1, -1)]
+    while stack:
+        d_mask, top = stack.pop()
+        closed = d_mask
+        for v in bits_of(d_mask):
+            closed |= adj[v]
+        if closed.bit_count() > limit:
             continue
-        u_mask, d_mask = witness[r]
+        base = closed.bit_count() - (d_mask.bit_count() >> 1)
+        outs = [(0, 0, 0)]  # (Out, |Out|, edges from Out to D)
+        for x in bits_of(closed ^ d_mask):
+            e = (adj[x] & d_mask).bit_count()
+            outs += [(o | 1 << x, k + 1, r + e) for o, k, r in outs if r + e <= delta]
+        for out, k, r in outs:
+            threshold = base - k
+            if threshold > best[r]:
+                continue
+            u_mask = closed ^ out
+            if threshold == best[r]:
+                u_old, d_old = witness[r]
+                grow = u_mask.bit_count() - u_old.bit_count()
+                diff = u_mask ^ u_old
+                later = not u_mask & diff & -diff if diff else d_mask > d_old
+                if grow > 0 or grow == 0 and later:
+                    continue  # not before it in U-scan order: |U|, lexicographic U, D
+            best[r] = threshold
+            witness[r] = (u_mask, d_mask)
+        limit = max(2 * b + r for r, b in enumerate(best))
+        for w in range(n - 1, top, -1):
+            stack.append((d_mask | 1 << w, w))
+    scenarios = []
+    for u_mask, d_mask in witness:
         o_mask = full ^ u_mask
         cut = []
         for v in bits_of(d_mask):

@@ -124,6 +124,23 @@ class TestAnalyze:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("argv", [("analyze",), ("paths",), ("paths", "--pair", "0", "1")])
+    def test_empty_graph_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "empty.el"
+        path.write_text("0 0\n")
+        code, out, err = run_cli(capsys, argv[0], str(path), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error:")
+
+    @pytest.mark.parametrize("command", ["recognize", "syndrome"])
+    def test_empty_graph_other_commands_exit_0(self, capsys, tmp_path, command):
+        path = tmp_path / "empty.el"
+        path.write_text("0 0\n")
+        code, out, _ = run_cli(capsys, command, str(path))
+        assert code == 0
+        json.loads(out)
+
     def test_cap_exit_3(self, capsys, tmp_path):
         path = tmp_path / "k5.g6"
         path.write_text(emit_graph6(complete(5)) + "\n")

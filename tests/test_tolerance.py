@@ -3,6 +3,7 @@ against the defining quantifier (every scenario of every size up to the
 budget) on small graphs, so the fast paths never drift from the
 definition they implement."""
 
+import random
 from itertools import combinations
 
 import pytest
@@ -20,14 +21,16 @@ from diagnoscope.families import (
     wheel,
     GammaSpec,
 )
-from diagnoscope.graphs import GraphError, build_graph, delete_edges
+from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges
 from diagnoscope.tolerance import (
     METHOD_BRUTE,
     METHOD_THEOREM,
+    _pmc_break_table,
     edge_tolerable_by_definition,
     edge_tolerable_diagnosability,
     theoretical_bounds,
 )
+from diagnoscope.verification import default_corpus
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR
@@ -40,6 +43,79 @@ def sweep_oracle(g, h, model):
         diagnosability(delete_edges(g, sc), model)
         for sc in combinations(g.edges, size)
     )
+
+
+def reference_break_table(g):
+    """The folded PMC table by a scan over every union U, frozen.
+
+    For every candidate pair grouped as (U, D) with outside O = V - U, the
+    pair is indistinguishable after deleting exactly the edges between O
+    and D; it defeats t-diagnosability for all t >= |U| - floor(|D| / 2).
+    Only pairs with breaking threshold at most delta + 1 can matter, so
+    |U| <= 2 * (delta + 1) bounds the scan.  thresholds[r] is the minimum
+    threshold at cost r and scenarios[r] the edge set of the first such
+    pair in scan order (size ascending, then lexicographic U, then
+    ascending D).
+    """
+    n = g.n
+    delta = g.min_degree
+    adj = g.adj_masks
+    full = g.full_mask
+    infinite = n + 2
+    best = [infinite] * (delta + 1)
+    witness: list = [None] * (delta + 1)
+    max_u = min(2 * (delta + 1), n)
+    cur_max = infinite  # pairs at or above every stored threshold cannot help
+    for usize in range(1, max_u + 1):
+        for combo in combinations(range(n), usize):
+            u_mask = 0
+            for v in combo:
+                u_mask |= 1 << v
+            o_mask = full ^ u_mask
+            costs = {}
+            cands = 0
+            for v in combo:
+                c = (adj[v] & o_mask).bit_count()
+                if c <= delta:
+                    costs[v] = c
+                    cands |= 1 << v
+            if not cands:
+                continue
+            if usize - (cands.bit_count() >> 1) >= cur_max:
+                continue
+            d_mask = 0
+            while True:
+                d_mask = (d_mask - cands) & cands
+                if d_mask == 0:
+                    break
+                threshold = usize - (d_mask.bit_count() >> 1)
+                if threshold >= cur_max:
+                    continue
+                r = 0
+                rest = d_mask
+                while rest:
+                    low = rest & -rest
+                    rest ^= low
+                    r += costs[low.bit_length() - 1]
+                    if r > delta:
+                        break
+                if r <= delta and threshold < best[r]:
+                    best[r] = threshold
+                    witness[r] = (u_mask, d_mask)
+                    cur_max = max(best)
+    scenarios = []
+    for r in range(delta + 1):
+        if witness[r] is None:
+            scenarios.append(None)
+            continue
+        u_mask, d_mask = witness[r]
+        o_mask = full ^ u_mask
+        cut = []
+        for v in bits_of(d_mask):
+            for w in bits_of(adj[v] & o_mask):
+                cut.append((v, w) if v < w else (w, v))
+        scenarios.append(tuple(sorted(cut)))
+    return tuple(best), tuple(scenarios)
 
 
 @st.composite
@@ -113,6 +189,41 @@ class TestAgainstDefinition:
         folded = edge_tolerable_diagnosability(g, h, PMC).value
         swept, _ = _scenario_sweep(g, min(h, g.m), PMC, jobs=1)
         assert folded == swept
+
+
+class TestFoldedTable:
+    """The D-first table against the frozen union-first scan: the same
+    thresholds and the same scenario edge sets, byte for byte."""
+
+    def test_matches_reference_exhaustively(self):
+        for n in range(1, 6):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            for bits in range(1 << len(pairs)):
+                g = build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+                assert _pmc_break_table(g) == reference_break_table(g), g.edges
+
+    def test_matches_reference_on_random_graphs(self):
+        rng = random.Random("pmc-break-table")
+        for _ in range(300):
+            n = rng.randrange(6, 11)
+            p = rng.random()
+            g = build_graph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            assert _pmc_break_table(g) == reference_break_table(g), g.edges
+
+    def test_matches_reference_on_verify_corpus(self):
+        for entry in default_corpus():
+            assert _pmc_break_table(entry.graph) == reference_break_table(entry.graph), entry.name
+
+    @pytest.mark.parametrize("dim", [5, 6])
+    @pytest.mark.parametrize("h", [0, 1, 2])
+    def test_hypercube_frontier(self, dim, h):
+        g = hypercube(dim)
+        result = edge_tolerable_diagnosability(g, h, PMC)
+        assert result.value == dim - h
+        assert len(result.worst_scenario) == h
+        assert diagnosability(delete_edges(g, result.worst_scenario), PMC) == dim - h
 
 
 class TestWorstScenario:
