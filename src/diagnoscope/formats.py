@@ -43,7 +43,7 @@ def parse_edge_list(text: str, *, strict: bool = False, cap: int | None = None) 
     the offending line number.
     """
     header = None
-    edges = []
+    edges = set()
     listed = 0
     declared = 0
     n = 0
@@ -80,7 +80,7 @@ def parse_edge_list(text: str, *, strict: bool = False, cap: int | None = None) 
                 raise FormatError(f"duplicate edge ({u}, {v})", line=lineno)
             warnings.warn(f"duplicate edge ({u}, {v}) on line {lineno}; deduplicated")
             continue
-        edges.append(key)
+        edges.add(key)
     if header is None:
         raise FormatError("empty input: expected an 'n m' header", line=1)
     if listed != declared:

@@ -11,9 +11,12 @@ reports an arbitrary bit.
 all-one answers, a seeded random completion, or an exhaustive stream over
 every completion (capped, since there are 2^k of them).
 
-Decoding enumerates every fault set within the budget that could have
-produced the syndrome under some adversary completion, which reduces to
-checking the entries whose tester or comparator lies outside the set.
+Decoding lists every fault set within the budget that could have
+produced the syndrome under some adversary completion.  A fault set fits
+exactly when every vertex outside it sees its neighborhood as its own
+entries report, so a depth-first search fixes each vertex in turn as
+faulty or as fault-free together with the faulty part of its
+neighborhood that its entries allow.
 """
 
 from __future__ import annotations
@@ -21,8 +24,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
+from .diagnosis import DiagModel
 from .graphs import Graph, GraphError, bits_of
 
 DEFAULT_EXHAUSTIVE_CAP = 18
@@ -55,62 +59,50 @@ def seeded_random(seed: int) -> AdversaryPolicy:
     return AdversaryPolicy("seeded_random", seed)
 
 
-class PmcSyndrome:
+class _Syndrome:
+    """Outcome bit per test entry; an entry line lists the entry's vertex
+    ids and then the bit."""
+
+    model_name = ""
+    entry_len = 0
+
+    def __init__(self, outcomes: Dict[Tuple[int, ...], int]):
+        self.outcomes = dict(outcomes)
+
+    def __eq__(self, other):
+        return isinstance(other, type(self)) and self.outcomes == other.outcomes
+
+    def __repr__(self):
+        return f"{type(self).__name__}({len(self.outcomes)} entries)"
+
+    def to_lines(self) -> List[str]:
+        fmt = " ".join(["%s"] * (self.entry_len + 1))
+        return [fmt % (*entry, bit) for entry, bit in sorted(self.outcomes.items())]
+
+    @classmethod
+    def from_lines(cls, lines: Iterable[str]):
+        outcomes = {}
+        for line in lines:
+            parts = line.split()
+            if len(parts) != cls.entry_len + 1:
+                raise SyndromeError(f"bad {cls.model_name.upper()} syndrome line: {line!r}")
+            *entry, bit = (int(p) for p in parts)
+            outcomes[tuple(entry)] = bit
+        return cls(outcomes)
+
+
+class PmcSyndrome(_Syndrome):
     """Outcome bit for every ordered adjacent pair (tester, tested)."""
 
     model_name = "pmc"
-
-    def __init__(self, outcomes: Dict[Tuple[int, int], int]):
-        self.outcomes = dict(outcomes)
-
-    def __eq__(self, other):
-        return isinstance(other, PmcSyndrome) and self.outcomes == other.outcomes
-
-    def __repr__(self):
-        return f"PmcSyndrome({len(self.outcomes)} entries)"
-
-    def to_lines(self) -> List[str]:
-        return [f"{u} {v} {bit}" for (u, v), bit in sorted(self.outcomes.items())]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "PmcSyndrome":
-        outcomes = {}
-        for line in lines:
-            parts = line.split()
-            if len(parts) != 3:
-                raise SyndromeError(f"bad PMC syndrome line: {line!r}")
-            u, v, bit = (int(p) for p in parts)
-            outcomes[(u, v)] = bit
-        return cls(outcomes)
+    entry_len = 2
 
 
-class MmSyndrome:
+class MmSyndrome(_Syndrome):
     """Outcome bit for every comparison (comparator; smaller, larger)."""
 
     model_name = "mm"
-
-    def __init__(self, outcomes: Dict[Tuple[int, int, int], int]):
-        self.outcomes = dict(outcomes)
-
-    def __eq__(self, other):
-        return isinstance(other, MmSyndrome) and self.outcomes == other.outcomes
-
-    def __repr__(self):
-        return f"MmSyndrome({len(self.outcomes)} entries)"
-
-    def to_lines(self) -> List[str]:
-        return [f"{w} {u} {v} {bit}" for (w, u, v), bit in sorted(self.outcomes.items())]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]) -> "MmSyndrome":
-        outcomes = {}
-        for line in lines:
-            parts = line.split()
-            if len(parts) != 4:
-                raise SyndromeError(f"bad MM syndrome line: {line!r}")
-            w, u, v, bit = (int(p) for p in parts)
-            outcomes[(w, u, v)] = bit
-        return cls(outcomes)
+    entry_len = 3
 
 
 def pmc_entries(g: Graph) -> List[Tuple[int, int]]:
@@ -141,22 +133,16 @@ def _forced_bit_mm(entry: Tuple[int, int, int], fault_mask: int) -> int:
     return 1 if ((fault_mask >> u) | (fault_mask >> v)) & 1 else 0
 
 
-def _split_entries(g: Graph, faults: Iterable[int], model_name: str):
-    fault_mask = g.vertex_mask(faults)
-    if model_name == "pmc":
-        entries = pmc_entries(g)
-        forced = _forced_bit_pmc
-    else:
-        entries = mm_entries(g)
-        forced = _forced_bit_mm
-    fixed = {}
-    controlled = []
-    for entry in entries:
-        if (fault_mask >> entry[0]) & 1:
-            controlled.append(entry)
-        else:
-            fixed[entry] = forced(entry, fault_mask)
-    return fixed, controlled
+class _ModelSpec(NamedTuple):
+    syndrome_cls: type
+    entries: Callable[[Graph], list]
+    forced: Callable[[tuple, int], int]
+
+
+_MODELS = {
+    DiagModel.PMC: _ModelSpec(PmcSyndrome, pmc_entries, _forced_bit_pmc),
+    DiagModel.MMSTAR: _ModelSpec(MmSyndrome, mm_entries, _forced_bit_mm),
+}
 
 
 def generate_syndrome(
@@ -172,11 +158,15 @@ def generate_syndrome(
     Returns one syndrome, or an iterator over all completions when the
     policy is exhaustive (error above the cap, since there are 2^k).
     """
-    from .diagnosis import DiagModel
-
-    model_name = "pmc" if model is DiagModel.PMC else "mm"
-    cls = PmcSyndrome if model_name == "pmc" else MmSyndrome
-    fixed, controlled = _split_entries(g, faults, model_name)
+    cls, entries, forced = _MODELS[model]
+    fault_mask = g.vertex_mask(faults)
+    fixed = {}
+    controlled = []
+    for entry in entries(g):
+        if (fault_mask >> entry[0]) & 1:
+            controlled.append(entry)
+        else:
+            fixed[entry] = forced(entry, fault_mask)
     if policy.kind == "exhaustive":
         k = len(controlled)
         if k > exhaustive_cap:
@@ -206,14 +196,11 @@ def generate_syndrome(
     return cls(outcomes)
 
 
-def _validate_shape(g: Graph, syndrome, model_name: str):
-    expected_cls = PmcSyndrome if model_name == "pmc" else MmSyndrome
-    if not isinstance(syndrome, expected_cls):
-        raise SyndromeError(
-            f"expected a {expected_cls.__name__} for the {model_name} model"
-        )
-    entries = pmc_entries(g) if model_name == "pmc" else mm_entries(g)
-    if set(syndrome.outcomes) != set(entries):
+def _validate_shape(g: Graph, syndrome, spec: _ModelSpec):
+    cls = spec.syndrome_cls
+    if not isinstance(syndrome, cls):
+        raise SyndromeError(f"expected a {cls.__name__} for the {cls.model_name} model")
+    if set(syndrome.outcomes) != set(spec.entries(g)):
         raise SyndromeError("syndrome entries do not match the graph's test structure")
     for entry, bit in syndrome.outcomes.items():
         if bit not in (0, 1):
@@ -226,43 +213,85 @@ def consistent_with(g: Graph, syndrome, faults: Iterable[int], model) -> bool:
     Exactly the entries whose tester or comparator is outside the fault
     set are forced; controlled entries can always be matched.
     """
-    from .diagnosis import DiagModel
-
-    model_name = "pmc" if model is DiagModel.PMC else "mm"
-    _validate_shape(g, syndrome, model_name)
+    spec = _MODELS[model]
+    _validate_shape(g, syndrome, spec)
     fault_mask = g.vertex_mask(faults)
-    forced = _forced_bit_pmc if model_name == "pmc" else _forced_bit_mm
     for entry, bit in syndrome.outcomes.items():
-        if not (fault_mask >> entry[0]) & 1 and bit != forced(entry, fault_mask):
+        if not (fault_mask >> entry[0]) & 1 and bit != spec.forced(entry, fault_mask):
             return False
     return True
 
 
+def _options(g: Graph, syndrome, t: int, mm: bool) -> List[List[int]]:
+    """Per vertex w, every X = F & N(w) with |X| <= t that w's entries
+    allow if w is fault-free (none: w must be faulty).
+
+    PMC tests read X off directly.  Under MM*, with zeros[w][u] the v
+    whose (w; u, v) reads 0, w needs zeros[w][u] = N(w) - X - u for u
+    outside X and nothing for u in X: one 0 at u pins X, and with no 0
+    at most one neighbor is outside X.
+    """
+    adj = g.adj_masks
+    if not mm:
+        ones = [0] * g.n
+        for (u, v), bit in syndrome.outcomes.items():
+            ones[u] |= bit << v
+        return [[x] if x.bit_count() <= t else [] for x in ones]
+    zeros = [dict.fromkeys(bits_of(nbrs), 0) for nbrs in adj]
+    for (w, u, v), bit in syndrome.outcomes.items():
+        if not bit:
+            zeros[w][u] |= 1 << v
+            zeros[w][v] |= 1 << u
+    opts = []
+    for w, nbrs in enumerate(adj):
+        pinned = next((u for u, z in zeros[w].items() if z), None)
+        if pinned is None:
+            cands = [nbrs] + [nbrs ^ 1 << y for y in bits_of(nbrs)]
+        else:
+            cands = [nbrs ^ 1 << pinned ^ zeros[w][pinned]]
+        opts.append([x for x in cands if x.bit_count() <= t and all(
+            z == (0 if x >> u & 1 else (nbrs ^ x) & ~(1 << u)) for u, z in zeros[w].items()
+        )])
+    return opts
+
+
 def decode(g: Graph, syndrome, t: int, model) -> Tuple[frozenset, ...]:
     """Every fault set of size at most t consistent with the syndrome,
-    ascending by size then lexicographically."""
+    ascending by size then lexicographically.
+
+    A set fits exactly when each vertex outside it sees an X that its own
+    entries allow (``_options``).  A depth-first search fixes the vertices
+    in ascending order, each as faulty or as fault-free with one allowed
+    X, which fixes its whole neighborhood; a branch stops on a
+    contradiction or past t faults, and each leaf is a distinct set.
+    """
     if t < 0:
         raise GraphError(f"fault budget must be nonnegative, got {t}")
-    from .diagnosis import DiagModel
-
-    model_name = "pmc" if model is DiagModel.PMC else "mm"
-    _validate_shape(g, syndrome, model_name)
-    forced = _forced_bit_pmc if model_name == "pmc" else _forced_bit_mm
-    entries = list(syndrome.outcomes.items())
+    spec = _MODELS[model]
+    _validate_shape(g, syndrome, spec)
+    t = min(t, g.n)
+    adj = g.adj_masks
+    opts = _options(g, syndrome, t, model is DiagModel.MMSTAR)
     found = []
-    for size in range(0, min(t, g.n) + 1):
-        for combo in combinations(range(g.n), size):
-            fault_mask = 0
-            for v in combo:
-                fault_mask |= 1 << v
-            ok = True
-            for entry, bit in entries:
-                if not (fault_mask >> entry[0]) & 1 and bit != forced(entry, fault_mask):
-                    ok = False
-                    break
-            if ok:
-                found.append(frozenset(combo))
-    return tuple(found)
+    stack = [(0, 0, 0)]
+    while stack:
+        w, faulty, clear = stack.pop()
+        if w == g.n:
+            found.append(faulty)
+            continue
+        bit = 1 << w
+        if faulty & bit:
+            stack.append((w + 1, faulty, clear))
+            continue
+        if not clear & bit and faulty.bit_count() < t:
+            stack.append((w + 1, faulty | bit, clear))
+        for x in opts[w]:
+            rest = adj[w] ^ x
+            if x & clear or rest & faulty or (faulty | x).bit_count() > t:
+                continue
+            stack.append((w + 1, faulty | x, clear | bit | rest))
+    found.sort(key=lambda m: (m.bit_count(), tuple(bits_of(m))))
+    return tuple(frozenset(bits_of(m)) for m in found)
 
 
 def syndromes_compatible(g: Graph, f1: Iterable[int], f2: Iterable[int], model) -> bool:
@@ -274,15 +303,11 @@ def syndromes_compatible(g: Graph, f1: Iterable[int], f2: Iterable[int], model) 
     distinguishability predicates and is kept deliberately independent of
     them.
     """
-    from .diagnosis import DiagModel
-
-    model_name = "pmc" if model is DiagModel.PMC else "mm"
+    _, entries, forced = _MODELS[model]
     m1 = g.vertex_mask(f1)
     m2 = g.vertex_mask(f2)
-    forced = _forced_bit_pmc if model_name == "pmc" else _forced_bit_mm
-    entries = pmc_entries(g) if model_name == "pmc" else mm_entries(g)
     both = m1 | m2
-    for entry in entries:
+    for entry in entries(g):
         if not (both >> entry[0]) & 1 and forced(entry, m1) != forced(entry, m2):
             return False
     return True
@@ -320,16 +345,11 @@ def confusing_syndrome(g: Graph, f1: Iterable[int], f2: Iterable[int], model):
     is indistinguishable the doubly-forced entries agree, so the result is
     consistent with both sets (decode confirms).
     """
-    from .diagnosis import DiagModel
-
-    model_name = "pmc" if model is DiagModel.PMC else "mm"
+    cls, entries, forced = _MODELS[model]
     m1 = g.vertex_mask(f1)
     m2 = g.vertex_mask(f2)
-    forced = _forced_bit_pmc if model_name == "pmc" else _forced_bit_mm
-    entries = pmc_entries(g) if model_name == "pmc" else mm_entries(g)
-    cls = PmcSyndrome if model_name == "pmc" else MmSyndrome
     outcomes = {}
-    for entry in entries:
+    for entry in entries(g):
         head = entry[0]
         if not (m1 >> head) & 1:
             outcomes[entry] = forced(entry, m1)

@@ -1,6 +1,8 @@
 import json
 import subprocess
 import sys
+import time
+from itertools import combinations, islice
 
 import pytest
 
@@ -147,6 +149,17 @@ class TestAnalyze:
         code, _, err = run_cli(capsys, "analyze", str(path), "--cap", "4")
         assert code == 3
         assert "cap" in err.lower()
+
+    def test_large_over_cap_edge_list_exit_3(self, capsys, tmp_path):
+        # 15,000 edges: a quadratic duplicate check took seconds to reach the cap
+        edges = list(islice(combinations(range(200), 2), 15000))
+        path = tmp_path / "big.txt"
+        path.write_text("200 15000\n" + "".join(f"{u} {v}\n" for u, v in edges))
+        start = time.perf_counter()
+        code, _, err = run_cli(capsys, "analyze", str(path))
+        assert code == 3
+        assert "200 vertices" in err
+        assert time.perf_counter() - start < 2.0
 
     def test_byte_stable(self, capsys, tmp_path):
         path = tmp_path / "pet.g6"

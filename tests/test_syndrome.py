@@ -1,3 +1,6 @@
+import random
+from itertools import combinations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,16 +15,54 @@ from diagnoscope.syndrome import (
     MmSyndrome,
     PmcSyndrome,
     SyndromeError,
+    _forced_bit_mm,
+    _forced_bit_pmc,
     confusing_syndrome,
     consistent_with,
     decode,
     generate_syndrome,
+    mm_entries,
+    pmc_entries,
     seeded_random,
     unique_decoding_everywhere,
 )
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR
+
+
+def reference_decode(g, syndrome, t, model):
+    """The subset-enumeration decoder, frozen as the reference for
+    ``decode`` (shape validation is left to ``decode``)."""
+    model_name = "pmc" if model is DiagModel.PMC else "mm"
+    forced = _forced_bit_pmc if model_name == "pmc" else _forced_bit_mm
+    entries = list(syndrome.outcomes.items())
+    found = []
+    for size in range(0, min(t, g.n) + 1):
+        for combo in combinations(range(g.n), size):
+            fault_mask = 0
+            for v in combo:
+                fault_mask |= 1 << v
+            ok = True
+            for entry, bit in entries:
+                if not (fault_mask >> entry[0]) & 1 and bit != forced(entry, fault_mask):
+                    ok = False
+                    break
+            if ok:
+                found.append(frozenset(combo))
+    return tuple(found)
+
+
+def random_syndrome(g, model, rng):
+    if model is PMC:
+        return PmcSyndrome({e: rng.getrandbits(1) for e in pmc_entries(g)})
+    return MmSyndrome({e: rng.getrandbits(1) for e in mm_entries(g)})
+
+
+def all_graphs(n):
+    pairs = list(combinations(range(n), 2))
+    for mask in range(1 << len(pairs)):
+        yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def empty_graph(n):
@@ -115,6 +156,63 @@ class TestDecode:
         candidates = decode(g, syn, len(faults), model)
         assert frozenset(faults) in candidates
         assert consistent_with(g, syn, faults, model)
+
+
+class TestDecodeMatchesReference:
+    @staticmethod
+    def check(g, model, rng, generated):
+        syndromes = [random_syndrome(g, model, rng)]
+        for _ in range(generated):
+            faults = rng.sample(range(g.n), rng.randint(0, min(g.n, 4)))
+            syndromes.append(
+                generate_syndrome(g, faults, model, seeded_random(rng.randrange(10**6)))
+            )
+        for syn in syndromes:
+            for t in range(min(g.n, 4) + 1):
+                assert decode(g, syn, t, model) == reference_decode(g, syn, t, model), (
+                    g.n, g.edges, model, t, sorted(syn.outcomes.items()),
+                )
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_every_graph_up_to_five_vertices(self, model):
+        rng = random.Random(f"decode-small-{model.value}")
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                self.check(g, model, rng, generated=2)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_seeded_random_graphs(self, model):
+        rng = random.Random(f"decode-random-{model.value}")
+        for _ in range(300):
+            n = rng.randint(6, 10)
+            p = rng.random()
+            g = build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+            self.check(g, model, rng, generated=1)
+
+
+class TestDecodeFrontierQ6:
+    """Q6 is 6-diagnosable under both models and not 7-diagnosable."""
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_unique_at_diagnosability(self, model):
+        g = hypercube(6)
+        rng = random.Random(f"q6-{model.value}")
+        for i in range(20):
+            faults = frozenset(rng.sample(range(g.n), 6))
+            for policy in (seeded_random(i), ALL_ZERO, ALL_ONE):
+                syn = generate_syndrome(g, faults, model, policy)
+                assert decode(g, syn, 6, model) == (faults,), (sorted(faults), policy)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_confusing_pair_beyond_diagnosability(self, model):
+        g = hypercube(6)
+        decision = is_t_diagnosable(g, 7, model)
+        assert not decision.diagnosable
+        w = decision.witness
+        syn = confusing_syndrome(g, w.f1, w.f2, model)
+        candidates = decode(g, syn, 7, model)
+        assert set(candidates) == {w.f1, w.f2}
+        assert len(candidates) == 2
 
 
 class TestSerialization:
