@@ -282,6 +282,82 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, [normalize_edge(perm[u], perm[v]) for u, v in g.edges])
 
 
+def _refine(adj: Tuple[int, ...], colours: Sequence[int], v: int | None = None):
+    """Coarsest equitable refinement of a colouring, ``v`` individualized.
+
+    Each round recolours a vertex by the rank of (colour, sorted neighbour
+    colours), so labels never depend on vertex ids and cells keep their
+    order.  Also returns the last round's sorted keys as an invariant.
+    """
+    colours = list(colours)
+    if v is not None:
+        colours[v] = -1
+    cells = -1
+    while True:
+        keys = [(c, tuple(sorted(colours[u] for u in bits_of(a)))) for c, a in zip(colours, adj)]
+        ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
+        colours = [ranks[k] for k in keys]
+        if len(ranks) == cells:
+            return colours, tuple(sorted(keys))
+        cells = len(ranks)
+
+
+def automorphism_generators(g: Graph) -> Tuple[Tuple[int, ...], ...]:
+    """Generators of the automorphism group; each maps vertex v to perm[v].
+
+    Individualization and refinement (McKay & Piperno, "Practical graph
+    isomorphism, II"): the first path individualizes the smallest vertex
+    of the first non-singleton cell down to a discrete colouring.  Walking
+    back up, each level searches a leaf that, matched to the first leaf by
+    colour, sends the level's base point b to each w of its cell not yet
+    in b's orbit.  Individualized vertices hold the lowest labels in
+    order, so that map fixes the earlier base points; with the stabilizer
+    below, one map per orbit generates the stabilizer at this level.
+    """
+    adj, n = g.adj_masks, g.n
+    colours, _ = _refine(adj, [0] * n)
+    path = []  # per level: colours, target cell label, base point, invariant below
+    while len(set(colours)) < n:
+        target = min(c for c in colours if colours.count(c) > 1)
+        base = colours.index(target)
+        below, invariant = _refine(adj, colours, base)
+        path.append((colours, target, base, invariant))
+        colours = below
+    leaf = colours
+
+    def search(cols, level, choices=None):
+        if level == len(path):
+            at = {c: v for v, c in enumerate(cols)}
+            perm = tuple(at[c] for c in leaf)
+            ok = all(sum(1 << perm[u] for u in bits_of(a)) == adj[perm[v]] for v, a in enumerate(adj))
+            return perm if ok else None
+        _, target, _, invariant = path[level]
+        for x in choices or [x for x in range(n) if cols[x] == target]:
+            below, inv = _refine(adj, cols, x)
+            found = inv == invariant and search(below, level + 1)
+            if found:
+                return found
+        return None
+
+    orbit = list(range(n))
+
+    def find(v):
+        while orbit[v] != v:
+            orbit[v] = v = orbit[orbit[v]]
+        return v
+
+    gens = []
+    for level in range(len(path) - 1, -1, -1):
+        cols, target, base, _ = path[level]
+        for w in range(base + 1, n):
+            perm = cols[w] == target and find(w) != find(base) and search(cols, level, [w])
+            if perm:
+                gens.append(perm)
+                for v in range(n):
+                    orbit[find(v)] = find(perm[v])
+    return tuple(gens)
+
+
 @dataclass(frozen=True)
 class DegreeProfile:
     min_degree: int

@@ -200,7 +200,18 @@ def _validate_shape(g: Graph, syndrome, spec: _ModelSpec):
     cls = spec.syndrome_cls
     if not isinstance(syndrome, cls):
         raise SyndromeError(f"expected a {cls.__name__} for the {cls.model_name} model")
-    if set(syndrome.outcomes) != set(spec.entries(g)):
+    # as many keys as the graph has entries, each one an entry
+    adj, n, keys = g.adj_masks, g.n, syndrome.outcomes
+    try:
+        if cls is PmcSyndrome:
+            valid = len(keys) == 2 * g.m and all(0 <= u < n and v >= 0 and adj[u] >> v & 1 for u, v in keys)
+        else:
+            valid = len(keys) == sum(d * (d - 1) // 2 for d in g.degrees) and all(
+                0 <= w < n and 0 <= u < v and adj[w] >> u & adj[w] >> v & 1 for w, u, v in keys
+            )
+    except (TypeError, ValueError):  # a key that is not a tuple of ints of the right length
+        valid = False
+    if not valid:
         raise SyndromeError("syndrome entries do not match the graph's test structure")
     for entry, bit in syndrome.outcomes.items():
         if bit not in (0, 1):

@@ -15,9 +15,11 @@ and the deleted edges, therefore yields the whole value table for every
 budget at once.  The scenario sweep remains the oracle the folded table
 is tested against, and is the production path for MM*.
 
-Scenario enumeration is embarrassingly parallel; with jobs > 1 chunks are
-farmed to worker processes and reduced by (value, scenario) so results
-do not depend on the worker count.
+An automorphism sigma of G makes G - F and G - sigma(F) isomorphic, so
+the sweep visits only the lexicographically first scenario of each
+orbit; asymmetric graphs sweep every scenario.  With jobs > 1 those
+representatives go to worker processes and are reduced by (value,
+scenario), so results do not depend on the worker count.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from typing import List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
 from .diagnosis import DiagModel, diagnosability, diagnosability_cap, is_t_diagnosable
-from .graphs import Edge, Graph, GraphError, bits_of, delete_edges
+from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, delete_edges, normalize_edge
 
 METHOD_BRUTE = "brute_force"
 METHOD_THEOREM = "theorem"
@@ -185,16 +187,49 @@ def _sweep_chunk(args) -> Tuple[int, Tuple[Edge, ...]]:
     return best
 
 
+def _orbit_scenarios(g: Graph, size: int):
+    """The first size-``size`` edge set of each automorphism orbit, in
+    ``combinations(g.edges, size)`` order; each yielded bitmask over edge
+    indices marks its orbit, closed under the generators, as seen."""
+    gens = automorphism_generators(g) if 0 < size < g.m else ()  # else one scenario
+    if not gens:
+        yield from combinations(g.edges, size)
+        return
+    index = {e: i for i, e in enumerate(g.edges)}
+    moves = [[index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in gens]
+    seen = set()
+    for combo in combinations(range(g.m), size):
+        mask = sum(1 << i for i in combo)
+        if mask in seen:
+            continue
+        yield tuple(g.edges[i] for i in combo)
+        stack = [mask]
+        while stack:
+            x = stack.pop()
+            if x not in seen:
+                seen.add(x)
+                stack += [sum(1 << move[i] for i in bits_of(x)) for move in moves]
+
+
 def _scenario_sweep(g: Graph, size: int, model: DiagModel, jobs: int) -> Tuple[int, Tuple[Edge, ...]]:
+    """Minimum diagnosability over size-``size`` scenarios and the
+    lexicographically first scenario attaining it.
+
+    Every scenario of an orbit has the same value, so only each orbit's
+    lexicographically first member is swept.  The first minimizing
+    scenario overall is the first member of its own orbit, so a scan in
+    lexicographic order that replaces its result only on a strictly
+    smaller value returns the same pair as a sweep over every scenario.
+    """
     if jobs > 1:
-        scenarios = list(_scenarios(g, size))
+        scenarios = list(_orbit_scenarios(g, size))
         chunks = [scenarios[i::jobs] for i in range(jobs)]
         with multiprocessing.get_context("fork").Pool(jobs) as pool:
             results = pool.map(_sweep_chunk, [(g, c, model) for c in chunks if c])
         return min(r for r in results if r is not None)
     best_val: Optional[int] = None
     best_scenario: Tuple[Edge, ...] = ()
-    for scenario in _scenarios(g, size):
+    for scenario in _orbit_scenarios(g, size):
         g2 = delete_edges(g, scenario)
         if best_val is None:
             best_val = diagnosability(g2, model)

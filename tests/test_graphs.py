@@ -1,11 +1,16 @@
+import random
+from math import factorial
+
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagnoscope.families import complete, cycle, hypercube
+from diagnoscope.families import complete, cycle, hypercube, petersen
 from diagnoscope.graphs import (
     CapExceededError,
     GraphError,
+    automorphism_generators,
     build_graph,
     complement,
     degree_profile,
@@ -259,3 +264,87 @@ def test_graph_value_semantics():
     assert a == b
     assert hash(a) == hash(b)
     assert a != build_graph(4, [(0, 1)])
+
+
+def group_order(g, gens):
+    """Size of the group the permutations generate, closed by BFS."""
+    identity = tuple(range(g.n))
+    seen = {identity}
+    frontier = [identity]
+    while frontier:
+        perm = frontier.pop()
+        for gen in gens:
+            image = tuple(gen[v] for v in perm)
+            if image not in seen:
+                seen.add(image)
+                frontier.append(image)
+    return len(seen)
+
+
+def networkx_order(g):
+    nxg = nx.Graph()
+    nxg.add_nodes_from(range(g.n))
+    nxg.add_edges_from(g.edges)
+    return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(nxg, nxg).isomorphisms_iter())
+
+
+def all_graphs(max_n):
+    for n in range(0, max_n + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for bits in range(1 << len(pairs)):
+            yield build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+
+
+def seeded_graphs(count):
+    rng = random.Random("automorphisms")
+    for _ in range(count):
+        n = rng.randrange(6, 11)
+        p = rng.uniform(0.25, 0.75)
+        yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+
+
+class TestAutomorphismGenerators:
+    """The generated group against networkx's VF2 automorphism count, and
+    against the known orders of standard families."""
+
+    def check(self, g, order):
+        gens = automorphism_generators(g)
+        for perm in gens:
+            assert sorted(perm) == list(range(g.n))
+            assert relabel(g, perm) == g, (g.edges, perm)
+        assert group_order(g, gens) == order, g.edges
+
+    def test_every_graph_up_to_five_vertices(self):
+        for g in all_graphs(5):
+            self.check(g, networkx_order(g))
+
+    def test_seeded_random_graphs(self):
+        for g in seeded_graphs(100):
+            self.check(g, networkx_order(g))
+
+    def test_verify_corpus(self):
+        from diagnoscope.verification import default_corpus
+
+        for entry in default_corpus():
+            self.check(entry.graph, networkx_order(entry.graph))
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 4, 5])
+    def test_hypercube_order(self, dim):
+        self.check(hypercube(dim), 2**dim * factorial(dim))
+
+    def test_petersen_order(self):
+        self.check(petersen(), 120)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_complete_order(self, n):
+        self.check(complete(n), factorial(n))
+
+    @pytest.mark.parametrize("n", range(3, 11))
+    def test_cycle_order(self, n):
+        self.check(cycle(n), 2 * n)
+
+    def test_asymmetric_graph_has_no_generators(self):
+        # the smallest asymmetric graphs have six vertices
+        g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 4)])
+        assert networkx_order(g) == 1
+        assert automorphism_generators(g) == ()

@@ -1,5 +1,6 @@
 import random
-from itertools import combinations
+import re
+from itertools import combinations, product
 
 import pytest
 from hypothesis import given, settings
@@ -156,6 +157,80 @@ class TestDecode:
         candidates = decode(g, syn, len(faults), model)
         assert frozenset(faults) in candidates
         assert consistent_with(g, syn, faults, model)
+
+
+class TestShapeValidation:
+    """Count-plus-membership validation raises exactly where comparing the
+    key set with the full entry list did, with the same messages."""
+
+    MISMATCH = re.escape("syndrome entries do not match the graph's test structure")
+
+    @staticmethod
+    def syndrome(model, keys):
+        cls = PmcSyndrome if model is PMC else MmSyndrome
+        return cls(dict.fromkeys(keys, 0))
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_missing_entry(self, model):
+        g = cycle(5)
+        syn = generate_syndrome(g, [1], model, ALL_ONE)
+        del syn.outcomes[min(syn.outcomes)]
+        with pytest.raises(SyndromeError, match=self.MISMATCH):
+            decode(g, syn, 1, model)
+        with pytest.raises(SyndromeError, match=self.MISMATCH):
+            consistent_with(g, syn, [1], model)
+
+    @pytest.mark.parametrize("model, extra", [(PMC, (0, 2)), (MM, (0, 1, 2))])
+    def test_extra_entry(self, model, extra):
+        g = cycle(5)
+        syn = generate_syndrome(g, [], model, ALL_ZERO)
+        syn.outcomes[extra] = 0
+        with pytest.raises(SyndromeError, match=self.MISMATCH):
+            decode(g, syn, 1, model)
+
+    @pytest.mark.parametrize(
+        "model, stray",
+        [(PMC, (0, 2)), (PMC, (0, 0)), (PMC, (0, 5)), (PMC, (-1, 4)), (PMC, (0, 1, 4)),
+         (MM, (0, 1, 2)), (MM, (0, 4, 1)), (MM, (0, 1, 1)), (MM, (5, 4, 1)), (MM, (0, -1, 4)), (MM, (0, 1))],
+    )
+    def test_non_adjacent_entry(self, model, stray):
+        # same entry count, one key replaced by a key that is not an entry
+        g = cycle(5)
+        syn = generate_syndrome(g, [], model, ALL_ZERO)
+        del syn.outcomes[max(syn.outcomes)]
+        syn.outcomes[stray] = 0
+        with pytest.raises(SyndromeError, match=self.MISMATCH):
+            decode(g, syn, 1, model)
+
+    @pytest.mark.parametrize("model, other", [(PMC, MM), (MM, PMC)])
+    def test_wrong_syndrome_class(self, model, other):
+        g = cycle(5)
+        syn = generate_syndrome(g, [], other, ALL_ZERO)
+        cls = PmcSyndrome if model is PMC else MmSyndrome
+        message = re.escape(f"expected a {cls.__name__} for the {cls.model_name} model")
+        with pytest.raises(SyndromeError, match=message):
+            decode(g, syn, 1, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_agrees_with_entry_set_comparison(self, model):
+        entries = pmc_entries if model is PMC else mm_entries
+        width = 2 if model is PMC else 3
+        for n in range(1, 5):
+            pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+            keys = list(product(range(-1, n + 1), repeat=width))
+            for bits in range(1 << len(pairs)):
+                g = build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+                full = entries(g)
+                variants = [full, full[1:], full[:-1]]
+                variants += [full + [k] for k in keys]
+                variants += [full[1:] + [k] for k in keys]
+                for variant in variants:
+                    syn = self.syndrome(model, variant)
+                    if set(variant) == set(full):
+                        decode(g, syn, 1, model)
+                    else:
+                        with pytest.raises(SyndromeError, match=self.MISMATCH):
+                            decode(g, syn, 1, model)
 
 
 class TestDecodeMatchesReference:

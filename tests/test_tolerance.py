@@ -5,19 +5,22 @@ definition they implement."""
 
 import random
 from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagnoscope.diagnosis import DiagModel, diagnosability
+from diagnoscope.diagnosis import DiagModel, diagnosability, is_t_diagnosable
 from diagnoscope.families import (
+    circulant,
     complete,
     complete_bipartite,
     cycle,
     hypercube,
     make_gamma,
     petersen,
+    prism,
     wheel,
     GammaSpec,
 )
@@ -26,6 +29,8 @@ from diagnoscope.tolerance import (
     METHOD_BRUTE,
     METHOD_THEOREM,
     _pmc_break_table,
+    _orbit_scenarios,
+    _scenario_sweep,
     edge_tolerable_by_definition,
     edge_tolerable_diagnosability,
     theoretical_bounds,
@@ -116,6 +121,53 @@ def reference_break_table(g):
                 cut.append((v, w) if v < w else (w, v))
         scenarios.append(tuple(sorted(cut)))
     return tuple(best), tuple(scenarios)
+
+
+def reference_sweep(g, size, model):
+    """The serial scenario sweep over every size-``size`` scenario, frozen.
+
+    Scans ``combinations(g.edges, size)`` in order and replaces the result
+    only on a strictly smaller value, so it returns the minimum and the
+    lexicographically first scenario attaining it.
+    """
+    best_val = None
+    best_scenario = ()
+    for scenario in combinations(g.edges, size):
+        g2 = delete_edges(g, scenario)
+        if best_val is None:
+            best_val = diagnosability(g2, model)
+            best_scenario = scenario
+        else:
+            if is_t_diagnosable(g2, best_val, model).diagnosable:
+                continue
+            t = best_val - 1
+            while t > 0 and not is_t_diagnosable(g2, t, model).diagnosable:
+                t -= 1
+            best_val = t
+            best_scenario = scenario
+        if best_val == 0:
+            break
+    return best_val, best_scenario
+
+
+def all_graphs(max_n):
+    for n in range(1, max_n + 1):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for bits in range(1 << len(pairs)):
+            yield build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+
+
+def symmetric_graphs():
+    for n in range(6, 11):
+        steps = range(1, n // 2 + 1)
+        for bits in range(1, 1 << len(steps)):
+            yield circulant(n, [s for i, s in enumerate(steps) if (bits >> i) & 1])
+    yield from (hypercube(d) for d in (2, 3, 4))
+    yield from (complete(n) for n in (4, 5, 6))
+    yield from (complete_bipartite(a, b) for a in range(1, 5) for b in range(a, 5))
+    yield from (prism(k) for k in (3, 4, 5, 6))
+    yield from (wheel(k) for k in (3, 4, 5, 6, 7))
+    yield petersen()
 
 
 @st.composite
@@ -224,6 +276,64 @@ class TestFoldedTable:
         assert result.value == dim - h
         assert len(result.worst_scenario) == h
         assert diagnosability(delete_edges(g, result.worst_scenario), PMC) == dim - h
+
+
+class TestOrbitSweep:
+    """The orbit-representative sweep against the frozen full sweep: the
+    same (value, scenario) pair, byte for byte."""
+
+    def check(self, g, h_max, max_scenarios=None):
+        for h in range(0, min(g.min_degree, h_max) + 1):
+            size = min(h, g.m)
+            if max_scenarios is not None and comb(g.m, size) > max_scenarios:
+                continue
+            for model in (PMC, MM):
+                assert _scenario_sweep(g, size, model, jobs=1) == reference_sweep(g, size, model), (
+                    g.edges,
+                    h,
+                    model,
+                )
+
+    def test_every_graph_up_to_five_vertices(self):
+        for g in all_graphs(5):
+            self.check(g, 2)
+
+    def test_symmetric_families(self):
+        # above degree 5 the frozen full sweep at h = 2 takes 2-6 s a graph
+        for g in symmetric_graphs():
+            self.check(g, 2 if g.min_degree <= 5 else 1)
+
+    def test_verify_corpus(self):
+        for entry in default_corpus():
+            self.check(entry.graph, 3, max_scenarios=8192)
+
+    @pytest.mark.parametrize(
+        "g", [hypercube(3), petersen(), complete_bipartite(3, 3)], ids=["q3", "petersen", "k33"]
+    )
+    def test_jobs_match_serial(self, g):
+        for size in (1, 2):
+            for model in (PMC, MM):
+                assert _scenario_sweep(g, size, model, jobs=2) == _scenario_sweep(g, size, model, jobs=1)
+
+    @pytest.mark.parametrize(
+        "g, h, orbits",
+        [
+            (hypercube(4), 2, 6),
+            (hypercube(4), 3, 24),
+            (petersen(), 3, 9),
+            (complete_bipartite(4, 4), 3, 4),
+            (hypercube(5), 2, 8),
+        ],
+        ids=["q4-h2", "q4-h3", "petersen-h3", "k44-h3", "q5-h2"],
+    )
+    def test_one_scenario_per_orbit(self, g, h, orbits):
+        assert len(list(_orbit_scenarios(g, h))) == orbits
+
+    def test_q5_mm_frontier(self):
+        g = hypercube(5)
+        expected = {0: (5, ()), 1: (4, ((0, 1),)), 2: (3, ((0, 1), (0, 2)))}
+        for h, pair in expected.items():
+            assert _scenario_sweep(g, h, MM, jobs=1) == pair
 
 
 class TestWorstScenario:

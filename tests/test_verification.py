@@ -19,6 +19,7 @@ from diagnoscope.verification import (
     FAIL,
     NOT_MET,
     PASS,
+    default_corpus,
     run_suite,
 )
 
@@ -111,6 +112,19 @@ class TestSuite:
         )
         mm_rows = [r for r in report.rows if r.model == "mm" and (r.h or 0) > 0]
         assert mm_rows and all(r.verdict == BLOCKED for r in mm_rows)
+
+    def test_default_budget_gates_on_scenario_count(self):
+        # the gate counts every scenario, not orbits: these rows stay blocked
+        # even though orbit pruning would make them cheap
+        heavy = ("hypercube-4", "random-4conn-10-d", "random-4conn-12-e")
+        report = run_suite(corpus=[e for e in default_corpus() if e.name in heavy], claims=[CLAIM_UPPER])
+        blocked = {(r.graph_name, r.model, r.h) for r in report.rows if r.verdict == BLOCKED}
+        assert blocked == {
+            ("hypercube-4", "mm", 4),
+            ("random-4conn-10-d", "mm", 4),
+            ("random-4conn-12-e", "mm", 3),
+            ("random-4conn-12-e", "mm", 5),
+        }
 
     def test_max_n_blocks_large_graphs(self):
         budget = Budget(max_n=4)
