@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional, Tuple
 
 from .connectivity import (
+    _kappa_value,
     internally_disjoint_paths,
     max_common_neighbors,
     vertex_connectivity,
@@ -166,7 +167,8 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     g, fmt = _load_nonempty(args)
     name = args.name or (args.input if args.input != "-" else "stdin")
-    conn = vertex_connectivity(g)
+    kappa = _kappa_value(g)
+    delta = g.min_degree
     common = max_common_neighbors(g).value if g.n >= 2 else 0
     recognition = recognize_exceptional(g)
     family_json = {}
@@ -179,7 +181,9 @@ def _cmd_analyze(args) -> int:
     results = []
     for model in _model_list(args.model):
         for h in range(0, h_max + 1):
-            bounds = theoretical_bounds(g, h, model, recognition=recognition)
+            bounds = theoretical_bounds(
+                g, h, model, recognition=recognition, kappa=kappa, common=common
+            )
             entry = {"model": model.value, "h": h}
             if args.method == "bounds":
                 if bounds.exact is not None:
@@ -198,11 +202,11 @@ def _cmd_analyze(args) -> int:
             results.append(entry)
     report = {
         "graph": {"name": name, "n": g.n, "m": g.m, "format_echo": fmt},
-        "kappa": conn.kappa,
-        "delta": conn.delta,
+        "kappa": kappa,
+        "delta": delta,
         "max_common_neighbors": common,
         "regular": g.is_regular,
-        "maximally_connected": conn.maximally_connected,
+        "maximally_connected": kappa == delta,
         "exceptional_family": family_json,
         "results": results,
     }
@@ -330,8 +334,6 @@ def build_parser() -> _Parser:
     p_an.add_argument("--h-max", type=_nonnegative, default=None, dest="h_max",
                       help="edge budgets 0..K (default 1)")
     p_an.add_argument("--method", choices=("brute", "bounds", "auto"), default="auto")
-    p_an.add_argument("--seed", type=int, default=0,
-                      help="reserved for randomized methods; analysis itself is deterministic")
     p_an.add_argument("--jobs", type=_positive, default=1, help="parallel scenario workers")
     p_an.add_argument("--name", default=None, help="graph name echoed in the report")
     p_an.set_defaults(func=_cmd_analyze)

@@ -47,6 +47,16 @@ RECOGNIZER_CAP = 20
 FAMILY_MIN_DELTA = 3
 
 
+def common_neighbor_shortcut(delta: int, common: int) -> bool:
+    """True when C(G) = ``common`` alone proves G outside the family.
+
+    Members are all irregular with max common neighbors at least
+    delta - 1 (at least delta when delta >= 4), so a graph below that
+    floor is surely not a member.
+    """
+    return (delta >= 3 and common <= delta - 2) or (delta >= 4 and common <= delta - 1)
+
+
 @dataclass(frozen=True)
 class GammaSpec:
     """Parameters fully determining one exceptional-family instance.
@@ -615,8 +625,7 @@ def recognize_exceptional(g: Graph, *, cap: int | None = None) -> RecognitionRes
     delta = g.min_degree
     if delta < FAMILY_MIN_DELTA or g.n < 2 * delta + 1 or g.is_regular:
         return RecognitionResult(False, None, None, "decided")
-    c_value = max_common_neighbors(g).value
-    if c_value < delta - 1 or (delta >= 4 and c_value < delta):
+    if common_neighbor_shortcut(delta, max_common_neighbors(g).value):
         return RecognitionResult(False, None, None, "decided")
     index, witness = _template_search(g, delta)
     if index is None:

@@ -302,24 +302,24 @@ def edge_tolerable_by_definition(g: Graph, h: int, model: DiagModel) -> int:
     return value
 
 
-def _family_exclusion(g: Graph, recognition) -> Tuple[List[BoundCondition], Optional[bool]]:
+def _family_exclusion(
+    g: Graph, recognition, common: Optional[int]
+) -> Tuple[List[BoundCondition], Optional[bool]]:
     """Decide G not-in exceptional-family(delta), preferring cheap criteria.
 
     Returns condition rows plus the exclusion verdict (True = surely not a
     member, False = member, None = undecided within the recognizer cap).
-    Members are all irregular with max common neighbors at least
-    delta - 1 (at least delta when delta >= 4), so those statistics give
-    sufficient exclusion tests before the structural recognizer runs.
+    ``common`` is C(G) when the caller already has it.  The common-neighbor
+    shortcut is a sufficient exclusion test, checked before the structural
+    recognizer runs.
     """
-    from .families import recognize_exceptional
+    from .families import common_neighbor_shortcut, recognize_exceptional
 
     rows: List[BoundCondition] = []
     delta = g.min_degree
     if g.n >= 2:
-        c_value = max_common_neighbors(g).value
-        shortcut = (delta >= 3 and c_value <= delta - 2) or (
-            delta >= 4 and c_value <= delta - 1
-        )
+        c_value = common if common is not None else max_common_neighbors(g).value
+        shortcut = common_neighbor_shortcut(delta, c_value)
         rows.append(
             BoundCondition(
                 "family_shortcut",
@@ -348,7 +348,13 @@ def _family_exclusion(g: Graph, recognition) -> Tuple[List[BoundCondition], Opti
 
 
 def theoretical_bounds(
-    g: Graph, h: int, model: DiagModel, *, recognition=None
+    g: Graph,
+    h: int,
+    model: DiagModel,
+    *,
+    recognition=None,
+    kappa: Optional[int] = None,
+    common: Optional[int] = None,
 ) -> BoundReport:
     """Evaluate the applicable theorems at budget h and report bounds.
 
@@ -356,7 +362,9 @@ def theoretical_bounds(
     degrees, common neighbors, family recognition) and reported as a
     pass/fail row; bounds are emitted only from rules whose hypotheses all
     hold.  The lower-bound rules are instantiated at t = kappa(G), the
-    strongest provable choice.
+    strongest provable choice.  A caller evaluating several budgets passes
+    ``recognition``, ``kappa`` and C(G) as ``common`` once computed; each
+    is computed here when omitted.
     """
     if h < 0:
         raise GraphError(f"edge budget must be nonnegative, got {h}")
@@ -364,7 +372,8 @@ def theoretical_bounds(
         raise GraphError("bounds are undefined for the empty graph")
     n = g.n
     delta = g.min_degree
-    kappa = _kappa_value(g)
+    if kappa is None:
+        kappa = _kappa_value(g)
     conditions: List[BoundCondition] = []
     lower = lower_rule = None
     upper = upper_rule = None
@@ -408,7 +417,7 @@ def theoretical_bounds(
             lower = upper = exact = delta - h
             lower_rule = upper_rule = "pmc_exact"
     else:
-        family_rows, excluded = _family_exclusion(g, recognition)
+        family_rows, excluded = _family_exclusion(g, recognition, common)
         conditions.extend(family_rows)
         c1 = kappa >= 3
         c2 = n >= 2 * (kappa - h) + 3

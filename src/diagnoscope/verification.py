@@ -24,6 +24,7 @@ from .families import (
     complete,
     complete_bipartite,
     circulant,
+    common_neighbor_shortcut,
     hypercube,
     petersen,
     prism,
@@ -321,10 +322,7 @@ def _exclusion_hypothesis(facts: _Facts) -> Tuple[str, bool]:
     recog = facts.recognition
     if recog.status == "cap_exceeded":
         # fall back to the proven sufficient statistics
-        if facts.common is not None and (
-            (facts.delta >= 3 and facts.common <= facts.delta - 2)
-            or (facts.delta >= 4 and facts.common <= facts.delta - 1)
-        ):
+        if facts.common is not None and common_neighbor_shortcut(facts.delta, facts.common):
             return ("graph is outside the exceptional family (shortcut)", True)
         return ("family membership decided within recognizer cap", False)
     return ("graph is outside the exceptional family", not recog.member)
@@ -501,7 +499,7 @@ def check_claim(
         )
     if claim == CLAIM_MM_CN:
         c = facts.common if facts.common is not None else -1
-        shortcut = (delta >= 3 and c <= delta - 2) or (delta >= 4 and c <= delta - 1)
+        shortcut = common_neighbor_shortcut(delta, c)
         return _bound_rows(
             entry, facts, claim, DiagModel.MMSTAR, budget, jobs, h_sweep,
             lambda h: (

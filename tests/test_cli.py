@@ -193,6 +193,13 @@ class TestOtherCommands:
         assert out == ""
         assert f"argument {argv[1]}" in err
 
+    def test_analyze_has_no_seed_option(self, capsys):
+        # analysis is deterministic, so --seed is an unknown option like any other
+        code, out, err = run_cli(capsys, "analyze", "-", "--seed", "1")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --seed" in err
+
     def test_no_command_prints_help(self, capsys):
         code, _, err = run_cli(capsys)
         assert code == 1

@@ -1,18 +1,28 @@
 import random
+from collections import deque
 from itertools import combinations
 
+import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from diagnoscope.connectivity import (
+    _kappa_value,
     internally_disjoint_paths,
     is_connected,
     is_maximally_connected,
     max_common_neighbors,
     vertex_connectivity,
 )
-from diagnoscope.families import complete, cycle, hypercube, petersen
+from diagnoscope.families import (
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    petersen,
+    random_t_connected,
+)
 from diagnoscope.graphs import (
     GraphError,
     build_graph,
@@ -22,6 +32,7 @@ from diagnoscope.graphs import (
     induced_subgraph,
     join,
 )
+from diagnoscope.verification import default_corpus
 
 
 # --- independent oracles -----------------------------------------------------
@@ -68,6 +79,142 @@ def brute_separating_cut(g, u, v):
             if not (seen >> remap[v]) & 1:
                 return size
     raise AssertionError("adjacent pair passed to brute_separating_cut")
+
+
+class ReferenceSplitFlow:
+    """The vertex-split flow network the library used before its flows ran
+    on adjacency bitmasks, frozen: node 2v is the in-half of v and 2v+1 its
+    out-half, every arc lives in an adjacency list, and each augmenting
+    path is a breadth-first search over those lists."""
+
+    def __init__(self, g, s, t):
+        self.n = g.n
+        self.s_node = 2 * s + 1
+        self.t_node = 2 * t
+        # arc record: [to, remaining capacity, index of reverse arc, original capacity]
+        self.adj = [[] for _ in range(2 * g.n)]
+        big = g.n + 1
+        for v in range(g.n):
+            cap = big if v in (s, t) else 1
+            self._add(2 * v, 2 * v + 1, cap)
+        for u, v in g.edges:
+            self._add(2 * u + 1, 2 * v, 1)
+            self._add(2 * v + 1, 2 * u, 1)
+
+    def _add(self, u, v, cap):
+        self.adj[u].append([v, cap, len(self.adj[v]), cap])
+        self.adj[v].append([u, 0, len(self.adj[u]) - 1, 0])
+
+    def max_flow(self):
+        flow = 0
+        while self._augment():
+            flow += 1
+        return flow
+
+    def _augment(self):
+        parent = {self.s_node: None}
+        queue = deque([self.s_node])
+        while queue:
+            u = queue.popleft()
+            if u == self.t_node:
+                break
+            for idx, arc in enumerate(self.adj[u]):
+                if arc[1] > 0 and arc[0] not in parent:
+                    parent[arc[0]] = (u, idx)
+                    queue.append(arc[0])
+        if self.t_node not in parent:
+            return False
+        node = self.t_node
+        while parent[node] is not None:
+            u, idx = parent[node]
+            arc = self.adj[u][idx]
+            arc[1] -= 1
+            self.adj[arc[0]][arc[2]][1] += 1
+            node = u
+        return True
+
+    def flow_paths(self):
+        carrying = [dict() for _ in range(2 * self.n)]
+        for u in range(2 * self.n):
+            for to, remaining, _rev, original in self.adj[u]:
+                if original > 0 and original - remaining > 0:
+                    carrying[u][to] = original - remaining
+        paths = []
+        while carrying[self.s_node]:
+            path = [self.s_node // 2]
+            node = self.s_node
+            while node != self.t_node:
+                to = min(carrying[node])
+                carrying[node][to] -= 1
+                if carrying[node][to] == 0:
+                    del carrying[node][to]
+                node = to
+                if node % 2 == 0 and node != self.t_node:
+                    path.append(node // 2)
+                    nxt = node + 1
+                    carrying[node][nxt] -= 1
+                    if carrying[node][nxt] == 0:
+                        del carrying[node][nxt]
+                    node = nxt
+            path.append(self.t_node // 2)
+            paths.append(tuple(path))
+        return paths
+
+
+def reference_disjoint_paths(g, u, v):
+    """(count, paths) of the split-network extraction, frozen."""
+    net = ReferenceSplitFlow(g, u, v)
+    count = net.max_flow()
+    return count, tuple(net.flow_paths())
+
+
+def reference_kappa(g):
+    """The Esfahanian-Hakimi pair list with one uncapped split-network flow
+    per pair, frozen."""
+    if g.m == g.n * (g.n - 1) // 2:
+        return g.n - 1
+    if not is_connected(g):
+        return 0
+    v0 = min(range(g.n), key=lambda v: (g.degrees[v], v))
+    best = g.degrees[v0]
+    nbrs = g.adj_masks[v0]
+    for u in range(g.n):
+        if u != v0 and not (nbrs >> u) & 1:
+            best = min(best, ReferenceSplitFlow(g, v0, u).max_flow())
+    nbr_list = [v for v in range(g.n) if (nbrs >> v) & 1]
+    for i, a in enumerate(nbr_list):
+        for b in nbr_list[i + 1:]:
+            if not g.has_edge(a, b):
+                best = min(best, ReferenceSplitFlow(g, a, b).max_flow())
+    return best
+
+
+def reference_witness_cut(g):
+    """The prefix-greedy cut, frozen: extend the prefix by the smallest
+    vertex whose deletion lowers the connectivity of the rest by one."""
+    kappa = reference_kappa(g)
+    if g.m == g.n * (g.n - 1) // 2 or kappa == 0:
+        return frozenset()
+    prefix = []
+    while len(prefix) < kappa:
+        for v in range(g.n):
+            if v not in prefix and reference_kappa(delete_vertices(g, prefix + [v])) <= kappa - len(prefix) - 1:
+                prefix.append(v)
+                break
+    return frozenset(prefix)
+
+
+def seeded_random_graphs(count, n_min, n_max, seed):
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(n_min, n_max)
+        p = rng.random()
+        out.append(build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return out
+
+
+ATLAS = [build_graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
 
 
 @st.composite
@@ -136,6 +283,51 @@ class TestVertexConnectivity:
         assert vertex_connectivity(g).kappa <= g.min_degree
 
 
+class TestMatchesReference:
+    """kappa and the witness cut against the frozen split-network code."""
+
+    def check(self, g):
+        report = vertex_connectivity(g)
+        assert report.kappa == _kappa_value(g) == reference_kappa(g)
+        assert report.witness_cut == reference_witness_cut(g)
+
+    def test_atlas(self):
+        for g in ATLAS:  # every graph on 1..7 vertices
+            self.check(g)
+
+    def test_seeded_random(self):
+        for g in seeded_random_graphs(300, 7, 14, seed=6006):
+            self.check(g)
+
+    def test_default_corpus(self):
+        for entry in default_corpus():
+            self.check(entry.graph)
+
+    def test_complete_bipartite(self):
+        for a in range(1, 9):
+            for b in range(a, 9):
+                self.check(complete_bipartite(a, b))
+
+
+class TestFrontier:
+    """Values measured with the split-network code, which takes seconds to
+    minutes on these graphs."""
+
+    def test_hypercubes(self):
+        assert _kappa_value(hypercube(5)) == 5
+        report = vertex_connectivity(hypercube(6))
+        assert report.kappa == 6
+        assert report.witness_cut == frozenset({0, 3, 5, 9, 17, 33})
+
+    def test_complete_bipartite_32_32(self):
+        report = vertex_connectivity(complete_bipartite(32, 32))
+        assert report.kappa == 32
+        assert report.witness_cut == frozenset(range(32))
+
+    def test_random_t_connected_64(self):
+        assert _kappa_value(random_t_connected(64, 6, 1)) == 9
+
+
 class TestDisjointPaths:
     def test_opposite_corners_of_c4(self):
         family = internally_disjoint_paths(cycle(4), 0, 2)
@@ -159,6 +351,24 @@ class TestDisjointPaths:
         family = internally_disjoint_paths(two_triangles, 0, 3)
         assert family.count == 0
         assert family.paths == ()
+
+    def test_augmenting_path_backs_over_a_used_vertex(self):
+        # the first unit runs 0-6-3-7-1; the second enters 7 from 2 and must
+        # cancel 3 -> 7, cross 3's split arc backwards and cancel 6 -> 3
+        g = build_graph(9, [(0, 6), (0, 8), (1, 5), (1, 7), (2, 7), (2, 8),
+                            (3, 6), (3, 7), (4, 5), (4, 6), (5, 7)])
+        family = internally_disjoint_paths(g, 0, 1)
+        assert (family.count, family.paths) == reference_disjoint_paths(g, 0, 1)
+        assert family.paths == ((0, 6, 4, 5, 1), (0, 8, 2, 7, 1))
+
+    def test_same_families_as_reference(self):
+        small = [g for g in ATLAS if g.n <= 6]
+        for g in small + seeded_random_graphs(100, 5, 12, seed=6007):
+            for u in range(g.n):
+                for v in range(g.n):
+                    if u != v:
+                        family = internally_disjoint_paths(g, u, v)
+                        assert (family.count, family.paths) == reference_disjoint_paths(g, u, v)
 
     @given(graphs(min_n=2), st.data())
     @settings(max_examples=60, deadline=None)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from diagnoscope.connectivity import _kappa_value, max_common_neighbors
 from diagnoscope.diagnosis import DiagModel, diagnosability, is_t_diagnosable
 from diagnoscope.families import (
     circulant,
@@ -21,6 +22,7 @@ from diagnoscope.families import (
     make_gamma,
     petersen,
     prism,
+    recognize_exceptional,
     wheel,
     GammaSpec,
 )
@@ -444,6 +446,19 @@ class TestBounds:
         g = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
         report = theoretical_bounds(g, 1, PMC)
         assert report.upper is None
+
+    def test_precomputed_facts_give_the_same_report(self):
+        # analyze computes kappa, C(G) and the recognition once per graph
+        for entry in default_corpus():
+            g = entry.graph
+            facts = dict(
+                recognition=recognize_exceptional(g),
+                kappa=_kappa_value(g),
+                common=max_common_neighbors(g).value,
+            )
+            for model in (PMC, MM):
+                for h in range(g.min_degree + 1):
+                    assert theoretical_bounds(g, h, model, **facts) == theoretical_bounds(g, h, model)
 
     @given(graphs(min_n=2), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=50, deadline=None)
