@@ -88,11 +88,11 @@ from .syndrome import (
     generate_syndrome,
     seeded_random,
     syndromes_compatible,
-    unique_decoding_everywhere,
 )
 from .tolerance import (
     BoundCondition,
     BoundReport,
+    Facts,
     ToleranceResult,
     edge_tolerable_by_definition,
     edge_tolerable_diagnosability,

@@ -13,18 +13,9 @@ import re
 import sys
 from typing import List, Optional, Tuple
 
-from .connectivity import (
-    _kappa_value,
-    internally_disjoint_paths,
-    max_common_neighbors,
-    vertex_connectivity,
-)
+from .connectivity import internally_disjoint_paths, vertex_connectivity
 from .diagnosis import DiagModel
-from .families import (
-    STANDARD_KINDS,
-    make_gamma,
-    recognize_exceptional,
-)
+from .families import generate_standard, make_gamma, recognize_exceptional
 from .formats import (
     FormatError,
     bounds_to_json,
@@ -42,7 +33,7 @@ from .syndrome import (
     generate_syndrome,
     seeded_random,
 )
-from .tolerance import edge_tolerable_diagnosability, theoretical_bounds
+from .tolerance import Facts, edge_tolerable_diagnosability, theoretical_bounds
 from .verification import ALL_CLAIMS, Budget, run_suite
 
 EXIT_OK = 0
@@ -77,6 +68,14 @@ def _int_at_least(minimum: int):
 
 _nonnegative = _int_at_least(0)
 _positive = _int_at_least(1)
+
+
+def _vertex_list(text: str) -> List[int]:
+    """argparse type for a comma-separated vertex list, returned sorted."""
+    try:
+        return sorted(int(x) for x in text.split(",") if x != "")
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid vertex list {text!r}")
 
 
 def _read_input(path: str) -> str:
@@ -140,23 +139,12 @@ def _cmd_gen(args) -> int:
             raise UsageError("gen gamma requires a spec file (JSON) or '-'")
         spec = parse_gamma_spec(_read_input(params[0]))
         g = make_gamma(spec)
-    elif kind in STANDARD_KINDS:
-        builder, arity = STANDARD_KINDS[kind]
-        if kind == "circulant":
-            if len(params) < 2:
-                raise UsageError("gen circulant requires n and at least one step")
-            g = builder(int(params[0]), tuple(int(p) for p in params[1:]))
-        elif kind == "random-t-connected":
-            if len(params) != 2:
-                raise UsageError("gen random-t-connected requires n and t (seed via --seed)")
-            g = builder(int(params[0]), int(params[1]), args.seed)
-        else:
-            if len(params) != arity:
-                raise UsageError(f"gen {kind} requires {arity} parameter(s)")
-            g = builder(*(int(p) for p in params))
     else:
-        known = ", ".join(sorted(STANDARD_KINDS) + ["gamma"])
-        raise UsageError(f"unknown graph kind {kind!r}; known kinds: {known}")
+        try:
+            numbers = [int(p) for p in params]
+        except ValueError:
+            raise UsageError(f"gen {kind} takes integer parameters, got {' '.join(params)!r}")
+        g = generate_standard(kind, *numbers, seed=args.seed)
     if args.format == "edge-list":
         sys.stdout.write(emit_edge_list(g))
     else:
@@ -167,10 +155,8 @@ def _cmd_gen(args) -> int:
 def _cmd_analyze(args) -> int:
     g, fmt = _load_nonempty(args)
     name = args.name or (args.input if args.input != "-" else "stdin")
-    kappa = _kappa_value(g)
-    delta = g.min_degree
-    common = max_common_neighbors(g).value if g.n >= 2 else 0
-    recognition = recognize_exceptional(g)
+    facts = Facts(g)
+    recognition = facts.recognition
     family_json = {}
     if recognition.member is not None:
         family_json["member"] = recognition.member
@@ -181,9 +167,7 @@ def _cmd_analyze(args) -> int:
     results = []
     for model in _model_list(args.model):
         for h in range(0, h_max + 1):
-            bounds = theoretical_bounds(
-                g, h, model, recognition=recognition, kappa=kappa, common=common
-            )
+            bounds = theoretical_bounds(g, h, model, facts=facts)
             entry = {"model": model.value, "h": h}
             if args.method == "bounds":
                 if bounds.exact is not None:
@@ -193,7 +177,7 @@ def _cmd_analyze(args) -> int:
                 entry["value"] = bounds.exact
                 entry["method"] = "theorem"
             else:  # brute, or auto with no applicable theorem
-                tol = edge_tolerable_diagnosability(g, h, model, jobs=args.jobs)
+                tol = edge_tolerable_diagnosability(g, h, model)
                 entry["value"] = tol.value
                 entry["method"] = tol.method
                 if tol.worst_scenario is not None:
@@ -202,11 +186,11 @@ def _cmd_analyze(args) -> int:
             results.append(entry)
     report = {
         "graph": {"name": name, "n": g.n, "m": g.m, "format_echo": fmt},
-        "kappa": kappa,
-        "delta": delta,
-        "max_common_neighbors": common,
-        "regular": g.is_regular,
-        "maximally_connected": kappa == delta,
+        "kappa": facts.kappa,
+        "delta": facts.delta,
+        "max_common_neighbors": max(facts.common, 0),
+        "regular": facts.regular,
+        "maximally_connected": facts.kappa == facts.delta,
         "exceptional_family": family_json,
         "results": results,
     }
@@ -236,7 +220,7 @@ def _cmd_recognize(args) -> int:
 
 def _cmd_syndrome(args) -> int:
     g, _ = load_graph(args.input, args.format, args.cap)
-    faults = sorted(int(x) for x in args.faults.split(",") if x != "") if args.faults else []
+    faults = args.faults
     model = DiagModel.PMC if args.model == "pmc" else DiagModel.MMSTAR
     if args.policy == "zero":
         policy = ALL_ZERO
@@ -275,7 +259,7 @@ def _cmd_verify(args) -> int:
         connectivity_trials_per_graph=args.trials,
         seed=args.seed,
     )
-    report = run_suite(claims=claims, budget=budget, jobs=args.jobs, h_max=args.h_max)
+    report = run_suite(claims=claims, budget=budget, h_max=args.h_max)
     if args.report_format == "json":
         _print_json(report.to_json_dict())
     else:
@@ -320,7 +304,7 @@ def build_parser() -> _Parser:
     sub = parser.add_subparsers(dest="command")
 
     p_gen = sub.add_parser("gen", help="generate standard graphs and family instances")
-    p_gen.add_argument("kind", nargs="*", help="kind and its parameters")
+    p_gen.add_argument("kind", nargs="*", help="gamma and a spec file, or a standard kind and its integers")
     p_gen.add_argument(
         "--format", choices=("graph6", "edge-list"), default="graph6",
         help="output format (default graph6)",
@@ -334,7 +318,7 @@ def build_parser() -> _Parser:
     p_an.add_argument("--h-max", type=_nonnegative, default=None, dest="h_max",
                       help="edge budgets 0..K (default 1)")
     p_an.add_argument("--method", choices=("brute", "bounds", "auto"), default="auto")
-    p_an.add_argument("--jobs", type=_positive, default=1, help="parallel scenario workers")
+    p_an.add_argument("--jobs", type=_positive, default=1, help="ignored (the sweep runs in one process)")
     p_an.add_argument("--name", default=None, help="graph name echoed in the report")
     p_an.set_defaults(func=_cmd_analyze)
 
@@ -346,7 +330,7 @@ def build_parser() -> _Parser:
 
     p_syn = sub.add_parser("syndrome", help="inject faults, emit a syndrome, decode it back")
     _add_input_options(p_syn)
-    p_syn.add_argument("--faults", default="", help="comma-separated fault vertices")
+    p_syn.add_argument("--faults", type=_vertex_list, default="", help="comma-separated fault vertices")
     p_syn.add_argument("--model", choices=("pmc", "mm"), default="pmc")
     p_syn.add_argument("--policy", choices=("zero", "one", "random"), default="zero",
                        help="adversary completion for faulty-controlled outcomes")
@@ -364,7 +348,7 @@ def build_parser() -> _Parser:
     p_ver.add_argument("--trials", type=_nonnegative, default=8,
                        help="edge-deletion connectivity trials per graph")
     p_ver.add_argument("--seed", type=int, default=20250810)
-    p_ver.add_argument("--jobs", type=_positive, default=1)
+    p_ver.add_argument("--jobs", type=_positive, default=1, help="ignored (the sweep runs in one process)")
     p_ver.set_defaults(func=_cmd_verify)
 
     p_path = sub.add_parser("paths", help="connectivity and internally disjoint paths")

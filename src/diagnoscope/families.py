@@ -613,13 +613,10 @@ def recognize_exceptional(g: Graph, *, cap: int | None = None) -> RecognitionRes
     minimum degree.
 
     Cheap proven-necessary filters (irregularity, common-neighbor floor,
-    order bound) run first; the structural template search is the
-    decision procedure.  Graphs above the cap are reported as undecided
-    rather than guessed.
+    order bound) run first, at any size; the structural template search
+    is the decision procedure.  Graphs above the cap that pass every
+    filter are reported as undecided rather than guessed.
     """
-    limit = RECOGNIZER_CAP if cap is None else cap
-    if g.n > limit:
-        return RecognitionResult(None, None, None, "cap_exceeded")
     if g.n == 0:
         return RecognitionResult(False, None, None, "decided")
     delta = g.min_degree
@@ -627,6 +624,8 @@ def recognize_exceptional(g: Graph, *, cap: int | None = None) -> RecognitionRes
         return RecognitionResult(False, None, None, "decided")
     if common_neighbor_shortcut(delta, max_common_neighbors(g).value):
         return RecognitionResult(False, None, None, "decided")
+    if g.n > (RECOGNIZER_CAP if cap is None else cap):
+        return RecognitionResult(None, None, None, "cap_exceeded")
     index, witness = _template_search(g, delta)
     if index is None:
         return RecognitionResult(False, None, None, "decided")

@@ -324,30 +324,6 @@ def syndromes_compatible(g: Graph, f1: Iterable[int], f2: Iterable[int], model) 
     return True
 
 
-def unique_decoding_everywhere(g: Graph, t: int, model) -> bool:
-    """Whether every syndrome from every fault set of size at most t decodes
-    to a single candidate, under every adversary completion.
-
-    Equivalent to: no two distinct candidate sets within the budget share
-    a syndrome.  Checked pairwise via syndromes_compatible.
-    """
-    if t < 0:
-        raise GraphError(f"fault budget must be nonnegative, got {t}")
-    candidates: List[int] = []
-    for size in range(0, min(t, g.n) + 1):
-        for combo in combinations(range(g.n), size):
-            mask = 0
-            for v in combo:
-                mask |= 1 << v
-            candidates.append(mask)
-    sets = [frozenset(bits_of(m)) for m in candidates]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if syndromes_compatible(g, sets[i], sets[j], model):
-                return False
-    return True
-
-
 def confusing_syndrome(g: Graph, f1: Iterable[int], f2: Iterable[int], model):
     """A syndrome consistent with both fault sets of an indistinguishable pair.
 

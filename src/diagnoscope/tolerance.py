@@ -17,21 +17,30 @@ is tested against, and is the production path for MM*.
 
 An automorphism sigma of G makes G - F and G - sigma(F) isomorphic, so
 the sweep visits only the lexicographically first scenario of each
-orbit; asymmetric graphs sweep every scenario.  With jobs > 1 those
-representatives go to worker processes and are reduced by (value,
-scenario), so results do not depend on the worker count.
+orbit; asymmetric graphs sweep every scenario.  The sweep runs in one
+process: once it swept only orbit representatives, a pool of worker
+processes cost more to start than it saved, and was removed.
+
+The paper's theorems are stated once, as the rows of ``THEOREMS``: a
+rule name, the ``verify`` claim that checks it, its model, its
+hypotheses and the value it asserts.  A hypothesis is an atom that maps
+the graph's ``Facts`` and the budget to a condition text and whether it
+holds; each atom is written once.  ``theoretical_bounds`` (``analyze``)
+applies the first five rows and ``verification.check_claim``
+(``verify``) checks every row against the exhaustive oracle, so
+``verify`` checks exactly what ``analyze`` applies.
 """
 
 from __future__ import annotations
 
-import multiprocessing
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
 from .diagnosis import DiagModel, diagnosability, diagnosability_cap, is_t_diagnosable
+from .families import RecognitionResult, common_neighbor_shortcut, recognize_exceptional
 from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, delete_edges, normalize_edge
 
 METHOD_BRUTE = "brute_force"
@@ -164,27 +173,12 @@ def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
     return value, tuple(sorted(base))
 
 
-def _scenarios(g: Graph, size: int):
-    return combinations(g.edges, size)
-
-
 def _descend(g2: Graph, upper: int, model: DiagModel) -> int:
     """Exact diagnosability known to be strictly below ``upper``."""
     t = upper - 1
     while t > 0 and not is_t_diagnosable(g2, t, model).diagnosable:
         t -= 1
     return t
-
-
-def _sweep_chunk(args) -> Tuple[int, Tuple[Edge, ...]]:
-    g, chunk, model = args
-    best = None
-    for scenario in chunk:
-        val = diagnosability(delete_edges(g, scenario), model)
-        key = (val, scenario)
-        if best is None or key < best:
-            best = key
-    return best
 
 
 def _orbit_scenarios(g: Graph, size: int):
@@ -211,7 +205,7 @@ def _orbit_scenarios(g: Graph, size: int):
                 stack += [sum(1 << move[i] for i in bits_of(x)) for move in moves]
 
 
-def _scenario_sweep(g: Graph, size: int, model: DiagModel, jobs: int) -> Tuple[int, Tuple[Edge, ...]]:
+def _scenario_sweep(g: Graph, size: int, model: DiagModel) -> Tuple[int, Tuple[Edge, ...]]:
     """Minimum diagnosability over size-``size`` scenarios and the
     lexicographically first scenario attaining it.
 
@@ -221,12 +215,6 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel, jobs: int) -> Tuple[i
     lexicographic order that replaces its result only on a strictly
     smaller value returns the same pair as a sweep over every scenario.
     """
-    if jobs > 1:
-        scenarios = list(_orbit_scenarios(g, size))
-        chunks = [scenarios[i::jobs] for i in range(jobs)]
-        with multiprocessing.get_context("fork").Pool(jobs) as pool:
-            results = pool.map(_sweep_chunk, [(g, c, model) for c in chunks if c])
-        return min(r for r in results if r is not None)
     best_val: Optional[int] = None
     best_scenario: Tuple[Edge, ...] = ()
     for scenario in _orbit_scenarios(g, size):
@@ -245,9 +233,7 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel, jobs: int) -> Tuple[i
     return best_val, best_scenario
 
 
-def edge_tolerable_diagnosability(
-    g: Graph, h: int, model: DiagModel, *, jobs: int = 1
-) -> ToleranceResult:
+def edge_tolerable_diagnosability(g: Graph, h: int, model: DiagModel) -> ToleranceResult:
     """Minimum diagnosability over all deletions of at most h edges.
 
     A budget above the minimum degree isolates a vertex, so the value is 0
@@ -259,12 +245,11 @@ def edge_tolerable_diagnosability(
         raise GraphError(f"edge budget must be nonnegative, got {h}")
     if g.n == 0:
         raise GraphError("tolerable diagnosability is undefined for the empty graph")
-    result = _tolerance_cached(g, h, model, jobs if jobs > 1 else 1)
-    return result
+    return _tolerance_cached(g, h, model)
 
 
 @lru_cache(maxsize=4096)
-def _tolerance_cached(g: Graph, h: int, model: DiagModel, jobs: int) -> ToleranceResult:
+def _tolerance_cached(g: Graph, h: int, model: DiagModel) -> ToleranceResult:
     delta = g.min_degree
     if h > delta:
         return ToleranceResult(h, model, 0, None, METHOD_THEOREM)
@@ -272,7 +257,7 @@ def _tolerance_cached(g: Graph, h: int, model: DiagModel, jobs: int) -> Toleranc
     if model is DiagModel.PMC:
         value, scenario = _pmc_tolerance(g, h)
     else:
-        value, scenario = _scenario_sweep(g, size, model, jobs)
+        value, scenario = _scenario_sweep(g, size, model)
     return ToleranceResult(h, model, value, tuple(scenario), METHOD_BRUTE)
 
 
@@ -290,7 +275,7 @@ def edge_tolerable_by_definition(g: Graph, h: int, model: DiagModel) -> int:
     for t in range(1, cap + 1):
         ok = True
         for size in range(0, min(h, g.m) + 1):
-            for scenario in _scenarios(g, size):
+            for scenario in combinations(g.edges, size):
                 if not is_t_diagnosable(delete_edges(g, scenario), t, model).diagnosable:
                     ok = False
                     break
@@ -302,162 +287,218 @@ def edge_tolerable_by_definition(g: Graph, h: int, model: DiagModel) -> int:
     return value
 
 
-def _family_exclusion(
-    g: Graph, recognition, common: Optional[int]
-) -> Tuple[List[BoundCondition], Optional[bool]]:
-    """Decide G not-in exceptional-family(delta), preferring cheap criteria.
 
-    Returns condition rows plus the exclusion verdict (True = surely not a
-    member, False = member, None = undecided within the recognizer cap).
-    ``common`` is C(G) when the caller already has it.  The common-neighbor
-    shortcut is a sufficient exclusion test, checked before the structural
-    recognizer runs.
+
+class Facts:
+    """What the theorem hypotheses read about one graph.
+
+    n, delta and regularity come with the graph; kappa, C(G) and the
+    family recognition are computed on first use and then kept, so one
+    ``Facts`` serves every budget and model, and the PMC rules, which
+    never ask for the recognition, never run the recognizer.
     """
-    from .families import common_neighbor_shortcut, recognize_exceptional
 
-    rows: List[BoundCondition] = []
-    delta = g.min_degree
-    if g.n >= 2:
-        c_value = common if common is not None else max_common_neighbors(g).value
-        shortcut = common_neighbor_shortcut(delta, c_value)
-        rows.append(
-            BoundCondition(
-                "family_shortcut",
-                f"common-neighbor shortcut excludes membership (C(G)={c_value}, delta={delta})",
-                shortcut,
-            )
+    def __init__(self, g: Graph):
+        self.g = g
+        self.n = g.n
+        self.delta = g.min_degree
+        self.regular = g.is_regular
+
+    @cached_property
+    def kappa(self) -> int:
+        return _kappa_value(self.g)
+
+    @cached_property
+    def common(self) -> int:
+        """C(G), the most neighbors two vertices share; -1 below two vertices."""
+        return max_common_neighbors(self.g).value if self.n >= 2 else -1
+
+    @cached_property
+    def recognition(self) -> RecognitionResult:
+        return recognize_exceptional(self.g)
+
+    @property
+    def shortcut(self) -> bool:
+        return common_neighbor_shortcut(self.delta, self.common)
+
+    @property
+    def excluded(self) -> Optional[bool]:
+        """G outside the exceptional family: the common-neighbor shortcut
+        first, then the recognizer; None when membership is undecided."""
+        if self.shortcut:
+            return True
+        if self.recognition.status == "cap_exceeded":
+            return None
+        return not self.recognition.member
+
+
+# A hypothesis atom maps (facts, h) to (condition text, holds).  X names
+# kappa, delta, or k, the degree of a regular graph (its minimum degree).
+Atom = Callable[[Facts, Optional[int]], Tuple[str, bool]]
+_SYMBOL = {"kappa": lambda f: f.kappa, "delta": lambda f: f.delta, "k": lambda f: f.delta}
+
+
+def _h_at_most(x: str) -> Atom:
+    def atom(f, h):
+        value = _SYMBOL[x](f)
+        return f"h={h} <= {x}={value}", h <= value
+    return atom
+
+
+def _order(x: str, s: int) -> Atom:
+    def atom(f, h):
+        bound = 2 * (_SYMBOL[x](f) - h) + s
+        return f"|V|={f.n} >= 2*({x}-h)+{s}={bound}", f.n >= bound
+    return atom
+
+
+def _at_least_3(x: str) -> Atom:
+    def atom(f, h):
+        value = _SYMBOL[x](f)
+        return f"{x}={value} >= 3", value >= 3
+    return atom
+
+
+def _h_within_half(x: str) -> Atom:
+    def atom(f, h):
+        half = (_SYMBOL[x](f) - 1) // 2
+        return f"h={h} <= floor(({x}-1)/2)={half}", h <= half
+    return atom
+
+
+def _connected(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return "graph is connected", f.kappa >= 1
+
+
+def _maximally_connected(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return f"maximally connected (kappa={f.kappa}, delta={f.delta})", f.kappa == f.delta
+
+
+def _regular(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return "graph is regular", f.regular
+
+
+def _kappa_is_degree(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return f"kappa={f.kappa} equals the degree {f.delta}", f.kappa == f.delta
+
+
+def _shortcut(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return f"common-neighbor shortcut (C={f.common}, delta={f.delta})", f.shortcut
+
+
+def _outside_family(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    if f.excluded is None:
+        return "family membership decided within recognizer cap", False
+    return "graph is outside the exceptional family", f.excluded
+
+
+_H_AT_MOST_DELTA = _h_at_most("delta")
+
+
+@dataclass(frozen=True)
+class Theorem:
+    """One result of the paper: when every hypothesis holds, the tolerable
+    diagnosability at budget h stands in ``relation`` to ``value``."""
+
+    rule: str
+    claim: str
+    model: Optional[DiagModel]  # None: both models
+    hypotheses: Tuple[Atom, ...]
+    value: Callable[[Facts, int], int]
+    relation: str  # "<=", ">=" or "=="
+
+
+THEOREMS = (
+    Theorem("min_degree_upper", "min_degree_upper_bound", None,
+            (_connected, _H_AT_MOST_DELTA), lambda f, h: f.delta - h, "<="),
+    Theorem("pmc_lower", "pmc_lower_bound", DiagModel.PMC,
+            (_h_at_most("kappa"), _order("kappa", 1)), lambda f, h: f.kappa - h, ">="),
+    Theorem("pmc_exact", "pmc_exact_value", DiagModel.PMC,
+            (_maximally_connected, _H_AT_MOST_DELTA, _order("delta", 1)), lambda f, h: f.delta - h, "=="),
+    Theorem("mm_lower", "mm_lower_bound", DiagModel.MMSTAR,
+            (_at_least_3("kappa"), _order("kappa", 3), _h_within_half("kappa"), _outside_family),
+            lambda f, h: f.kappa - h, ">="),
+    Theorem("mm_exact", "mm_exact_value", DiagModel.MMSTAR,
+            (_maximally_connected, _at_least_3("delta"), _order("delta", 3), _h_within_half("delta"),
+             _outside_family),
+            lambda f, h: f.delta - h, "=="),
+    Theorem("pmc_regular_exact", "pmc_regular_exact", DiagModel.PMC,
+            (_regular, _kappa_is_degree, _order("k", 1), _h_at_most("k")), lambda f, h: f.delta - h, "=="),
+    Theorem("mm_regular_exact", "mm_regular_exact", DiagModel.MMSTAR,
+            (_regular, _kappa_is_degree, _at_least_3("k"), _order("k", 3), _h_within_half("k")),
+            lambda f, h: f.delta - h, "=="),
+    Theorem("mm_common_neighbor_exact", "mm_common_neighbor_exact", DiagModel.MMSTAR,
+            (_maximally_connected, _shortcut, _order("delta", 3), _h_within_half("delta")),
+            lambda f, h: f.delta - h, "=="),
+)
+_BOUND_THEOREMS = THEOREMS[:5]  # the rules theoretical_bounds applies
+
+
+def _family_rows(f: Facts) -> List[BoundCondition]:
+    rows = [
+        BoundCondition(
+            "family_shortcut",
+            f"common-neighbor shortcut excludes membership (C(G)={f.common}, delta={f.delta})",
+            f.shortcut,
         )
-        if shortcut:
-            rows.append(BoundCondition("family_exclusion", "graph is outside the exceptional family", True))
-            return rows, True
-    recog = recognition if recognition is not None else recognize_exceptional(g)
-    if recog.status == "cap_exceeded":
-        rows.append(
-            BoundCondition(
-                "family_exclusion",
-                "membership undecided: recognizer cap exceeded",
-                False,
-            )
-        )
-        return rows, None
-    excluded = not recog.member
-    rows.append(
-        BoundCondition("family_exclusion", "graph is outside the exceptional family", excluded)
-    )
-    return rows, excluded
+    ]
+    if f.excluded is None:
+        text = "membership undecided: recognizer cap exceeded"
+    else:
+        text = "graph is outside the exceptional family"
+    rows.append(BoundCondition("family_exclusion", text, bool(f.excluded)))
+    return rows
 
 
-def theoretical_bounds(
-    g: Graph,
-    h: int,
-    model: DiagModel,
-    *,
-    recognition=None,
-    kappa: Optional[int] = None,
-    common: Optional[int] = None,
-) -> BoundReport:
+def theoretical_bounds(g: Graph, h: int, model: DiagModel, *, facts: Optional[Facts] = None) -> BoundReport:
     """Evaluate the applicable theorems at budget h and report bounds.
 
-    Every hypothesis is checked against exact module outputs (connectivity,
-    degrees, common neighbors, family recognition) and reported as a
-    pass/fail row; bounds are emitted only from rules whose hypotheses all
-    hold.  The lower-bound rules are instantiated at t = kappa(G), the
-    strongest provable choice.  A caller evaluating several budgets passes
-    ``recognition``, ``kappa`` and C(G) as ``common`` once computed; each
-    is computed here when omitted.
+    Applies the first five rows of ``THEOREMS``, the table ``verify``
+    checks, in order; a rule whose hypotheses all hold sets its bound, a
+    later exact rule overriding an earlier one.  Every hypothesis is
+    reported as a pass/fail row, except h <= delta, which the isolation
+    rule covers, and family exclusion, which the ``family_shortcut`` and
+    ``family_exclusion`` rows state once.  The lower-bound rules are
+    instantiated at t = kappa(G), the strongest provable choice.  A caller
+    evaluating several budgets passes one ``facts`` for the graph.
     """
     if h < 0:
         raise GraphError(f"edge budget must be nonnegative, got {h}")
     if g.n == 0:
         raise GraphError("bounds are undefined for the empty graph")
-    n = g.n
-    delta = g.min_degree
-    if kappa is None:
-        kappa = _kappa_value(g)
+    f = facts if facts is not None else Facts(g)
+    if h >= f.delta:
+        conditions = (
+            BoundCondition("isolation", f"budget h={h} >= delta={f.delta} allows isolating a vertex", True),
+        )
+        return BoundReport(0, "isolation", 0, "isolation", 0, conditions)
     conditions: List[BoundCondition] = []
-    lower = lower_rule = None
-    upper = upper_rule = None
-    exact = None
-
-    if h >= delta:
-        conditions.append(
-            BoundCondition(
-                "isolation",
-                f"budget h={h} >= delta={delta} allows isolating a vertex",
-                True,
-            )
-        )
-        return BoundReport(0, "isolation", 0, "isolation", 0, tuple(conditions))
-
-    connected = kappa >= 1
-    conditions.append(BoundCondition("min_degree_upper", "graph is connected", connected))
-    if connected:
-        upper = delta - h
-        upper_rule = "min_degree_upper"
-
-    if model is DiagModel.PMC:
-        c1 = h <= kappa
-        c2 = n >= 2 * (kappa - h) + 1
-        conditions.append(BoundCondition("pmc_lower", f"h={h} <= kappa={kappa}", c1))
-        conditions.append(
-            BoundCondition("pmc_lower", f"|V|={n} >= 2*(kappa-h)+1={2 * (kappa - h) + 1}", c2)
-        )
-        if c1 and c2:
-            lower = kappa - h
-            lower_rule = "pmc_lower"
-        c3 = kappa == delta
-        c4 = n >= 2 * (delta - h) + 1
-        conditions.append(
-            BoundCondition("pmc_exact", f"maximally connected (kappa={kappa}, delta={delta})", c3)
-        )
-        conditions.append(
-            BoundCondition("pmc_exact", f"|V|={n} >= 2*(delta-h)+1={2 * (delta - h) + 1}", c4)
-        )
-        if c3 and c4:
-            lower = upper = exact = delta - h
-            lower_rule = upper_rule = "pmc_exact"
-    else:
-        family_rows, excluded = _family_exclusion(g, recognition, common)
-        conditions.extend(family_rows)
-        c1 = kappa >= 3
-        c2 = n >= 2 * (kappa - h) + 3
-        c3 = h <= (kappa - 1) // 2
-        conditions.append(BoundCondition("mm_lower", f"kappa={kappa} >= 3", c1))
-        conditions.append(
-            BoundCondition("mm_lower", f"|V|={n} >= 2*(kappa-h)+3={2 * (kappa - h) + 3}", c2)
-        )
-        conditions.append(
-            BoundCondition("mm_lower", f"h={h} <= floor((kappa-1)/2)={(kappa - 1) // 2}", c3)
-        )
-        if c1 and c2 and c3 and excluded:
-            lower = kappa - h
-            lower_rule = "mm_lower"
-        c4 = kappa == delta
-        c5 = delta >= 3
-        c6 = n >= 2 * (delta - h) + 3
-        c7 = h <= (delta - 1) // 2
-        conditions.append(
-            BoundCondition("mm_exact", f"maximally connected (kappa={kappa}, delta={delta})", c4)
-        )
-        conditions.append(BoundCondition("mm_exact", f"delta={delta} >= 3", c5))
-        conditions.append(
-            BoundCondition("mm_exact", f"|V|={n} >= 2*(delta-h)+3={2 * (delta - h) + 3}", c6)
-        )
-        conditions.append(
-            BoundCondition("mm_exact", f"h={h} <= floor((delta-1)/2)={(delta - 1) // 2}", c7)
-        )
-        if c4 and c5 and c6 and c7 and excluded:
-            lower = upper = exact = delta - h
-            lower_rule = upper_rule = "mm_exact"
-        if lower is None and not (c1 and c2 and c3):
-            conditions.append(
-                BoundCondition(
-                    "mm_lower",
-                    "no lower-bound rule applies at this budget",
-                    False,
-                )
-            )
-
+    lower = lower_rule = upper = upper_rule = exact = None
+    family_stated = False
+    for theorem in _BOUND_THEOREMS:
+        if theorem.model not in (None, model):
+            continue
+        if _outside_family in theorem.hypotheses and not family_stated:
+            conditions.extend(_family_rows(f))
+            family_stated = True
+        applies = True
+        for atom in theorem.hypotheses:
+            text, holds = atom(f, h)
+            applies = applies and holds
+            if atom is not _H_AT_MOST_DELTA and atom is not _outside_family:
+                conditions.append(BoundCondition(theorem.rule, text, holds))
+        if not applies:
+            continue
+        value = theorem.value(f, h)
+        if theorem.relation != "<=":
+            lower, lower_rule = value, theorem.rule
+        if theorem.relation != ">=":
+            upper, upper_rule = value, theorem.rule
+        if theorem.relation == "==":
+            exact = value
+    if model is DiagModel.MMSTAR and lower is None:
+        if not all(c.holds for c in conditions if c.rule == "mm_lower"):
+            conditions.append(BoundCondition("mm_lower", "no lower-bound rule applies at this budget", False))
     if exact is None and lower is not None and upper is not None and lower == upper:
         exact = lower
     return BoundReport(lower, lower_rule, upper, upper_rule, exact, tuple(conditions))

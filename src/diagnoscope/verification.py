@@ -1,6 +1,8 @@
 """Theorem-checking harness: every claim versus the brute-force oracle.
 
 Each claim pairs a hypothesis checklist with an asserted value or bound.
+The claims swept over the edge budget h are the rows of
+``tolerance.THEOREMS``, the table ``analyze`` applies.
 Hypotheses are evaluated from exact module outputs (connectivity, degree
 profile, common neighbors, family recognition), never from generator
 labels, so the harness also catches generator bugs.  Rows whose
@@ -17,24 +19,21 @@ from dataclasses import dataclass
 from math import comb
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from .connectivity import _kappa_value, max_common_neighbors
+from .connectivity import _kappa_value
 from .diagnosis import DiagModel, diagnosability
 from .families import (
-    RecognitionResult,
     complete,
     complete_bipartite,
     circulant,
-    common_neighbor_shortcut,
     hypercube,
     petersen,
     prism,
     random_gamma,
     random_t_connected,
-    recognize_exceptional,
     wheel,
 )
 from .graphs import Graph, delete_edges
-from .tolerance import edge_tolerable_diagnosability
+from .tolerance import THEOREMS, Facts, _connected, _kappa_is_degree, _regular, edge_tolerable_diagnosability
 
 PASS = "pass"
 FAIL = "fail"
@@ -183,25 +182,6 @@ class VerificationReport:
         return "\n".join(lines) + "\n"
 
 
-@dataclass
-class _Facts:
-    kappa: int
-    delta: int
-    regular: bool
-    common: Optional[int]
-    recognition: RecognitionResult
-
-
-def _facts(g: Graph) -> _Facts:
-    return _Facts(
-        kappa=_kappa_value(g),
-        delta=g.min_degree,
-        regular=g.is_regular,
-        common=max_common_neighbors(g).value if g.n >= 2 else None,
-        recognition=recognize_exceptional(g),
-    )
-
-
 def default_corpus() -> Tuple[CorpusEntry, ...]:
     """The deterministic graph corpus the suite runs on by default."""
     entries: List[CorpusEntry] = [
@@ -243,20 +223,16 @@ def _recipe(entry: CorpusEntry, model: Optional[DiagModel], h: Optional[int]) ->
     return tuple(items)
 
 
-def _scenario_count(g: Graph, h: int) -> int:
-    return comb(g.m, min(h, g.m))
-
-
-def _oracle_value(entry: CorpusEntry, h: int, model: DiagModel, budget: Budget, jobs: int):
+def _oracle_value(entry: CorpusEntry, h: int, model: DiagModel, budget: Budget):
     """Tolerable diagnosability via the exhaustive path, or None when the
     budget rules the row out."""
     g = entry.graph
     if g.n > budget.max_n:
         return None
     if model is DiagModel.MMSTAR and h <= g.min_degree:
-        if _scenario_count(g, h) > budget.max_scenarios:
+        if comb(g.m, min(h, g.m)) > budget.max_scenarios:
             return None
-    return edge_tolerable_diagnosability(g, h, model, jobs=jobs).value
+    return edge_tolerable_diagnosability(g, h, model).value
 
 
 def _row(entry, claim, model, h, hypotheses, oracle, expected, relation, verdict):
@@ -294,125 +270,55 @@ def _judge(oracle: int, expected: int, relation: str) -> str:
     raise ValueError(relation)
 
 
-def _bound_rows(entry, facts, claim, model, budget, jobs, h_values, hypotheses_fn, expected_fn, relation):
+def _bound_rows(entry, facts, theorem, budget, h_values):
     rows = []
-    for h in h_values:
-        hypotheses = hypotheses_fn(h)
-        if not all(ok for _, ok in hypotheses):
-            rows.append(_row(entry, claim, model, h, hypotheses, None, None, None, NOT_MET))
-            continue
-        oracle = _oracle_value(entry, h, model, budget, jobs)
-        if oracle is None:
-            rows.append(_row(entry, claim, model, h, hypotheses, None, None, None, BLOCKED))
-            continue
-        expected = expected_fn(h)
-        verdict = _judge(oracle, expected, relation)
-        rows.append(_row(entry, claim, model, h, hypotheses, oracle, expected, relation, verdict))
+    for model in (theorem.model,) if theorem.model else (DiagModel.PMC, DiagModel.MMSTAR):
+        for h in h_values:
+            hypotheses = tuple(atom(facts, h) for atom in theorem.hypotheses)
+            if not all(ok for _, ok in hypotheses):
+                rows.append(_row(entry, theorem.claim, model, h, hypotheses, None, None, None, NOT_MET))
+                continue
+            oracle = _oracle_value(entry, h, model, budget)
+            if oracle is None:
+                rows.append(_row(entry, theorem.claim, model, h, hypotheses, None, None, None, BLOCKED))
+                continue
+            expected = theorem.value(facts, h)
+            relation = theorem.relation
+            if relation == "<=" and expected == 0:
+                relation = "=="  # diagnosability is never negative: a bound of 0 is attained
+            verdict = _judge(oracle, expected, relation)
+            rows.append(_row(entry, theorem.claim, model, h, hypotheses, oracle, expected, relation, verdict))
     return rows
 
 
-def _family_hypothesis(facts: _Facts) -> Tuple[Tuple[str, bool], ...]:
+def _family_hypothesis(facts: Facts) -> Tuple[Tuple[str, bool], ...]:
     recog = facts.recognition
     if recog.status == "cap_exceeded":
         return (("family membership decided within recognizer cap", False),)
     return (("graph recognized as an exceptional-family member", bool(recog.member)),)
 
 
-def _exclusion_hypothesis(facts: _Facts) -> Tuple[str, bool]:
-    recog = facts.recognition
-    if recog.status == "cap_exceeded":
-        # fall back to the proven sufficient statistics
-        if facts.common is not None and common_neighbor_shortcut(facts.delta, facts.common):
-            return ("graph is outside the exceptional family (shortcut)", True)
-        return ("family membership decided within recognizer cap", False)
-    return ("graph is outside the exceptional family", not recog.member)
+_THEOREM_OF_CLAIM = {theorem.claim: theorem for theorem in THEOREMS}
 
 
 def check_claim(
     entry: CorpusEntry,
-    facts: _Facts,
+    facts: Facts,
     claim: str,
     budget: Budget,
-    jobs: int,
     h_sweep: Sequence[int],
 ) -> List[ClaimRow]:
     g = entry.graph
     kappa, delta = facts.kappa, facts.delta
 
-    if claim == CLAIM_PMC_LOWER:
-        return _bound_rows(
-            entry, facts, claim, DiagModel.PMC, budget, jobs, h_sweep,
-            lambda h: (
-                (f"h={h} <= kappa={kappa}", h <= kappa),
-                (f"|V|={g.n} >= 2*(kappa-h)+1={2 * (kappa - h) + 1}", g.n >= 2 * (kappa - h) + 1),
-            ),
-            lambda h: kappa - h,
-            ">=",
-        )
-    if claim == CLAIM_PMC_EXACT:
-        return _bound_rows(
-            entry, facts, claim, DiagModel.PMC, budget, jobs, h_sweep,
-            lambda h: (
-                (f"maximally connected (kappa={kappa}, delta={delta})", kappa == delta),
-                (f"h={h} <= delta={delta}", h <= delta),
-                (f"|V|={g.n} >= 2*(delta-h)+1={2 * (delta - h) + 1}", g.n >= 2 * (delta - h) + 1),
-            ),
-            lambda h: delta - h,
-            "==",
-        )
-    if claim == CLAIM_MM_LOWER:
-        exclusion = _exclusion_hypothesis(facts)
-        return _bound_rows(
-            entry, facts, claim, DiagModel.MMSTAR, budget, jobs, h_sweep,
-            lambda h: (
-                (f"kappa={kappa} >= 3", kappa >= 3),
-                (f"|V|={g.n} >= 2*(kappa-h)+3={2 * (kappa - h) + 3}", g.n >= 2 * (kappa - h) + 3),
-                (f"h={h} <= floor((kappa-1)/2)={(kappa - 1) // 2}", h <= (kappa - 1) // 2),
-                exclusion,
-            ),
-            lambda h: kappa - h,
-            ">=",
-        )
-    if claim == CLAIM_MM_EXACT:
-        exclusion = _exclusion_hypothesis(facts)
-        return _bound_rows(
-            entry, facts, claim, DiagModel.MMSTAR, budget, jobs, h_sweep,
-            lambda h: (
-                (f"maximally connected (kappa={kappa}, delta={delta})", kappa == delta),
-                (f"delta={delta} >= 3", delta >= 3),
-                (f"|V|={g.n} >= 2*(delta-h)+3={2 * (delta - h) + 3}", g.n >= 2 * (delta - h) + 3),
-                (f"h={h} <= floor((delta-1)/2)={(delta - 1) // 2}", h <= (delta - 1) // 2),
-                exclusion,
-            ),
-            lambda h: delta - h,
-            "==",
-        )
-    if claim == CLAIM_UPPER:
-        rows = []
-        sweep = sorted(set(list(h_sweep) + [delta]))
-        for model in (DiagModel.PMC, DiagModel.MMSTAR):
-            for h in sweep:
-                hypotheses = (
-                    ("graph is connected", kappa >= 1),
-                    (f"h={h} <= delta={delta}", h <= delta),
-                )
-                if not all(ok for _, ok in hypotheses):
-                    rows.append(_row(entry, claim, model, h, hypotheses, None, None, None, NOT_MET))
-                    continue
-                oracle = _oracle_value(entry, h, model, budget, jobs)
-                if oracle is None:
-                    rows.append(_row(entry, claim, model, h, hypotheses, None, None, None, BLOCKED))
-                    continue
-                # the bound is an equality at h = delta (a vertex can be isolated)
-                relation = "==" if h == delta else "<="
-                expected = 0 if h == delta else delta - h
-                verdict = _judge(oracle, expected, relation)
-                rows.append(
-                    _row(entry, claim, model, h, hypotheses, oracle, expected, relation, verdict)
-                )
-        return rows
+    theorem = _THEOREM_OF_CLAIM.get(claim)
+    if theorem is not None:
+        if claim == CLAIM_UPPER:
+            # swept on to h = delta, where isolating a vertex attains the bound 0
+            h_sweep = sorted(set(h_sweep) | {delta})
+        return _bound_rows(entry, facts, theorem, budget, h_sweep)
     if claim == CLAIM_CONN_DEL:
-        hypotheses = (("graph is connected", kappa >= 1),)
+        hypotheses = (_connected(facts, None),)
         if kappa < 1:
             return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
         rng = random.Random(f"{budget.seed}-{entry.name}-edge-deletion")
@@ -458,8 +364,8 @@ def check_claim(
     if claim == CLAIM_MM_ZERO:
         k = delta
         hypotheses = (
-            ("graph is regular", facts.regular),
-            (f"kappa={kappa} equals the degree {k}", kappa == k),
+            _regular(facts, None),
+            _kappa_is_degree(facts, None),
             (f"degree {k} > 2", k > 2),
             (f"|V|={g.n} >= 2*{k}+3={2 * k + 3}", g.n >= 2 * k + 3),
         )
@@ -470,50 +376,6 @@ def check_claim(
         oracle = diagnosability(g, DiagModel.MMSTAR)
         verdict = PASS if oracle >= k else FAIL
         return [_row(entry, claim, DiagModel.MMSTAR, None, hypotheses, oracle, k, ">=", verdict)]
-    if claim == CLAIM_PMC_REG:
-        k = delta
-        return _bound_rows(
-            entry, facts, claim, DiagModel.PMC, budget, jobs, h_sweep,
-            lambda h: (
-                ("graph is regular", facts.regular),
-                (f"kappa={kappa} equals the degree {k}", kappa == k),
-                (f"|V|={g.n} >= 2*(k-h)+1={2 * (k - h) + 1}", g.n >= 2 * (k - h) + 1),
-                (f"h={h} <= k={k}", h <= k),
-            ),
-            lambda h: k - h,
-            "==",
-        )
-    if claim == CLAIM_MM_REG:
-        k = delta
-        return _bound_rows(
-            entry, facts, claim, DiagModel.MMSTAR, budget, jobs, h_sweep,
-            lambda h: (
-                ("graph is regular", facts.regular),
-                (f"kappa={kappa} equals the degree {k}", kappa == k),
-                (f"k={k} >= 3", k >= 3),
-                (f"|V|={g.n} >= 2*(k-h)+3={2 * (k - h) + 3}", g.n >= 2 * (k - h) + 3),
-                (f"h={h} <= floor((k-1)/2)={(k - 1) // 2}", h <= (k - 1) // 2),
-            ),
-            lambda h: k - h,
-            "==",
-        )
-    if claim == CLAIM_MM_CN:
-        c = facts.common if facts.common is not None else -1
-        shortcut = common_neighbor_shortcut(delta, c)
-        return _bound_rows(
-            entry, facts, claim, DiagModel.MMSTAR, budget, jobs, h_sweep,
-            lambda h: (
-                (f"maximally connected (kappa={kappa}, delta={delta})", kappa == delta),
-                (
-                    f"common-neighbor shortcut (C={c}, delta={delta})",
-                    shortcut,
-                ),
-                (f"|V|={g.n} >= 2*(delta-h)+3={2 * (delta - h) + 3}", g.n >= 2 * (delta - h) + 3),
-                (f"h={h} <= floor((delta-1)/2)={(delta - 1) // 2}", h <= (delta - 1) // 2),
-            ),
-            lambda h: delta - h,
-            "==",
-        )
     raise ValueError(f"unknown claim {claim!r}")
 
 
@@ -522,7 +384,6 @@ def run_suite(
     claims: Optional[Sequence[str]] = None,
     budget: Optional[Budget] = None,
     *,
-    jobs: int = 1,
     h_max: int = 3,
 ) -> VerificationReport:
     """Run the selected claims over the corpus and report a verdict ledger.
@@ -542,10 +403,10 @@ def run_suite(
     rows: List[ClaimRow] = []
     observations: List[FamilyObservation] = []
     for entry in corpus:
-        facts = _facts(entry.graph)
+        facts = Facts(entry.graph)
         h_sweep = list(range(0, min(facts.delta, h_max) + 1))
         for claim in claim_list:
-            rows.extend(check_claim(entry, facts, claim, budget, jobs, h_sweep))
+            rows.extend(check_claim(entry, facts, claim, budget, h_sweep))
         if facts.recognition.member and entry.graph.n <= budget.max_n:
             mm_t = diagnosability(entry.graph, DiagModel.MMSTAR)
             observations.append(

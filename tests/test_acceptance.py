@@ -27,12 +27,12 @@ from diagnoscope.families import (
     recognize_exceptional,
 )
 from diagnoscope.graphs import delete_edges, delete_vertices
-from diagnoscope.syndrome import unique_decoding_everywhere
 from diagnoscope.tolerance import (
     edge_tolerable_by_definition,
     edge_tolerable_diagnosability,
 )
 from diagnoscope.verification import default_corpus, run_suite
+from test_syndrome import unique_decoding_everywhere
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR

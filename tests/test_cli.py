@@ -186,12 +186,24 @@ class TestOtherCommands:
         ("verify", "--jobs", "0"),
         ("analyze", "--cap", "-1"),
         ("recognize", "--recognizer-cap", "-5"),
+        ("syndrome", "--faults", "1,x"),
     ])
     def test_out_of_range_count_exit_1(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 1
         assert out == ""
         assert f"argument {argv[1]}" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("gen", "hypercube", "abc"),
+        ("gen", "circulant", "8", "1", "two"),
+    ])
+    def test_non_integer_gen_parameter_exit_1(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: gen {argv[1]} takes integer parameters")
+        assert len(err.splitlines()) == 1
 
     def test_analyze_has_no_seed_option(self, capsys):
         # analysis is deterministic, so --seed is an unknown option like any other

@@ -22,7 +22,7 @@ from diagnoscope.families import (
     recognize_exceptional,
     wheel,
 )
-from diagnoscope.graphs import GraphError, build_graph
+from diagnoscope.graphs import GraphError
 
 K3_EDGES = ((0, 1), (0, 2), (1, 2))
 
@@ -147,11 +147,20 @@ class TestRecognizer:
         assert recognize_exceptional(cycle(6)).member is False
 
     def test_cap(self):
-        g = build_graph(21, [(i, (i + 1) % 21) for i in range(21)])
+        # irregular, delta = 3 and C(G) = 2, so no cheap filter decides it
+        g = wheel(20)
+        assert g.n == 21
         result = recognize_exceptional(g)
         assert result.status == "cap_exceeded"
         assert result.member is None
         assert recognize_exceptional(g, cap=25).status == "decided"
+
+    @pytest.mark.parametrize(
+        "g", [cycle(21), complete_bipartite(11, 11), hypercube(6)], ids=["c21", "k11-11", "q6"]
+    )
+    def test_regular_graph_above_cap_is_decided(self, g):
+        result = recognize_exceptional(g)
+        assert (result.member, result.status) == (False, "decided")
 
     def test_family1_hand_instance(self):
         g = make_gamma(GammaSpec(1, 3, 4, core_edges=K3_EDGES))

@@ -25,7 +25,7 @@ from diagnoscope.syndrome import (
     mm_entries,
     pmc_entries,
     seeded_random,
-    unique_decoding_everywhere,
+    syndromes_compatible,
 )
 
 PMC = DiagModel.PMC
@@ -52,6 +52,26 @@ def reference_decode(g, syndrome, t, model):
             if ok:
                 found.append(frozenset(combo))
     return tuple(found)
+
+
+def unique_decoding_everywhere(g, t, model):
+    """Whether every syndrome from every fault set of size at most t decodes
+    to a single candidate, under every adversary completion.
+
+    Equivalent to: no two distinct candidate sets within the budget share
+    a syndrome.  Checked pairwise via syndromes_compatible, with no budget:
+    the oracle ``is_t_diagnosable`` is compared against.
+    """
+    sets = [
+        frozenset(combo)
+        for size in range(0, min(t, g.n) + 1)
+        for combo in combinations(range(g.n), size)
+    ]
+    for i in range(len(sets)):
+        for j in range(i + 1, len(sets)):
+            if syndromes_compatible(g, sets[i], sets[j], model):
+                return False
+    return True
 
 
 def random_syndrome(g, model, rng):

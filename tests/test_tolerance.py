@@ -11,7 +11,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagnoscope.connectivity import _kappa_value, max_common_neighbors
 from diagnoscope.diagnosis import DiagModel, diagnosability, is_t_diagnosable
 from diagnoscope.families import (
     circulant,
@@ -22,17 +21,18 @@ from diagnoscope.families import (
     make_gamma,
     petersen,
     prism,
-    recognize_exceptional,
     wheel,
     GammaSpec,
 )
 from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges
+from diagnoscope import tolerance
 from diagnoscope.tolerance import (
     METHOD_BRUTE,
     METHOD_THEOREM,
     _pmc_break_table,
     _orbit_scenarios,
     _scenario_sweep,
+    Facts,
     edge_tolerable_by_definition,
     edge_tolerable_diagnosability,
     theoretical_bounds,
@@ -241,7 +241,7 @@ class TestAgainstDefinition:
         from diagnoscope.tolerance import _scenario_sweep
 
         folded = edge_tolerable_diagnosability(g, h, PMC).value
-        swept, _ = _scenario_sweep(g, min(h, g.m), PMC, jobs=1)
+        swept, _ = _scenario_sweep(g, min(h, g.m), PMC)
         assert folded == swept
 
 
@@ -290,7 +290,7 @@ class TestOrbitSweep:
             if max_scenarios is not None and comb(g.m, size) > max_scenarios:
                 continue
             for model in (PMC, MM):
-                assert _scenario_sweep(g, size, model, jobs=1) == reference_sweep(g, size, model), (
+                assert _scenario_sweep(g, size, model) == reference_sweep(g, size, model), (
                     g.edges,
                     h,
                     model,
@@ -310,14 +310,6 @@ class TestOrbitSweep:
             self.check(entry.graph, 3, max_scenarios=8192)
 
     @pytest.mark.parametrize(
-        "g", [hypercube(3), petersen(), complete_bipartite(3, 3)], ids=["q3", "petersen", "k33"]
-    )
-    def test_jobs_match_serial(self, g):
-        for size in (1, 2):
-            for model in (PMC, MM):
-                assert _scenario_sweep(g, size, model, jobs=2) == _scenario_sweep(g, size, model, jobs=1)
-
-    @pytest.mark.parametrize(
         "g, h, orbits",
         [
             (hypercube(4), 2, 6),
@@ -335,7 +327,7 @@ class TestOrbitSweep:
         g = hypercube(5)
         expected = {0: (5, ()), 1: (4, ((0, 1),)), 2: (3, ((0, 1), (0, 2)))}
         for h, pair in expected.items():
-            assert _scenario_sweep(g, h, MM, jobs=1) == pair
+            assert _scenario_sweep(g, h, MM) == pair
 
 
 class TestWorstScenario:
@@ -367,13 +359,6 @@ class TestWorstScenario:
             if diagnosability(delete_edges(g, sc), MM) == result.value:
                 assert sc == result.worst_scenario
                 break
-
-    def test_jobs_do_not_change_results(self):
-        # the internal cache keys on the job count, so this recomputes
-        g = petersen()
-        seq = edge_tolerable_diagnosability(g, 1, MM, jobs=1)
-        par = edge_tolerable_diagnosability(g, 1, MM, jobs=2)
-        assert (seq.value, seq.worst_scenario) == (par.value, par.worst_scenario)
 
 
 class TestProperties:
@@ -448,17 +433,22 @@ class TestBounds:
         assert report.upper is None
 
     def test_precomputed_facts_give_the_same_report(self):
-        # analyze computes kappa, C(G) and the recognition once per graph
+        # analyze builds one Facts per graph and reuses it for every budget and model
         for entry in default_corpus():
             g = entry.graph
-            facts = dict(
-                recognition=recognize_exceptional(g),
-                kappa=_kappa_value(g),
-                common=max_common_neighbors(g).value,
-            )
+            facts = Facts(g)
             for model in (PMC, MM):
                 for h in range(g.min_degree + 1):
-                    assert theoretical_bounds(g, h, model, **facts) == theoretical_bounds(g, h, model)
+                    assert theoretical_bounds(g, h, model, facts=facts) == theoretical_bounds(g, h, model)
+
+    def test_pmc_bounds_never_run_the_recognizer(self, monkeypatch):
+        def refuse(g, **kwargs):
+            raise AssertionError("the PMC rules read no family recognition")
+
+        monkeypatch.setattr(tolerance, "recognize_exceptional", refuse)
+        for entry in default_corpus():
+            for h in range(entry.graph.min_degree + 1):
+                theoretical_bounds(entry.graph, h, PMC)
 
     @given(graphs(min_n=2), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=50, deadline=None)

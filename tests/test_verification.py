@@ -5,7 +5,7 @@ import pytest
 from diagnoscope.diagnosis import DiagModel
 from diagnoscope.families import GammaSpec, complete, hypercube, make_gamma, wheel
 from diagnoscope.formats import parse_graph6
-from diagnoscope.tolerance import edge_tolerable_diagnosability
+from diagnoscope.tolerance import edge_tolerable_diagnosability, theoretical_bounds
 from diagnoscope.verification import (
     ALL_CLAIMS,
     BLOCKED,
@@ -13,7 +13,9 @@ from diagnoscope.verification import (
     CLAIM_CONN_DEL,
     CLAIM_FAM_IRREGULAR,
     CLAIM_MM_EXACT,
+    CLAIM_MM_LOWER,
     CLAIM_PMC_EXACT,
+    CLAIM_PMC_LOWER,
     CLAIM_UPPER,
     CorpusEntry,
     FAIL,
@@ -169,3 +171,56 @@ class TestFailurePath:
         g = parse_graph6(graph6)
         model = DiagModel.PMC if row.model == "pmc" else DiagModel.MMSTAR
         assert edge_tolerable_diagnosability(g, row.h, model).value == row.oracle
+
+
+class TestVerifyChecksWhatAnalyzeApplies:
+    """``theoretical_bounds`` (analyze) and ``check_claim`` (verify) read one
+    theorem table, so on every default-corpus graph, model and h < delta
+    they agree on which rules apply and on every hypothesis analyze prints."""
+
+    CLAIM_OF_RULE = {
+        "min_degree_upper": CLAIM_UPPER,
+        "pmc_lower": CLAIM_PMC_LOWER,
+        "pmc_exact": CLAIM_PMC_EXACT,
+        "mm_lower": CLAIM_MM_LOWER,
+        "mm_exact": CLAIM_MM_EXACT,
+    }
+    RULES = {
+        DiagModel.PMC: ("min_degree_upper", "pmc_lower", "pmc_exact"),
+        DiagModel.MMSTAR: ("min_degree_upper", "mm_lower", "mm_exact"),
+    }
+
+    @pytest.fixture(scope="class")
+    def ledger(self):
+        # max_n = 0 blocks every oracle: a row is hypothesis_not_met or budget_exceeded
+        corpus = default_corpus()
+        h_max = max(e.graph.min_degree for e in corpus)
+        report = run_suite(corpus=corpus, budget=Budget(max_n=0), h_max=h_max)
+        return corpus, {(r.graph_name, r.claim, r.model, r.h): r for r in report.rows}
+
+    @pytest.mark.parametrize("model", [DiagModel.PMC, DiagModel.MMSTAR], ids=["pmc", "mm"])
+    def test_same_rules_and_hypotheses(self, ledger, model):
+        corpus, rows = ledger
+        checked = 0
+        for entry in corpus:
+            for h in range(entry.graph.min_degree):
+                report = theoretical_bounds(entry.graph, h, model)
+                verify = {
+                    rule: rows[entry.name, self.CLAIM_OF_RULE[rule], model.value, h]
+                    for rule in self.RULES[model]
+                }
+                met = {rule for rule, row in verify.items() if row.verdict != NOT_MET}
+                emitted = {report.lower_rule, report.upper_rule} - {None}
+                where = (entry.name, model.value, h)
+                assert emitted <= met, where
+                exact_rule = report.lower_rule if report.lower_rule == report.upper_rule else None
+                for rule in met - emitted:
+                    # a met rule is only ever superseded by an exact rule that also applies
+                    assert exact_rule in met and exact_rule.endswith("_exact"), (where, rule)
+                for condition in report.conditions:
+                    if condition.rule not in verify or condition.description.startswith("no lower-bound"):
+                        continue  # family rows and the no-rule note are not a rule's hypotheses
+                    pair = (condition.description, condition.holds)
+                    assert pair in verify[condition.rule].hypotheses, (where, pair)
+                    checked += 1
+        assert checked > 0
