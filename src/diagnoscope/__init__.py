@@ -59,20 +59,14 @@ from .formats import (
 )
 from .graphs import (
     CapExceededError,
-    DegreeProfile,
     Graph,
     GraphError,
     build_graph,
-    complement,
-    degree_profile,
     delete_edges,
     delete_vertices,
     disjoint_union,
     induced_subgraph,
-    join,
     relabel,
-    star_1,
-    star_r,
 )
 from .syndrome import (
     ALL_ONE,

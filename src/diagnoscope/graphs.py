@@ -1,9 +1,8 @@
 """Immutable simple undirected graphs with bitmask adjacency.
 
-Vertices are dense integer ids ``0..n-1``.  Every composite constructor
-(join, restricted cross products, disjoint union) places the left
-operand's ids first and shifts the right operand's ids by the left
-vertex count, so layouts are deterministic and goldens stay stable.
+Vertices are dense integer ids ``0..n-1``.  The disjoint union places
+the left operand's ids first and shifts the right operand's ids by the
+left vertex count, so layouts are deterministic and goldens stay stable.
 
 Vertex subsets are plain Python ints used as bitmasks; ``Graph.adj_masks``
 exposes the adjacency in the same encoding so that exhaustive-search
@@ -15,8 +14,7 @@ to share across concurrent workers.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -175,68 +173,10 @@ def build_graph(n: int, edge_list: Iterable[Tuple[int, int]], *, cap: int | None
     return Graph(n, sorted(seen))
 
 
-def complement(g: Graph) -> Graph:
-    """Graph on the same vertices whose edges are the nonadjacent pairs of g."""
-    edges = [
-        (u, v)
-        for u in range(g.n)
-        for v in range(u + 1, g.n)
-        if (u, v) not in g.edge_set
-    ]
-    return Graph(g.n, edges)
-
-
 def disjoint_union(g: Graph, h: Graph) -> Graph:
     shift = g.n
     edges = list(g.edges) + [(u + shift, v + shift) for u, v in h.edges]
     return Graph(g.n + h.n, edges)
-
-
-def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union of g and h plus every cross edge between the sides."""
-    shift = g.n
-    base = disjoint_union(g, h)
-    cross = [(u, v + shift) for u in range(g.n) for v in range(h.n)]
-    return Graph(base.n, list(base.edges) + cross)
-
-
-def star_r(g: Graph, h: Graph, cross: Iterable[Tuple[int, int]]) -> Graph:
-    """Disjoint union plus an arbitrary chosen set of cross edges.
-
-    Cross pairs are given in local ids: (u in V(g), v in V(h)).
-    """
-    shift = g.n
-    base = disjoint_union(g, h)
-    cross_edges = set()
-    for u, v in cross:
-        if not 0 <= u < g.n:
-            raise GraphError(f"cross pair ({u}, {v}): left endpoint not a vertex of the left graph")
-        if not 0 <= v < h.n:
-            raise GraphError(f"cross pair ({u}, {v}): right endpoint not a vertex of the right graph")
-        cross_edges.add((u, v + shift))
-    return Graph(base.n, list(base.edges) + sorted(cross_edges))
-
-
-def star_1(g: Graph, h: Graph, assign: Mapping[int, int] | Sequence[int]) -> Graph:
-    """Disjoint union plus exactly one cross edge per vertex of g.
-
-    ``assign`` maps every vertex of g (local id) to one vertex of h
-    (local id).  A partial assignment is an error.
-    """
-    if isinstance(assign, Mapping):
-        mapping = dict(assign)
-    else:
-        mapping = {i: t for i, t in enumerate(assign)}
-    missing = [v for v in range(g.n) if v not in mapping]
-    if missing:
-        raise GraphError(f"assignment is not total on the left graph; missing vertices {missing}")
-    cross = []
-    for u in range(g.n):
-        t = mapping[u]
-        if not 0 <= t < h.n:
-            raise GraphError(f"assignment target {t} for vertex {u} is not a vertex of the right graph")
-        cross.append((u, t))
-    return star_r(g, h, cross)
 
 
 def delete_edges(g: Graph, fault_edges: Iterable[Tuple[int, int]]) -> Graph:
@@ -356,18 +296,3 @@ def automorphism_generators(g: Graph) -> Tuple[Tuple[int, ...], ...]:
                 for v in range(n):
                     orbit[find(v)] = find(perm[v])
     return tuple(gens)
-
-
-@dataclass(frozen=True)
-class DegreeProfile:
-    min_degree: int
-    degrees: Tuple[int, ...]
-    is_regular: bool
-
-
-def degree_profile(g: Graph) -> DegreeProfile:
-    """Minimum degree, sorted degree multiset, and regularity flag."""
-    if g.n == 0:
-        raise GraphError("degree profile is undefined for the empty graph")
-    degs = tuple(sorted(g.degrees))
-    return DegreeProfile(degs[0], degs, degs[0] == degs[-1])

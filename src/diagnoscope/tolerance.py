@@ -322,14 +322,10 @@ class Facts:
         return common_neighbor_shortcut(self.delta, self.common)
 
     @property
-    def excluded(self) -> Optional[bool]:
+    def excluded(self) -> bool:
         """G outside the exceptional family: the common-neighbor shortcut
-        first, then the recognizer; None when membership is undecided."""
-        if self.shortcut:
-            return True
-        if self.recognition.status == "cap_exceeded":
-            return None
-        return not self.recognition.member
+        first, then the recognizer."""
+        return self.shortcut or not self.recognition.member
 
 
 # A hypothesis atom maps (facts, h) to (condition text, holds).  X names
@@ -387,8 +383,6 @@ def _shortcut(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
 
 
 def _outside_family(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
-    if f.excluded is None:
-        return "family membership decided within recognizer cap", False
     return "graph is outside the exceptional family", f.excluded
 
 
@@ -435,19 +429,14 @@ _BOUND_THEOREMS = THEOREMS[:5]  # the rules theoretical_bounds applies
 
 
 def _family_rows(f: Facts) -> List[BoundCondition]:
-    rows = [
+    return [
         BoundCondition(
             "family_shortcut",
             f"common-neighbor shortcut excludes membership (C(G)={f.common}, delta={f.delta})",
             f.shortcut,
-        )
+        ),
+        BoundCondition("family_exclusion", "graph is outside the exceptional family", f.excluded),
     ]
-    if f.excluded is None:
-        text = "membership undecided: recognizer cap exceeded"
-    else:
-        text = "graph is outside the exceptional family"
-    rows.append(BoundCondition("family_exclusion", text, bool(f.excluded)))
-    return rows
 
 
 def theoretical_bounds(g: Graph, h: int, model: DiagModel, *, facts: Optional[Facts] = None) -> BoundReport:

@@ -292,10 +292,7 @@ def _bound_rows(entry, facts, theorem, budget, h_values):
 
 
 def _family_hypothesis(facts: Facts) -> Tuple[Tuple[str, bool], ...]:
-    recog = facts.recognition
-    if recog.status == "cap_exceeded":
-        return (("family membership decided within recognizer cap", False),)
-    return (("graph recognized as an exceptional-family member", bool(recog.member)),)
+    return (("graph recognized as an exceptional-family member", facts.recognition.member),)
 
 
 _THEOREM_OF_CLAIM = {theorem.claim: theorem for theorem in THEOREMS}

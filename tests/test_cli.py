@@ -111,6 +111,25 @@ class TestAnalyze:
         assert "value" not in entry
         assert entry["bounds"]["upper"] == 2
 
+    def test_mm_exact_value_above_twenty_vertices(self, capsys, tmp_path):
+        from diagnoscope.families import wheel
+
+        path = tmp_path / "wheel30.el"
+        path.write_text(emit_edge_list(wheel(30)))
+        code, out, _ = run_cli(
+            capsys, "analyze", str(path), "--method", "bounds", "--model", "mm", "--h-max", "1"
+        )
+        assert code == 0
+        report = json.loads(out)
+        # wheel(30) is irregular with C(G) = 2, so only the template search
+        # shows it outside the family
+        assert report["exceptional_family"] == {"member": False, "status": "decided"}
+        assert [r.get("value") for r in report["results"]] == [3, 2]
+        exclusion = [c for c in report["results"][0]["bounds"]["conditions"] if c["rule"] == "family_exclusion"]
+        assert exclusion == [
+            {"rule": "family_exclusion", "condition": "graph is outside the exceptional family", "holds": True}
+        ]
+
     def test_edge_list_stdin(self, capsys, monkeypatch):
         import io
 
@@ -185,7 +204,7 @@ class TestOtherCommands:
         ("verify", "--trials", "-2"),
         ("verify", "--jobs", "0"),
         ("analyze", "--cap", "-1"),
-        ("recognize", "--recognizer-cap", "-5"),
+        ("recognize", "--cap", "-5"),
         ("syndrome", "--faults", "1,x"),
     ])
     def test_out_of_range_count_exit_1(self, capsys, argv):
@@ -204,6 +223,14 @@ class TestOtherCommands:
         assert out == ""
         assert err.startswith(f"error: gen {argv[1]} takes integer parameters")
         assert len(err.splitlines()) == 1
+
+    def test_recognize_has_no_recognizer_cap_option(self, capsys):
+        # the recognizer decides every graph under the vertex cap, so the
+        # option that once bounded it is an unknown option like any other
+        code, out, err = run_cli(capsys, "recognize", "-", "--recognizer-cap", "5")
+        assert code == 1
+        assert out == ""
+        assert "unrecognized arguments: --recognizer-cap" in err
 
     def test_analyze_has_no_seed_option(self, capsys):
         # analysis is deterministic, so --seed is an unknown option like any other

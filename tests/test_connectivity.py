@@ -16,10 +16,12 @@ from diagnoscope.connectivity import (
     vertex_connectivity,
 )
 from diagnoscope.families import (
+    GammaSpec,
     complete,
     complete_bipartite,
     cycle,
     hypercube,
+    make_gamma,
     petersen,
     random_t_connected,
 )
@@ -30,7 +32,6 @@ from diagnoscope.graphs import (
     delete_vertices,
     disjoint_union,
     induced_subgraph,
-    join,
 )
 from diagnoscope.verification import default_corpus
 
@@ -464,7 +465,7 @@ class TestMaxCommonNeighbors:
         assert max_common_neighbors(hypercube(3)).value == 2
 
     def test_core_join_block(self):
-        g = join(complete(3), build_graph(4, []))
+        g = make_gamma(GammaSpec(1, 3, 4, core_edges=((0, 1), (0, 2), (1, 2))))
         report = max_common_neighbors(g)
         # two core vertices share the third core vertex and the whole block
         assert report.value == 5

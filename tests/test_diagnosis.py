@@ -25,8 +25,8 @@ from diagnoscope.diagnosis import (
     distinguishable_pmc,
     is_t_diagnosable,
 )
-from diagnoscope.families import complete, cycle, hypercube, petersen
-from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges, join, relabel
+from diagnoscope.families import GammaSpec, complete, cycle, hypercube, make_gamma, petersen
+from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges, relabel
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR
@@ -138,7 +138,7 @@ class TestMmPredicate:
         assert check.condition is None
 
     def test_family1_core_pair(self):
-        g = join(complete(3), empty_graph(4))
+        g = make_gamma(GammaSpec(1, 3, 4, core_edges=((0, 1), (0, 2), (1, 2))))
         check = distinguishable_mm(g, {0, 1}, {1, 2})
         assert not check.distinguishable
 

@@ -1,10 +1,25 @@
+import random
+from itertools import combinations
+
+import networkx as nx
 import pytest
 
 from diagnoscope.connectivity import max_common_neighbors, vertex_connectivity
 from diagnoscope.diagnosis import DiagModel, diagnosability
 from diagnoscope.families import (
+    FAMILY_MIN_DELTA,
     GammaSpec,
+    RecognitionResult,
+    RecognizedDecomposition,
+    _draw_spec,
+    _local_edges,
+    _match_family1,
+    _match_family2,
+    _match_family3,
+    _match_family4,
+    _match_family5,
     _template_search,
+    common_neighbor_shortcut,
     circulant,
     complete,
     complete_bipartite,
@@ -22,9 +37,135 @@ from diagnoscope.families import (
     recognize_exceptional,
     wheel,
 )
-from diagnoscope.graphs import GraphError
+from diagnoscope.graphs import GraphError, bits_of, build_graph
 
 K3_EDGES = ((0, 1), (0, 2), (1, 2))
+
+
+def reference_match_family3(g, delta):
+    """Frozen unpruned family-3 scan: every pair of disjoint side pairs
+    in lexicographic order, each grouped in O(n)."""
+    n = g.n
+    l = n - delta - 2
+    if l < delta + 1 or delta < 3:
+        return None
+    two_sets = list(combinations(range(n), 2))
+    for i, left in enumerate(two_sets):
+        left_mask = (1 << left[0]) | (1 << left[1])
+        for right in two_sets[i + 1:]:
+            right_mask = (1 << right[0]) | (1 << right[1])
+            if left_mask & right_mask:
+                continue
+            sides = left_mask | right_mask
+            groups = {}
+            for u in range(n):
+                if (sides >> u) & 1 or g.degree(u) != delta:
+                    continue
+                nb = g.adj_masks[u]
+                if (nb & left_mask).bit_count() != 1 or (nb & right_mask).bit_count() != 1:
+                    continue
+                groups.setdefault(nb & ~sides, None)
+            for a_mask in sorted(groups):
+                if a_mask.bit_count() != delta - 2 or a_mask & sides:
+                    continue
+                block = [u for u in range(n) if not (sides >> u) & 1 and not (a_mask >> u) & 1]
+                if len(block) != l:
+                    continue
+                ok = all(
+                    g.degree(u) == delta
+                    and (g.adj_masks[u] & left_mask).bit_count() == 1
+                    and (g.adj_masks[u] & right_mask).bit_count() == 1
+                    and g.adj_masks[u] & ~sides == a_mask
+                    for u in block
+                )
+                if not ok:
+                    continue
+                core = sorted(bits_of(a_mask))
+                spec = GammaSpec(
+                    3,
+                    delta,
+                    l,
+                    _local_edges(g, core),
+                    left_pair_edges=_local_edges(g, list(left)),
+                    right_pair_edges=_local_edges(g, list(right)),
+                    core_left_edges=tuple(
+                        (ci, s) for ci, c in enumerate(core) for s, b in enumerate(left) if g.has_edge(c, b)
+                    ),
+                    core_right_edges=tuple(
+                        (ci, s) for ci, c in enumerate(core) for s, b in enumerate(right) if g.has_edge(c, b)
+                    ),
+                    left_right_edges=tuple(
+                        (a, b) for a, x in enumerate(left) for b, y in enumerate(right) if g.has_edge(x, y)
+                    ),
+                    assign_left=tuple(0 if g.has_edge(u, left[0]) else 1 for u in block),
+                    assign_right=tuple(0 if g.has_edge(u, right[0]) else 1 for u in block),
+                )
+                return RecognizedDecomposition(spec, tuple(list(left) + core + list(right) + block))
+    return None
+
+
+def reference_template_search(g, delta):
+    """Frozen template search: every family template in index order, with
+    the unpruned family-3 scan; the other four matchers are unchanged."""
+    matchers = (_match_family1, _match_family2, reference_match_family3, _match_family4, _match_family5)
+    for index, matcher in enumerate(matchers, start=1):
+        found = matcher(g, delta)
+        if found is not None:
+            return index, found
+    return None, None
+
+
+def reference_recognize(g):
+    """The recognizer's filters, then the frozen template search."""
+    if g.n == 0:
+        return RecognitionResult(False, None, None)
+    delta = g.min_degree
+    if delta < FAMILY_MIN_DELTA or g.n < 2 * delta + 1 or g.is_regular:
+        return RecognitionResult(False, None, None)
+    if common_neighbor_shortcut(delta, max_common_neighbors(g).value):
+        return RecognitionResult(False, None, None)
+    index, witness = reference_template_search(g, delta)
+    return RecognitionResult(index is not None, index, witness)
+
+
+def differential_graphs():
+    """Family draws, wheels, 7-vertex atlas graphs and seeded random graphs,
+    all of at most 20 vertices."""
+    for family in (1, 2, 3, 4, 5):
+        for delta in (3, 4):
+            low = minimal_block_size(family, delta)
+            for l in (low, low + 1, low + 2):
+                rng = random.Random(f"differential-{family}-{delta}-{l}")
+                for _ in range(12):
+                    yield make_gamma(_draw_spec(rng, family, delta, l))
+    yield from (wheel(k) for k in range(3, 20))
+    for nxg in nx.graph_atlas_g():
+        if nxg.number_of_nodes() == 7:
+            yield build_graph(7, nxg.edges())
+    rng = random.Random("differential-random")
+    for _ in range(400):
+        n = rng.randint(8, 16)
+        p = rng.uniform(0.3, 0.8)
+        yield build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
+
+
+def join_with_cycle(k, c):
+    """K_k joined to a c-cycle: the cycle is ids k..k+c-1."""
+    edges = list(combinations(range(k), 2))
+    edges += [(k + i, k + (i + 1) % c) for i in range(c)]
+    edges += [(i, k + j) for i in range(k) for j in range(c)]
+    return build_graph(k + c, edges)
+
+
+def sixty_vertex_instance(family, delta=5):
+    """A seeded make_gamma instance of the family on 60 vertices with
+    minimum degree exactly delta."""
+    l = 60 - gamma_vertex_count(family, delta, 0)
+    rng = random.Random(f"sixty-{family}")
+    while True:
+        g = make_gamma(_draw_spec(rng, family, delta, l))
+        if g.min_degree == delta:
+            return g
 
 
 class TestMakeGamma:
@@ -91,7 +232,6 @@ class TestRandomGamma:
         result = recognize_exceptional(g)
         assert result.member is True
         assert result.index == family
-        assert result.status == "decided"
 
     @pytest.mark.parametrize("family", [1, 2, 3, 4, 5])
     def test_irregular(self, family):
@@ -123,7 +263,6 @@ class TestRecognizer:
     def test_hypercube_not_member(self):
         result = recognize_exceptional(hypercube(3))
         assert result.member is False
-        assert result.status == "decided"
         # the statistical shortcuts do not decide Q3; the template search does
         assert _template_search(hypercube(3), 3) == (None, None)
 
@@ -147,20 +286,18 @@ class TestRecognizer:
         assert recognize_exceptional(cycle(6)).member is False
 
     def test_cap(self):
-        # irregular, delta = 3 and C(G) = 2, so no cheap filter decides it
+        # irregular, delta = 3 and C(G) = 2, so no cheap filter decides it;
+        # the template search does
         g = wheel(20)
         assert g.n == 21
-        result = recognize_exceptional(g)
-        assert result.status == "cap_exceeded"
-        assert result.member is None
-        assert recognize_exceptional(g, cap=25).status == "decided"
+        assert recognize_exceptional(g) == RecognitionResult(False, None, None)
+        assert reference_template_search(g, 3) == (None, None)
 
     @pytest.mark.parametrize(
         "g", [cycle(21), complete_bipartite(11, 11), hypercube(6)], ids=["c21", "k11-11", "q6"]
     )
     def test_regular_graph_above_cap_is_decided(self, g):
-        result = recognize_exceptional(g)
-        assert (result.member, result.status) == (False, "decided")
+        assert recognize_exceptional(g) == RecognitionResult(False, None, None)
 
     def test_family1_hand_instance(self):
         g = make_gamma(GammaSpec(1, 3, 4, core_edges=K3_EDGES))
@@ -192,6 +329,44 @@ class TestRecognizer:
         assert result.member is True
         assert result.index < 4
         assert rebuild_from_witness(result.witness) == g
+
+
+class TestPrunedFamily3Scan:
+    def test_same_decisions_as_the_frozen_scan(self):
+        graphs = hits = 0
+        for g in differential_graphs():
+            assert g.n <= 20
+            assert recognize_exceptional(g) == reference_recognize(g), g.edges
+            delta = g.min_degree
+            if delta >= 3:
+                graphs += 1
+                found = _match_family3(g, delta)
+                assert found == reference_match_family3(g, delta), g.edges
+                hits += found is not None
+        assert graphs > 600 and hits > 100
+
+    @pytest.mark.parametrize("g", [wheel(63), join_with_cycle(3, 61)], ids=["wheel63", "k3-join-c61"])
+    def test_non_member_at_the_vertex_cap(self, g):
+        assert g.n == 64
+        assert recognize_exceptional(g) == RecognitionResult(False, None, None)
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4, 5])
+    def test_sixty_vertex_instance_is_decided(self, family):
+        g = sixty_vertex_instance(family)
+        assert g.n == 60
+        result = recognize_exceptional(g)
+        assert result.member is True
+        # a family-4 instance with l >= delta + 3 also fits a smaller index
+        assert result.index == (2 if family == 4 else family)
+        assert rebuild_from_witness(result.witness) == g
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4, 5])
+    def test_random_gamma_above_twenty_vertices(self, family):
+        spec, g = random_gamma(family, 10, seed=1)
+        assert g.n > 20
+        result = recognize_exceptional(g)
+        assert (result.member, result.index) == (True, family)
+        assert rebuild_from_witness(result.witness) == g == make_gamma(spec)
 
 
 class TestGenerators:

@@ -6,20 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagnoscope.families import complete, cycle, hypercube, petersen
+from conftest import all_graphs
+from diagnoscope.families import GammaSpec, complete, cycle, hypercube, make_gamma, petersen
 from diagnoscope.graphs import (
     CapExceededError,
     GraphError,
     automorphism_generators,
     build_graph,
-    complement,
-    degree_profile,
     delete_edges,
     induced_subgraph,
-    join,
     relabel,
-    star_1,
-    star_r,
 )
 
 
@@ -74,93 +70,6 @@ class TestBuildGraph:
     def test_edge_count_equals_half_degree_sum(self):
         g = build_graph(5, [(0, 1), (0, 2), (3, 4)])
         assert sum(g.degrees) == 2 * g.m
-
-
-class TestComplement:
-    def test_empty_to_complete(self):
-        assert complement(empty_graph(4)) == complete(4)
-        assert complement(empty_graph(4)).m == 6
-
-    def test_five_cycle_self_complementary(self):
-        co = complement(cycle(5))
-        # isomorphic to a 5-cycle: 5 edges, 2-regular, connected
-        assert co.m == 5
-        assert set(co.degrees) == {2}
-        from diagnoscope.connectivity import is_connected
-
-        assert is_connected(co)
-
-    @given(graphs())
-    @settings(max_examples=60)
-    def test_involution(self, g):
-        assert complement(complement(g)) == g
-
-
-class TestJoin:
-    def test_k22_is_c4(self):
-        g = join(empty_graph(2), empty_graph(2))
-        assert g.edge_set == {(0, 2), (0, 3), (1, 2), (1, 3)}
-
-    def test_edge_count(self):
-        g = join(complete(3), empty_graph(4))
-        assert g.n == 7
-        assert g.m == 3 + 12
-
-    def test_identity(self):
-        g = build_graph(3, [(0, 2)])
-        assert join(empty_graph(0), g) == g
-        assert join(g, empty_graph(0)) == g
-
-    @given(graphs(max_n=5), graphs(max_n=5))
-    @settings(max_examples=40)
-    def test_edge_count_formula(self, g, h):
-        assert join(g, h).m == g.m + h.m + g.n * h.n
-
-
-class TestStarR:
-    def test_empty_cross(self):
-        assert star_r(complete(1), complete(1), []) == empty_graph(2)
-
-    def test_full_cross_k1_k1(self):
-        assert star_r(complete(1), complete(1), [(0, 0)]) == complete(2)
-
-    def test_c4_from_two_edges(self):
-        g = star_r(complete(2), complete(2), [(0, 0), (1, 1)])
-        assert g.edge_set == {(0, 1), (2, 3), (0, 2), (1, 3)}
-
-    def test_bad_cross_pair(self):
-        with pytest.raises(GraphError, match="right endpoint"):
-            star_r(complete(2), complete(2), [(0, 5)])
-        with pytest.raises(GraphError, match="left endpoint"):
-            star_r(complete(2), complete(2), [(3, 0)])
-
-
-class TestStar1:
-    def test_star_plus_pendant_edge(self):
-        g = star_1(empty_graph(3), complete(2), {0: 0, 1: 0, 2: 0})
-        assert g.edge_set == {(0, 3), (1, 3), (2, 3), (3, 4)}
-
-    def test_single_vertex(self):
-        assert star_1(empty_graph(1), complete(1), {0: 0}) == complete(2)
-
-    def test_p4(self):
-        g = star_1(empty_graph(2), complete(2), {0: 0, 1: 1})
-        # path 0-2-3-1
-        assert g.edge_set == {(0, 2), (2, 3), (1, 3)}
-
-    def test_partial_assignment(self):
-        with pytest.raises(GraphError, match="not total"):
-            star_1(empty_graph(2), complete(2), {0: 0})
-
-    @given(graphs(max_n=4), st.integers(min_value=1, max_value=3), st.data())
-    @settings(max_examples=40)
-    def test_every_left_vertex_gets_one_right_neighbor(self, g, hn, data):
-        h = empty_graph(hn)
-        assign = [data.draw(st.integers(min_value=0, max_value=hn - 1)) for _ in range(g.n)]
-        joined = star_1(g, h, assign)
-        for v in range(g.n):
-            right = [w for w in range(g.n, g.n + hn) if joined.has_edge(v, w)]
-            assert len(right) == 1
 
 
 class TestDeleteEdges:
@@ -219,27 +128,28 @@ class TestInducedSubgraph:
 
 class TestDegreeProfile:
     def test_hypercube(self):
-        prof = degree_profile(hypercube(3))
-        assert prof.min_degree == 3
-        assert prof.degrees == (3,) * 8
-        assert prof.is_regular
+        g = hypercube(3)
+        assert g.min_degree == 3
+        assert g.degrees == (3,) * 8
+        assert g.is_regular
 
     def test_join_core_block(self):
-        g = join(complete(3), empty_graph(4))
-        prof = degree_profile(g)
-        assert prof.min_degree == 3
-        assert prof.degrees == (3, 3, 3, 3, 6, 6, 6)
-        assert not prof.is_regular
+        g = make_gamma(GammaSpec(1, 3, 4, core_edges=((0, 1), (0, 2), (1, 2))))
+        assert g.min_degree == 3
+        assert g.degrees == (6, 6, 6, 3, 3, 3, 3)
+        assert not g.is_regular
 
     def test_single_vertex(self):
-        prof = degree_profile(complete(1))
-        assert prof == degree_profile(empty_graph(1))
-        assert prof.min_degree == 0
-        assert prof.is_regular
+        g = complete(1)
+        assert g == empty_graph(1)
+        assert g.min_degree == 0
+        assert g.is_regular
 
     def test_empty_graph_error(self):
         with pytest.raises(GraphError):
-            degree_profile(empty_graph(0))
+            empty_graph(0).min_degree
+        with pytest.raises(GraphError):
+            empty_graph(0).is_regular
 
 
 class TestRelabel:
@@ -288,13 +198,6 @@ def networkx_order(g):
     return sum(1 for _ in nx.algorithms.isomorphism.GraphMatcher(nxg, nxg).isomorphisms_iter())
 
 
-def all_graphs(max_n):
-    for n in range(0, max_n + 1):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for bits in range(1 << len(pairs)):
-            yield build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
-
-
 def seeded_graphs(count):
     rng = random.Random("automorphisms")
     for _ in range(count):
@@ -315,8 +218,9 @@ class TestAutomorphismGenerators:
         assert group_order(g, gens) == order, g.edges
 
     def test_every_graph_up_to_five_vertices(self):
-        for g in all_graphs(5):
-            self.check(g, networkx_order(g))
+        for n in range(6):
+            for g in all_graphs(n):
+                self.check(g, networkx_order(g))
 
     def test_seeded_random_graphs(self):
         for g in seeded_graphs(100):

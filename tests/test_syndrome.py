@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_graphs
 from diagnoscope.diagnosis import DiagModel, is_t_diagnosable
 from diagnoscope.families import complete, cycle, hypercube
 from diagnoscope.graphs import build_graph
@@ -78,12 +79,6 @@ def random_syndrome(g, model, rng):
     if model is PMC:
         return PmcSyndrome({e: rng.getrandbits(1) for e in pmc_entries(g)})
     return MmSyndrome({e: rng.getrandbits(1) for e in mm_entries(g)})
-
-
-def all_graphs(n):
-    pairs = list(combinations(range(n), 2))
-    for mask in range(1 << len(pairs)):
-        yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
 
 
 def empty_graph(n):

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_graphs
 from diagnoscope.diagnosis import DiagModel, diagnosability, is_t_diagnosable
 from diagnoscope.families import (
     circulant,
@@ -152,13 +153,6 @@ def reference_sweep(g, size, model):
     return best_val, best_scenario
 
 
-def all_graphs(max_n):
-    for n in range(1, max_n + 1):
-        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-        for bits in range(1 << len(pairs)):
-            yield build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
-
-
 def symmetric_graphs():
     for n in range(6, 11):
         steps = range(1, n // 2 + 1)
@@ -297,8 +291,9 @@ class TestOrbitSweep:
                 )
 
     def test_every_graph_up_to_five_vertices(self):
-        for g in all_graphs(5):
-            self.check(g, 2)
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                self.check(g, 2)
 
     def test_symmetric_families(self):
         # above degree 5 the frozen full sweep at h = 2 takes 2-6 s a graph
