@@ -25,18 +25,22 @@ Construction layout: core-side blocks first in definition order, the
 independent block last, ids ascending within a block.
 
 ``recognize_exceptional`` decides membership for every graph under the
-vertex cap: cheap necessary filters first, then one template matcher per
-family, tried in index order.  Each matcher is polynomial; the family-3
-scan over pairs of side pairs prunes each pair with one mask
-intersection, so it costs at most O(n^4) mask operations.
+vertex cap: cheap necessary filters first, then, family by family in
+index order, proposers yield vertex layouts in the construction layout,
+and ``_fit`` reads a spec off each and accepts it exactly when
+``make_gamma``'s edge assembly rebuilds the graph.  So each shape is
+stated once, in ``make_gamma``; the proposers apply only necessary
+filters.  The side-pair scan for families 1-3 prunes each pair with one
+mask intersection, so it costs at most O(n^4) mask operations.
 """
 
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from .connectivity import max_common_neighbors
 from .graphs import (
@@ -45,6 +49,7 @@ from .graphs import (
     GraphError,
     bits_of,
     build_graph,
+    normalize_edge,
     relabel,
 )
 
@@ -126,6 +131,12 @@ def _check_block_edges(edges: Sequence[Edge], size: int, label: str) -> None:
 
 def make_gamma(spec: GammaSpec) -> Graph:
     """Assemble the graph a spec describes, validating its invariants."""
+    edges = _gamma_edges(spec)
+    return build_graph(gamma_vertex_count(spec.family, spec.delta, spec.l), edges)
+
+
+def _gamma_edges(spec: GammaSpec) -> List[Edge]:
+    """The edges of ``make_gamma(spec)``, unnormalized; no vertex cap."""
     fam, delta, l = spec.family, spec.delta, spec.l
     if fam not in (1, 2, 3, 4, 5):
         raise GraphError(f"family index must be 1..5, got {fam}")
@@ -233,8 +244,7 @@ def make_gamma(spec: GammaSpec) -> Graph:
                     f"core vertices, got {len(uniq)}"
                 )
             edges += [(c, base + i) for c in uniq]
-
-    return build_graph(gamma_vertex_count(fam, delta, l), edges)
+    return edges
 
 
 def gamma_vertex_count(family: int, delta: int, l: int) -> int:
@@ -339,293 +349,166 @@ def random_gamma(
 # recognition
 
 
-def _local_edges(g: Graph, block: Sequence[int]) -> Tuple[Edge, ...]:
-    pos = {v: i for i, v in enumerate(block)}
-    out = []
-    for u, v in g.edges:
-        if u in pos and v in pos:
-            a, b = pos[u], pos[v]
-            out.append((min(a, b), max(a, b)))
-    return tuple(sorted(out))
+def _side_layouts(g: Graph, delta: int, k: int):
+    """Layouts for families 1-3: k side pairs (adjacent when k = 1), a
+    core of delta - k vertices and a block of l = n - delta - k.
 
-
-def _match_family1(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
-    n = g.n
-    seen = set()
-    for v in range(n):
-        if g.degree(v) != delta:
-            continue
-        h_mask = g.adj_masks[v]
-        if h_mask in seen:
-            continue
-        seen.add(h_mask)
-        core = sorted(bits_of(h_mask))
-        block = [u for u in range(n) if not (h_mask >> u) & 1]
-        if len(block) < delta + 1:
-            continue
-        if all(g.adj_masks[u] == h_mask for u in block):
-            spec = GammaSpec(1, delta, len(block), _local_edges(g, core))
-            return RecognizedDecomposition(spec, tuple(core + block))
-    return None
-
-
-def _match_family2(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
-    n = g.n
-    l = n - delta - 1
-    if l < delta + 1:
-        return None
-    for b0, b1 in g.edges:
-        pair_mask = (1 << b0) | (1 << b1)
-        groups: Dict[int, None] = {}
-        for u in range(n):
-            if (pair_mask >> u) & 1 or g.degree(u) != delta:
-                continue
-            nb = g.adj_masks[u]
-            if (nb & pair_mask).bit_count() != 1:
-                continue
-            groups.setdefault(nb & ~pair_mask, None)
-        for a_mask in sorted(groups):
-            if a_mask.bit_count() != delta - 1 or a_mask & pair_mask:
-                continue
-            block = [
-                u
-                for u in range(n)
-                if not (pair_mask >> u) & 1 and not (a_mask >> u) & 1
-            ]
-            if len(block) != l:
-                continue
-            ok = all(
-                g.degree(u) == delta
-                and (g.adj_masks[u] & pair_mask).bit_count() == 1
-                and g.adj_masks[u] & ~pair_mask == a_mask
-                for u in block
-            )
-            if not ok:
-                continue
-            core = sorted(bits_of(a_mask))
-            pair = [b0, b1]
-            assign = tuple(
-                0 if g.has_edge(u, b0) else 1 for u in block
-            )
-            core_pair = tuple(
-                (i, s)
-                for i, c in enumerate(core)
-                for s, b in enumerate(pair)
-                if g.has_edge(c, b)
-            )
-            spec = GammaSpec(
-                2,
-                delta,
-                l,
-                _local_edges(g, core),
-                core_pair_edges=core_pair,
-                assign=assign,
-            )
-            return RecognizedDecomposition(spec, tuple(core + pair + block))
-    return None
-
-
-def _match_family3(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
-    """Scan pairs of disjoint side pairs in lexicographic order.
-
-    Each of the l = n - delta - 2 block vertices has degree delta,
-    exactly one neighbour in each side pair, and the core as its other
-    neighbours.  So a ``left`` pair is skipped when fewer than l
-    degree-delta vertices outside it have exactly one neighbour in it, a
-    ``right`` pair when fewer than l of those also have exactly one
-    neighbour in it, and a core when fewer than l of the survivors have
-    it as their neighbours off the sides.  Each test is necessary, so the
-    first decomposition found is the one the unpruned scan finds.  The
-    first two tests are one mask intersection each, at most O(n^4) in
-    all; only pairs passing both pay an O(n) grouping pass.
+    Every block vertex has degree delta, exactly one neighbour in each
+    pair and the core as the rest of its neighbourhood.  So a pair is
+    skipped when fewer than l degree-delta vertices outside it (and
+    outside the pairs already chosen) have exactly one neighbour in it,
+    and a core when fewer than l of those share it.  Each test is
+    necessary, so side choices in lexicographic order and cores in
+    ascending mask order keep the first fit.  (Family 1's decomposition is
+    unique: its block vertices all have the core as their whole
+    neighbourhood.)  The pair tests are one mask intersection each, at most
+    O(n^4) in all; only surviving side choices pay an O(n) grouping pass.
     """
-    n = g.n
-    l = n - delta - 2
-    if l < delta + 1 or delta < 3:
-        return None
-    adj = g.adj_masks
-    low = sum(1 << u for u in range(n) if g.degree(u) == delta)
-    two_sets = list(combinations(range(n), 2))
-    masks = [(1 << a) | (1 << b) for a, b in two_sets]
+    n, adj = g.n, g.adj_masks
+    l = n - delta - k
+    pairs = () if k == 0 else g.edges if k == 1 else list(combinations(range(n), 2))
+    masks = [(1 << a) | (1 << b) for a, b in pairs]
     # the vertices outside each pair with exactly one neighbour in it
-    once = [(adj[a] ^ adj[b]) & ~mask for (a, b), mask in zip(two_sets, masks)]
-    for i, left in enumerate(two_sets):
-        left_mask = masks[i]
-        once_left = low & once[i]
-        if once_left.bit_count() < l:
-            continue
-        rights = [
-            j for j in range(i + 1, len(two_sets))
-            if (once_left & once[j]).bit_count() >= l and not masks[j] & left_mask
-        ]
-        for j in rights:
-            right, right_mask = two_sets[j], masks[j]
-            sides = left_mask | right_mask
-            groups: Dict[int, int] = {}
-            for u in bits_of(once_left & once[j]):
-                key = adj[u] & ~sides
-                groups[key] = groups.get(key, 0) + 1
-            for a_mask in sorted(key for key, size in groups.items() if size >= l):
-                if a_mask.bit_count() != delta - 2 or a_mask & sides:
-                    continue
-                block = [
-                    u
-                    for u in range(n)
-                    if not (sides >> u) & 1 and not (a_mask >> u) & 1
-                ]
-                if len(block) != l:
-                    continue
-                ok = all(
-                    g.degree(u) == delta
-                    and (g.adj_masks[u] & left_mask).bit_count() == 1
-                    and (g.adj_masks[u] & right_mask).bit_count() == 1
-                    and g.adj_masks[u] & ~sides == a_mask
-                    for u in block
-                )
-                if not ok:
-                    continue
-                core = sorted(bits_of(a_mask))
-                spec = GammaSpec(
-                    3,
-                    delta,
-                    l,
-                    _local_edges(g, core),
-                    left_pair_edges=_local_edges(g, list(left)),
-                    right_pair_edges=_local_edges(g, list(right)),
-                    core_left_edges=tuple(
-                        (ci, s)
-                        for ci, c in enumerate(core)
-                        for s, b in enumerate(left)
-                        if g.has_edge(c, b)
-                    ),
-                    core_right_edges=tuple(
-                        (ci, s)
-                        for ci, c in enumerate(core)
-                        for s, b in enumerate(right)
-                        if g.has_edge(c, b)
-                    ),
-                    left_right_edges=tuple(
-                        (a, b)
-                        for a, x in enumerate(left)
-                        for b, y in enumerate(right)
-                        if g.has_edge(x, y)
-                    ),
-                    assign_left=tuple(0 if g.has_edge(u, left[0]) else 1 for u in block),
-                    assign_right=tuple(0 if g.has_edge(u, right[0]) else 1 for u in block),
-                )
-                layout = list(left) + core + list(right) + block
-                return RecognizedDecomposition(spec, tuple(layout))
-    return None
+    once = [(adj[a] ^ adj[b]) & ~mask for (a, b), mask in zip(pairs, masks)]
+
+    def sides(start, taken, cands, chosen):
+        if len(chosen) == k:
+            yield taken, cands, chosen
+            return
+        fits = [j for j in range(start, len(pairs)) if (cands & once[j]).bit_count() >= l]
+        for j in fits:
+            if not masks[j] & taken:
+                yield from sides(j + 1, taken | masks[j], cands & once[j], chosen + [pairs[j]])
+
+    low = sum(1 << u for u in range(n) if adj[u].bit_count() == delta)
+    bits = [1 << u for u in range(n)]
+    for taken, cands, chosen in sides(0, 0, low, []):
+        groups = Counter([a & ~taken for a, bit in zip(adj, bits) if cands & bit])
+        for core in sorted(key for key, size in groups.items() if size >= l):
+            if core.bit_count() != delta - k:
+                continue
+            block = [u for u in range(n) if not (taken | core) >> u & 1]
+            if k == 2:
+                yield [*chosen[0], *bits_of(core), *chosen[1], *block]
+            else:
+                yield [*bits_of(core), *(v for pair in chosen for v in pair), *block]
 
 
-def _match_family4(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
-    n = g.n
-    l = n - delta
-    if l < delta + 1:
-        return None
+def _bridge_layouts(g: Graph, delta: int):
+    """Layouts for family 4: each edge u1u2 in order as the bridge, then
+    the first-seen cores N(w) of degree-delta vertices w off the edge,
+    kept when every block vertex off the edge has neighbourhood N(w)."""
+    n, adj = g.n, g.adj_masks
     for u1, u2 in g.edges:
-        if g.degree(u1) not in (delta, delta + 1) or g.degree(u2) not in (delta, delta + 1):
-            continue
-        bridge_mask = (1 << u1) | (1 << u2)
+        bridge = (1 << u1) | (1 << u2)
         seen = set()
         for w in range(n):
-            if (bridge_mask >> w) & 1 or g.degree(w) != delta:
+            core = adj[w]
+            if bridge >> w & 1 or core.bit_count() != delta or core & bridge or core in seen:
                 continue
-            h_mask = g.adj_masks[w]
-            if h_mask in seen or h_mask & bridge_mask:
-                continue
-            seen.add(h_mask)
-            if h_mask.bit_count() != delta:
-                continue
-            block = [u for u in range(n) if not (h_mask >> u) & 1]
-            if len(block) != l:
-                continue
-            others_ok = all(
-                g.adj_masks[u] == h_mask for u in block if u not in (u1, u2)
-            )
-            if not others_ok:
-                continue
-            block_mask = g.full_mask & ~h_mask
-            ok = True
-            removed = []
-            for slot, u in enumerate((u1, u2)):
-                nb = g.adj_masks[u]
-                if nb & block_mask != bridge_mask ^ (1 << u):
-                    ok = False
-                    break
-                missing = h_mask & ~nb
-                if missing.bit_count() > 1:
-                    ok = False
-                    break
-                core = sorted(bits_of(h_mask))
-                for c in bits_of(missing):
-                    removed.append((core.index(c), slot))
-            if not ok:
-                continue
-            core = sorted(bits_of(h_mask))
-            spec = GammaSpec(
-                4,
-                delta,
-                l,
-                _local_edges(g, core),
-                bridge=(block.index(u1), block.index(u2)),
-                removed=tuple(sorted(removed)),
-            )
-            return RecognizedDecomposition(spec, tuple(core + block))
-    return None
+            seen.add(core)
+            block = [u for u in range(n) if not core >> u & 1]
+            if all(adj[u] == core for u in block if not bridge >> u & 1):
+                yield [*bits_of(core), *block]
 
 
-def _match_family5(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
-    n = g.n
-    l = n - delta - 1
-    if l < delta + 2:
-        return None
+def _wide_core_layouts(g: Graph, delta: int):
+    """Layouts for family 5: candidate cores of delta + 1 vertices (a
+    degree-(delta+1) neighbourhood, or a degree-delta neighbourhood plus
+    one vertex) in ascending mask order, kept when no block vertex has a
+    neighbour outside the core."""
+    n, adj = g.n, g.adj_masks
     cands = set()
     for v in range(n):
-        deg = g.degree(v)
-        nb = g.adj_masks[v]
-        if deg == delta + 1:
-            cands.add(nb)
-        elif deg == delta:
-            for w in range(n):
-                if w != v and not (nb >> w) & 1:
-                    cands.add(nb | (1 << w))
-    for h_mask in sorted(cands):
-        if h_mask.bit_count() != delta + 1:
+        if adj[v].bit_count() == delta + 1:
+            cands.add(adj[v])
+        elif adj[v].bit_count() == delta:
+            cands.update(adj[v] | 1 << w for w in range(n) if w != v and not adj[v] >> w & 1)
+    for core in sorted(cands):
+        if core.bit_count() != delta + 1:
             continue
-        block = [u for u in range(n) if not (h_mask >> u) & 1]
-        if len(block) != l:
-            continue
-        ok = all(
-            g.adj_masks[u] & ~h_mask == 0 and g.degree(u) >= delta for u in block
-        )
-        if not ok:
-            continue
-        core = sorted(bits_of(h_mask))
-        pos = {c: i for i, c in enumerate(core)}
-        attach = tuple(
-            tuple(pos[c] for c in sorted(bits_of(g.adj_masks[u]))) for u in block
-        )
-        spec = GammaSpec(5, delta, l, _local_edges(g, core), attach=attach)
-        return RecognizedDecomposition(spec, tuple(core + block))
-    return None
+        block = [u for u in range(n) if not core >> u & 1]
+        if all(not adj[u] & ~core for u in block):
+            yield [*bits_of(core), *block]
 
 
-_MATCHERS = (
-    (1, _match_family1),
-    (2, _match_family2),
-    (3, _match_family3),
-    (4, _match_family4),
-    (5, _match_family5),
-)
+def _fit(g: Graph, family: int, delta: int, layout: Sequence[int]) -> Optional[RecognizedDecomposition]:
+    """The decomposition placing ``layout[i]`` at layout id i, if it fits.
+
+    Relabels g into layout order, reads every ``GammaSpec`` field off the
+    edges between the layout's blocks, and accepts exactly when
+    ``make_gamma``'s edge assembly takes that spec and rebuilds g.  So
+    ``make_gamma`` is the only place a family shape is stated, and the
+    vertex cap plays no part.
+    """
+    inverse = [0] * g.n
+    for i, v in enumerate(layout):
+        inverse[v] = i
+    h = relabel(g, inverse)
+    adj = h.adj_masks
+    size = _core_size(family, delta)
+    core = range(2, 2 + size) if family == 3 else range(size)
+    left, pair, right = range(0, 2), range(size, size + 2), range(size + 2, size + 4)
+    block = range(gamma_vertex_count(family, delta, 0), g.n)
+
+    def inner(a):
+        return tuple((u - a.start, v - a.start) for u, v in h.edges if u in a and v in a)
+
+    def cross(a, b):
+        return tuple((x - a.start, y - b.start) for x in a for y in b if adj[x] >> y & 1)
+
+    def slots(side):
+        return tuple(0 if adj[u] >> side.start & 1 else 1 for u in block)
+
+    extra = {}
+    if family == 2:
+        extra = dict(core_pair_edges=cross(core, pair), assign=slots(pair))
+    elif family == 3:
+        extra = dict(
+            left_pair_edges=inner(left),
+            right_pair_edges=inner(right),
+            core_left_edges=cross(core, left),
+            core_right_edges=cross(core, right),
+            left_right_edges=cross(left, right),
+            assign_left=slots(left),
+            assign_right=slots(right),
+        )
+    elif family == 4:
+        bridges = inner(block)
+        if len(bridges) != 1:
+            return None
+        extra = dict(bridge=bridges[0], removed=tuple(
+            (c, slot) for c in core for slot, u in enumerate(bridges[0])
+            if not adj[block.start + u] >> c & 1
+        ))
+    elif family == 5:
+        extra = dict(attach=tuple(tuple(c for c in core if adj[u] >> c & 1) for u in block))
+    spec = GammaSpec(family, delta, len(block), inner(core), **extra)
+    try:
+        edges = {normalize_edge(u, v) for u, v in _gamma_edges(spec)}
+    except GraphError:
+        return None
+    if edges != h.edge_set:
+        return None
+    return RecognizedDecomposition(spec, tuple(layout))
 
 
 def _template_search(g: Graph, delta: int) -> Tuple[Optional[int], Optional[RecognizedDecomposition]]:
-    """Try every family template in index order; no statistical shortcuts."""
-    for index, matcher in _MATCHERS:
-        found = matcher(g, delta)
-        if found is not None:
-            return index, found
+    """The first proposed layout that fits, families tried in index order."""
+    proposers = (
+        _side_layouts(g, delta, 0),
+        _side_layouts(g, delta, 1),
+        _side_layouts(g, delta, 2),
+        _bridge_layouts(g, delta),
+        _wide_core_layouts(g, delta),
+    )  # generators: each runs only when its family is tried
+    for family, layouts in enumerate(proposers, start=1):
+        if g.n - gamma_vertex_count(family, delta, 0) < minimal_block_size(family, delta):
+            continue
+        for layout in layouts:
+            found = _fit(g, family, delta, layout)
+            if found is not None:
+                return family, found
     return None, None
 
 
@@ -634,10 +517,11 @@ def recognize_exceptional(g: Graph) -> RecognitionResult:
     minimum degree, decided at every size.
 
     Cheap proven-necessary filters (order bound, regularity, common-neighbor
-    floor) run first; the structural template search, tried in family
-    index order, is the decision procedure.  Its costliest template, the
-    family-3 scan, takes at most O(n^4) mask operations, about a second
-    or two at 64 vertices.
+    floor) run first; the template search, family by family in index
+    order, is the decision procedure: the first proposed layout that
+    ``make_gamma`` rebuilds into g is the witness.  Its costliest part, the
+    family-3 side-pair scan, takes at most O(n^4) mask operations, under a
+    second at 64 vertices.
     """
     if g.n == 0:
         return RecognitionResult(False, None, None)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import warnings
+from dataclasses import MISSING, fields
 from typing import Optional
 
 from .families import GammaSpec
@@ -35,12 +36,11 @@ class FormatError(ValueError):
 # edge list
 
 
-def parse_edge_list(text: str, *, strict: bool = False, cap: int | None = None) -> Graph:
+def parse_edge_list(text: str, *, cap: int | None = None) -> Graph:
     """Parse the ``n m`` edge-list format.
 
-    Duplicate edges warn and deduplicate by default; ``strict`` turns them
-    into errors.  Self-loops and out-of-range ids are always errors, with
-    the offending line number.
+    Duplicate edges warn and deduplicate.  Self-loops and out-of-range ids
+    are errors, with the offending line number.
     """
     header = None
     edges = set()
@@ -76,8 +76,6 @@ def parse_edge_list(text: str, *, strict: bool = False, cap: int | None = None) 
         listed += 1
         key = (min(u, v), max(u, v))
         if key in edges:
-            if strict:
-                raise FormatError(f"duplicate edge ({u}, {v})", line=lineno)
             warnings.warn(f"duplicate edge ({u}, {v}) on line {lineno}; deduplicated")
             continue
         edges.add(key)
@@ -160,15 +158,6 @@ def parse_graph6(text: str, *, cap: int | None = None) -> Graph:
     return build_graph(n, edges, cap=cap)
 
 
-def parse_graph6_lines(text: str, *, cap: int | None = None):
-    """Parse a multi-graph file: one graph6 string per line."""
-    return [
-        parse_graph6(line, cap=cap)
-        for line in text.splitlines()
-        if line.strip()
-    ]
-
-
 def emit_graph6(g: Graph) -> str:
     """Encode as a graph6 line (no trailing newline)."""
     n = g.n
@@ -199,59 +188,53 @@ def emit_graph6(g: Graph) -> str:
 # GammaSpec JSON
 
 
+# The JSON shape of each GammaSpec annotation: list nesting depth, and the
+# length of the innermost lists (None for any length).
+_SHAPES = {
+    "int": (0, None),
+    "Tuple[int, ...]": (1, None),
+    "Tuple[int, int]": (1, 2),
+    "Tuple[Edge, ...]": (2, 2),
+    "Tuple[Tuple[int, int], ...]": (2, 2),
+    "Tuple[Tuple[int, ...], ...]": (2, None),
+}
+
+
+def _plain(value):
+    return [_plain(v) for v in value] if isinstance(value, tuple) else value
+
+
 def gamma_spec_to_json(spec: GammaSpec) -> dict:
-    out = {
-        "family": spec.family,
-        "delta": spec.delta,
-        "l": spec.l,
-        "core_edges": [list(e) for e in spec.core_edges],
-    }
-    optional = {
-        "left_pair_edges": spec.left_pair_edges,
-        "right_pair_edges": spec.right_pair_edges,
-        "core_pair_edges": spec.core_pair_edges,
-        "core_left_edges": spec.core_left_edges,
-        "core_right_edges": spec.core_right_edges,
-        "left_right_edges": spec.left_right_edges,
-        "assign": spec.assign,
-        "assign_left": spec.assign_left,
-        "assign_right": spec.assign_right,
-        "removed": spec.removed,
-        "attach": spec.attach,
-    }
-    for key, value in optional.items():
-        if value:
-            out[key] = [list(e) if isinstance(e, tuple) else e for e in value]
+    """One key per field: the integers and ``core_edges`` always, other
+    fields when nonempty, and ``bridge`` last, for family 4 only."""
+    out = {}
+    for f in fields(GammaSpec):
+        value = getattr(spec, f.name)
+        if f.name != "bridge" and (value or f.default is MISSING or f.name == "core_edges"):
+            out[f.name] = _plain(value)
     if spec.family == 4:
         out["bridge"] = list(spec.bridge)
     return out
 
 
-def gamma_spec_from_json(payload: dict) -> GammaSpec:
-    def pairs(key):
-        return tuple(tuple(e) for e in payload.get(key, []))
+def _read_field(name: str, value, depth: int, width: Optional[int]):
+    """A JSON value as nested int tuples ``depth`` lists deep."""
+    if depth == 0 and type(value) is int:
+        return value
+    if depth and isinstance(value, list) and (depth > 1 or width in (None, len(value))):
+        return tuple(_read_field(name, v, depth - 1, width) for v in value)
+    expect = "an integer" if depth == 0 else f"a list of {width} integers" if depth == 1 and width else "a list"
+    raise FormatError(f"bad family spec: {name} needs {expect}, got {json.dumps(value)}")
 
-    try:
-        return GammaSpec(
-            family=int(payload["family"]),
-            delta=int(payload["delta"]),
-            l=int(payload["l"]),
-            core_edges=pairs("core_edges"),
-            left_pair_edges=pairs("left_pair_edges"),
-            right_pair_edges=pairs("right_pair_edges"),
-            core_pair_edges=pairs("core_pair_edges"),
-            core_left_edges=pairs("core_left_edges"),
-            core_right_edges=pairs("core_right_edges"),
-            left_right_edges=pairs("left_right_edges"),
-            assign=tuple(payload.get("assign", [])),
-            assign_left=tuple(payload.get("assign_left", [])),
-            assign_right=tuple(payload.get("assign_right", [])),
-            bridge=tuple(payload.get("bridge", (0, 1))),
-            removed=pairs("removed"),
-            attach=tuple(tuple(a) for a in payload.get("attach", [])),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise FormatError(f"bad family spec: {exc}")
+
+def gamma_spec_from_json(payload: dict) -> GammaSpec:
+    values = {}
+    for f in fields(GammaSpec):
+        if f.name in payload:
+            values[f.name] = _read_field(f.name, payload[f.name], *_SHAPES[f.type])
+        elif f.default is MISSING:
+            raise FormatError(f"bad family spec: missing {f.name!r}")
+    return GammaSpec(**values)
 
 
 def parse_gamma_spec(text: str) -> GammaSpec:

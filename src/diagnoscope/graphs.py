@@ -85,10 +85,6 @@ class Graph:
         return len(self.edges)
 
     @property
-    def vertices(self) -> range:
-        return range(self.n)
-
-    @property
     def full_mask(self) -> int:
         return (1 << self.n) - 1
 

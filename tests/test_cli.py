@@ -42,6 +42,24 @@ class TestGen:
         assert code == 0
         assert parse_graph6(out.strip()).n == 7
 
+    @pytest.mark.parametrize("spec", [
+        {"family": 1, "delta": 3, "l": 4, "core_edges": [[0, 1, 2]]},
+        {"family": 2, "delta": 3, "l": 4, "core_pair_edges": [[0]]},
+        {"family": 4, "delta": 3, "l": 4, "bridge": [0]},
+        {"family": 1, "delta": 3, "l": 4, "core_edges": [["a", "b"]]},
+        {"family": 5, "delta": 3, "l": 5, "attach": ["x"]},
+        {"family": 1, "delta": 3, "l": 4.7},
+        {"family": 1, "delta": 3},
+    ])
+    def test_malformed_gamma_spec_exit_2(self, capsys, tmp_path, spec):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec))
+        code, out, err = run_cli(capsys, "gen", "gamma", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: bad family spec: ")
+        assert "Traceback" not in err
+
     def test_unknown_kind(self, capsys):
         code, _, err = run_cli(capsys, "gen", "dodecahedron")
         assert code == 1

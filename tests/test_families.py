@@ -1,5 +1,6 @@
 import random
 from itertools import combinations
+from typing import Dict, Optional, Sequence, Tuple
 
 import networkx as nx
 import pytest
@@ -12,12 +13,6 @@ from diagnoscope.families import (
     RecognitionResult,
     RecognizedDecomposition,
     _draw_spec,
-    _local_edges,
-    _match_family1,
-    _match_family2,
-    _match_family3,
-    _match_family4,
-    _match_family5,
     _template_search,
     common_neighbor_shortcut,
     circulant,
@@ -37,38 +32,150 @@ from diagnoscope.families import (
     recognize_exceptional,
     wheel,
 )
-from diagnoscope.graphs import GraphError, bits_of, build_graph
+from diagnoscope.graphs import Edge, Graph, GraphError, bits_of, build_graph
 
 K3_EDGES = ((0, 1), (0, 2), (1, 2))
 
 
-def reference_match_family3(g, delta):
-    """Frozen unpruned family-3 scan: every pair of disjoint side pairs
-    in lexicographic order, each grouped in O(n)."""
+# Frozen copy of the recognizer's per-family matchers before layouts and
+# the make_gamma rebuild replaced them: each states its family's shape by
+# hand and builds the GammaSpec field by field.
+
+
+def reference_local_edges(g: Graph, block: Sequence[int]) -> Tuple[Edge, ...]:
+    pos = {v: i for i, v in enumerate(block)}
+    out = []
+    for u, v in g.edges:
+        if u in pos and v in pos:
+            a, b = pos[u], pos[v]
+            out.append((min(a, b), max(a, b)))
+    return tuple(sorted(out))
+
+
+def reference_match_family1(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
+    n = g.n
+    seen = set()
+    for v in range(n):
+        if g.degree(v) != delta:
+            continue
+        h_mask = g.adj_masks[v]
+        if h_mask in seen:
+            continue
+        seen.add(h_mask)
+        core = sorted(bits_of(h_mask))
+        block = [u for u in range(n) if not (h_mask >> u) & 1]
+        if len(block) < delta + 1:
+            continue
+        if all(g.adj_masks[u] == h_mask for u in block):
+            spec = GammaSpec(1, delta, len(block), reference_local_edges(g, core))
+            return RecognizedDecomposition(spec, tuple(core + block))
+    return None
+
+
+def reference_match_family2(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
+    n = g.n
+    l = n - delta - 1
+    if l < delta + 1:
+        return None
+    for b0, b1 in g.edges:
+        pair_mask = (1 << b0) | (1 << b1)
+        groups: Dict[int, None] = {}
+        for u in range(n):
+            if (pair_mask >> u) & 1 or g.degree(u) != delta:
+                continue
+            nb = g.adj_masks[u]
+            if (nb & pair_mask).bit_count() != 1:
+                continue
+            groups.setdefault(nb & ~pair_mask, None)
+        for a_mask in sorted(groups):
+            if a_mask.bit_count() != delta - 1 or a_mask & pair_mask:
+                continue
+            block = [
+                u
+                for u in range(n)
+                if not (pair_mask >> u) & 1 and not (a_mask >> u) & 1
+            ]
+            if len(block) != l:
+                continue
+            ok = all(
+                g.degree(u) == delta
+                and (g.adj_masks[u] & pair_mask).bit_count() == 1
+                and g.adj_masks[u] & ~pair_mask == a_mask
+                for u in block
+            )
+            if not ok:
+                continue
+            core = sorted(bits_of(a_mask))
+            pair = [b0, b1]
+            assign = tuple(
+                0 if g.has_edge(u, b0) else 1 for u in block
+            )
+            core_pair = tuple(
+                (i, s)
+                for i, c in enumerate(core)
+                for s, b in enumerate(pair)
+                if g.has_edge(c, b)
+            )
+            spec = GammaSpec(
+                2,
+                delta,
+                l,
+                reference_local_edges(g, core),
+                core_pair_edges=core_pair,
+                assign=assign,
+            )
+            return RecognizedDecomposition(spec, tuple(core + pair + block))
+    return None
+
+
+def reference_match_family3(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
+    """Scan pairs of disjoint side pairs in lexicographic order.
+
+    Each of the l = n - delta - 2 block vertices has degree delta,
+    exactly one neighbour in each side pair, and the core as its other
+    neighbours.  So a ``left`` pair is skipped when fewer than l
+    degree-delta vertices outside it have exactly one neighbour in it, a
+    ``right`` pair when fewer than l of those also have exactly one
+    neighbour in it, and a core when fewer than l of the survivors have
+    it as their neighbours off the sides.  Each test is necessary, so the
+    first decomposition found is the one the unpruned scan finds.  The
+    first two tests are one mask intersection each, at most O(n^4) in
+    all; only pairs passing both pay an O(n) grouping pass.
+    """
     n = g.n
     l = n - delta - 2
     if l < delta + 1 or delta < 3:
         return None
+    adj = g.adj_masks
+    low = sum(1 << u for u in range(n) if g.degree(u) == delta)
     two_sets = list(combinations(range(n), 2))
+    masks = [(1 << a) | (1 << b) for a, b in two_sets]
+    # the vertices outside each pair with exactly one neighbour in it
+    once = [(adj[a] ^ adj[b]) & ~mask for (a, b), mask in zip(two_sets, masks)]
     for i, left in enumerate(two_sets):
-        left_mask = (1 << left[0]) | (1 << left[1])
-        for right in two_sets[i + 1:]:
-            right_mask = (1 << right[0]) | (1 << right[1])
-            if left_mask & right_mask:
-                continue
+        left_mask = masks[i]
+        once_left = low & once[i]
+        if once_left.bit_count() < l:
+            continue
+        rights = [
+            j for j in range(i + 1, len(two_sets))
+            if (once_left & once[j]).bit_count() >= l and not masks[j] & left_mask
+        ]
+        for j in rights:
+            right, right_mask = two_sets[j], masks[j]
             sides = left_mask | right_mask
-            groups = {}
-            for u in range(n):
-                if (sides >> u) & 1 or g.degree(u) != delta:
-                    continue
-                nb = g.adj_masks[u]
-                if (nb & left_mask).bit_count() != 1 or (nb & right_mask).bit_count() != 1:
-                    continue
-                groups.setdefault(nb & ~sides, None)
-            for a_mask in sorted(groups):
+            groups: Dict[int, int] = {}
+            for u in bits_of(once_left & once[j]):
+                key = adj[u] & ~sides
+                groups[key] = groups.get(key, 0) + 1
+            for a_mask in sorted(key for key, size in groups.items() if size >= l):
                 if a_mask.bit_count() != delta - 2 or a_mask & sides:
                     continue
-                block = [u for u in range(n) if not (sides >> u) & 1 and not (a_mask >> u) & 1]
+                block = [
+                    u
+                    for u in range(n)
+                    if not (sides >> u) & 1 and not (a_mask >> u) & 1
+                ]
                 if len(block) != l:
                     continue
                 ok = all(
@@ -85,29 +192,137 @@ def reference_match_family3(g, delta):
                     3,
                     delta,
                     l,
-                    _local_edges(g, core),
-                    left_pair_edges=_local_edges(g, list(left)),
-                    right_pair_edges=_local_edges(g, list(right)),
+                    reference_local_edges(g, core),
+                    left_pair_edges=reference_local_edges(g, list(left)),
+                    right_pair_edges=reference_local_edges(g, list(right)),
                     core_left_edges=tuple(
-                        (ci, s) for ci, c in enumerate(core) for s, b in enumerate(left) if g.has_edge(c, b)
+                        (ci, s)
+                        for ci, c in enumerate(core)
+                        for s, b in enumerate(left)
+                        if g.has_edge(c, b)
                     ),
                     core_right_edges=tuple(
-                        (ci, s) for ci, c in enumerate(core) for s, b in enumerate(right) if g.has_edge(c, b)
+                        (ci, s)
+                        for ci, c in enumerate(core)
+                        for s, b in enumerate(right)
+                        if g.has_edge(c, b)
                     ),
                     left_right_edges=tuple(
-                        (a, b) for a, x in enumerate(left) for b, y in enumerate(right) if g.has_edge(x, y)
+                        (a, b)
+                        for a, x in enumerate(left)
+                        for b, y in enumerate(right)
+                        if g.has_edge(x, y)
                     ),
                     assign_left=tuple(0 if g.has_edge(u, left[0]) else 1 for u in block),
                     assign_right=tuple(0 if g.has_edge(u, right[0]) else 1 for u in block),
                 )
-                return RecognizedDecomposition(spec, tuple(list(left) + core + list(right) + block))
+                layout = list(left) + core + list(right) + block
+                return RecognizedDecomposition(spec, tuple(layout))
+    return None
+
+
+def reference_match_family4(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
+    n = g.n
+    l = n - delta
+    if l < delta + 1:
+        return None
+    for u1, u2 in g.edges:
+        if g.degree(u1) not in (delta, delta + 1) or g.degree(u2) not in (delta, delta + 1):
+            continue
+        bridge_mask = (1 << u1) | (1 << u2)
+        seen = set()
+        for w in range(n):
+            if (bridge_mask >> w) & 1 or g.degree(w) != delta:
+                continue
+            h_mask = g.adj_masks[w]
+            if h_mask in seen or h_mask & bridge_mask:
+                continue
+            seen.add(h_mask)
+            if h_mask.bit_count() != delta:
+                continue
+            block = [u for u in range(n) if not (h_mask >> u) & 1]
+            if len(block) != l:
+                continue
+            others_ok = all(
+                g.adj_masks[u] == h_mask for u in block if u not in (u1, u2)
+            )
+            if not others_ok:
+                continue
+            block_mask = g.full_mask & ~h_mask
+            ok = True
+            removed = []
+            for slot, u in enumerate((u1, u2)):
+                nb = g.adj_masks[u]
+                if nb & block_mask != bridge_mask ^ (1 << u):
+                    ok = False
+                    break
+                missing = h_mask & ~nb
+                if missing.bit_count() > 1:
+                    ok = False
+                    break
+                core = sorted(bits_of(h_mask))
+                for c in bits_of(missing):
+                    removed.append((core.index(c), slot))
+            if not ok:
+                continue
+            core = sorted(bits_of(h_mask))
+            spec = GammaSpec(
+                4,
+                delta,
+                l,
+                reference_local_edges(g, core),
+                bridge=(block.index(u1), block.index(u2)),
+                removed=tuple(sorted(removed)),
+            )
+            return RecognizedDecomposition(spec, tuple(core + block))
+    return None
+
+
+def reference_match_family5(g: Graph, delta: int) -> Optional[RecognizedDecomposition]:
+    n = g.n
+    l = n - delta - 1
+    if l < delta + 2:
+        return None
+    cands = set()
+    for v in range(n):
+        deg = g.degree(v)
+        nb = g.adj_masks[v]
+        if deg == delta + 1:
+            cands.add(nb)
+        elif deg == delta:
+            for w in range(n):
+                if w != v and not (nb >> w) & 1:
+                    cands.add(nb | (1 << w))
+    for h_mask in sorted(cands):
+        if h_mask.bit_count() != delta + 1:
+            continue
+        block = [u for u in range(n) if not (h_mask >> u) & 1]
+        if len(block) != l:
+            continue
+        ok = all(
+            g.adj_masks[u] & ~h_mask == 0 and g.degree(u) >= delta for u in block
+        )
+        if not ok:
+            continue
+        core = sorted(bits_of(h_mask))
+        pos = {c: i for i, c in enumerate(core)}
+        attach = tuple(
+            tuple(pos[c] for c in sorted(bits_of(g.adj_masks[u]))) for u in block
+        )
+        spec = GammaSpec(5, delta, l, reference_local_edges(g, core), attach=attach)
+        return RecognizedDecomposition(spec, tuple(core + block))
     return None
 
 
 def reference_template_search(g, delta):
-    """Frozen template search: every family template in index order, with
-    the unpruned family-3 scan; the other four matchers are unchanged."""
-    matchers = (_match_family1, _match_family2, reference_match_family3, _match_family4, _match_family5)
+    """Frozen template search: every family matcher in index order."""
+    matchers = (
+        reference_match_family1,
+        reference_match_family2,
+        reference_match_family3,
+        reference_match_family4,
+        reference_match_family5,
+    )
     for index, matcher in enumerate(matchers, start=1):
         found = matcher(g, delta)
         if found is not None:
@@ -129,22 +344,22 @@ def reference_recognize(g):
 
 
 def differential_graphs():
-    """Family draws, wheels, 7-vertex atlas graphs and seeded random graphs,
-    all of at most 20 vertices."""
+    """Family draws, wheels up to 30 vertices, atlas graphs on at least 6
+    vertices and seeded random graphs on 7-18 vertices."""
     for family in (1, 2, 3, 4, 5):
-        for delta in (3, 4):
+        for delta in (3, 4, 5):
             low = minimal_block_size(family, delta)
-            for l in (low, low + 1, low + 2):
+            for l in (low, low + 1, low + 2, low + 4):
                 rng = random.Random(f"differential-{family}-{delta}-{l}")
-                for _ in range(12):
+                for _ in range(20):
                     yield make_gamma(_draw_spec(rng, family, delta, l))
-    yield from (wheel(k) for k in range(3, 20))
+    yield from (wheel(k) for k in range(3, 30))
     for nxg in nx.graph_atlas_g():
-        if nxg.number_of_nodes() == 7:
-            yield build_graph(7, nxg.edges())
+        if nxg.number_of_nodes() >= 6:
+            yield build_graph(nxg.number_of_nodes(), nxg.edges())
     rng = random.Random("differential-random")
-    for _ in range(400):
-        n = rng.randint(8, 16)
+    for _ in range(1500):
+        n = rng.randint(7, 18)
         p = rng.uniform(0.3, 0.8)
         yield build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p])
 
@@ -195,6 +410,10 @@ class TestMakeGamma:
             make_gamma(GammaSpec(1, 3, 3, core_edges=K3_EDGES))
         with pytest.raises(GraphError, match="l >= 5"):
             make_gamma(GammaSpec(5, 3, 4, attach=((0, 1, 2),) * 4))
+
+    def test_family_index_out_of_range(self):
+        with pytest.raises(GraphError, match="1..5"):
+            make_gamma(GammaSpec(7, 3, 4))
 
     def test_delta_too_small(self):
         with pytest.raises(GraphError, match="delta >= 3"):
@@ -333,17 +552,26 @@ class TestRecognizer:
 
 class TestPrunedFamily3Scan:
     def test_same_decisions_as_the_frozen_scan(self):
-        graphs = hits = 0
+        total, graphs, hits = 0, 0, [0] * 6
         for g in differential_graphs():
-            assert g.n <= 20
+            total += 1
             assert recognize_exceptional(g) == reference_recognize(g), g.edges
             delta = g.min_degree
             if delta >= 3:
                 graphs += 1
-                found = _match_family3(g, delta)
-                assert found == reference_match_family3(g, delta), g.edges
-                hits += found is not None
-        assert graphs > 600 and hits > 100
+                found = _template_search(g, delta)
+                assert found == reference_template_search(g, delta), g.edges
+                hits[found[0] or 0] += 1
+        assert (total, graphs) == (3927, 2323) and min(hits[1:]) >= 90, hits
+
+    def test_recognition_ignores_the_vertex_cap(self, monkeypatch):
+        cases = [(1, make_gamma(GammaSpec(1, 3, 6, core_edges=K3_EDGES)))]
+        cases += [(family, random_gamma(family, 3, seed=41)[1]) for family in (2, 3, 4, 5)]
+        for family, g in cases:
+            monkeypatch.setenv("DIAGNOSCOPE_CAP", str(g.n - 1))
+            result = recognize_exceptional(g)
+            assert (result.member, result.index) == (True, family)
+            assert _template_search(g, g.min_degree) == reference_template_search(g, g.min_degree)
 
     @pytest.mark.parametrize("g", [wheel(63), join_with_cycle(3, 61)], ids=["wheel63", "k3-join-c61"])
     def test_non_member_at_the_vertex_cap(self, g):

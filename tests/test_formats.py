@@ -57,10 +57,6 @@ class TestEdgeList:
             g = parse_edge_list("3 2\n0 1\n1 0\n")
         assert g.m == 1
 
-    def test_duplicate_strict(self):
-        with pytest.raises(FormatError, match="duplicate"):
-            parse_edge_list("3 2\n0 1\n1 0\n", strict=True)
-
     def test_empty_input(self):
         with pytest.raises(FormatError, match="header"):
             parse_edge_list("# nothing\n")
@@ -120,12 +116,6 @@ class TestGraph6:
         # n=2: one significant bit; set a padding bit
         with pytest.raises(FormatError, match="padding"):
             parse_graph6("A" + chr(63 + 1))
-
-    def test_multi_graph_lines(self):
-        from diagnoscope.formats import parse_graph6_lines
-
-        text = emit_graph6(complete(4)) + "\n" + emit_graph6(complete(2)) + "\n"
-        assert parse_graph6_lines(text) == [complete(4), complete(2)]
 
     @given(graphs())
     @settings(max_examples=60)
