@@ -138,7 +138,12 @@ def _cmd_gen(args) -> int:
         if len(params) != 1:
             raise UsageError("gen gamma requires a spec file (JSON) or '-'")
         spec = parse_gamma_spec(_read_input(params[0]))
-        g = make_gamma(spec)
+        try:
+            g = make_gamma(spec)
+        except CapExceededError:
+            raise
+        except GraphError as exc:  # a well-formed spec that describes no family member
+            raise FormatError(f"bad family spec: {exc}")
     else:
         try:
             numbers = [int(p) for p in params]

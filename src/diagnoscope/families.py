@@ -38,7 +38,7 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
@@ -72,7 +72,7 @@ class GammaSpec:
 
     ``core_edges`` describes the core block (size depends on the family
     index).  Cross-edge fields are local-id pairs and only the fields
-    relevant to the family index may be nonempty.
+    relevant to the family index may differ from their defaults.
     """
 
     family: int
@@ -129,6 +129,28 @@ def _check_block_edges(edges: Sequence[Edge], size: int, label: str) -> None:
         seen.add(key)
 
 
+def _cross_edges(pairs: Sequence[Edge], size: int, a0: int, b0: int, label: str) -> List[Edge]:
+    """Edges from a block of ``size`` vertices at ``a0`` to a two-vertex
+    block at ``b0``, given as (local id, local id) pairs."""
+    if len(set(pairs)) != len(pairs):
+        raise GraphError(f"{label} cross edges list an edge twice")
+    for x, y in pairs:
+        if not (0 <= x < size and y in (0, 1)):
+            raise GraphError(f"{label} cross edge ({x}, {y}) out of range")
+    return [(a0 + x, b0 + y) for x, y in pairs]
+
+
+# The GammaSpec fields each family reads beyond family, delta, l and core_edges.
+_FAMILY_FIELDS = {
+    1: (),
+    2: ("core_pair_edges", "assign"),
+    3: ("left_pair_edges", "right_pair_edges", "core_left_edges", "core_right_edges",
+        "left_right_edges", "assign_left", "assign_right"),
+    4: ("bridge", "removed"),
+    5: ("attach",),
+}
+
+
 def make_gamma(spec: GammaSpec) -> Graph:
     """Assemble the graph a spec describes, validating its invariants."""
     edges = _gamma_edges(spec)
@@ -147,6 +169,9 @@ def _gamma_edges(spec: GammaSpec) -> List[Edge]:
         raise GraphError(
             f"family {fam} requires independent block size l >= {min_l}, got {l}"
         )
+    for f in fields(GammaSpec)[4:]:
+        if f.name not in _FAMILY_FIELDS[fam] and getattr(spec, f.name) != f.default:
+            raise GraphError(f"family {fam} does not use {f.name}")
     core = _core_size(fam, delta)
     _check_block_edges(spec.core_edges, core, "core block")
     edges: List[Edge] = list(spec.core_edges)
@@ -158,10 +183,7 @@ def _gamma_edges(spec: GammaSpec) -> List[Edge]:
         p0, p1 = core, core + 1
         base = core + 2
         edges.append((p0, p1))
-        for c, slot in spec.core_pair_edges:
-            if not (0 <= c < core and slot in (0, 1)):
-                raise GraphError(f"core-pair cross edge ({c}, {slot}) out of range")
-            edges.append((c, core + slot))
+        edges += _cross_edges(spec.core_pair_edges, core, 0, core, "core-pair")
         if len(spec.assign) != l:
             raise GraphError(
                 f"pair assignment must cover all {l} independent vertices, got {len(spec.assign)}"
@@ -180,18 +202,9 @@ def _gamma_edges(spec: GammaSpec) -> List[Edge]:
         edges += [(left0 + u, left0 + v) for u, v in spec.left_pair_edges]
         edges += [(core0 + u, core0 + v) for u, v in spec.core_edges]
         edges += [(right0 + u, right0 + v) for u, v in spec.right_pair_edges]
-        for c, s in spec.core_left_edges:
-            if not (0 <= c < core and s in (0, 1)):
-                raise GraphError(f"core-left cross edge ({c}, {s}) out of range")
-            edges.append((core0 + c, left0 + s))
-        for c, s in spec.core_right_edges:
-            if not (0 <= c < core and s in (0, 1)):
-                raise GraphError(f"core-right cross edge ({c}, {s}) out of range")
-            edges.append((core0 + c, right0 + s))
-        for a, b in spec.left_right_edges:
-            if not (a in (0, 1) and b in (0, 1)):
-                raise GraphError(f"left-right cross edge ({a}, {b}) out of range")
-            edges.append((left0 + a, right0 + b))
+        edges += _cross_edges(spec.core_left_edges, core, core0, left0, "core-left")
+        edges += _cross_edges(spec.core_right_edges, core, core0, right0, "core-right")
+        edges += _cross_edges(spec.left_right_edges, 2, left0, right0, "left-right")
         if len(spec.assign_left) != l or len(spec.assign_right) != l:
             raise GraphError("side-block assignments must cover all independent vertices")
         for i in range(l):

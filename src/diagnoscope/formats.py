@@ -229,6 +229,9 @@ def _read_field(name: str, value, depth: int, width: Optional[int]):
 
 def gamma_spec_from_json(payload: dict) -> GammaSpec:
     values = {}
+    unknown = sorted(set(payload) - {f.name for f in fields(GammaSpec)})
+    if unknown:
+        raise FormatError(f"bad family spec: unknown key {unknown[0]!r}")
     for f in fields(GammaSpec):
         if f.name in payload:
             values[f.name] = _read_field(f.name, payload[f.name], *_SHAPES[f.type])

@@ -26,9 +26,9 @@ rule name, the ``verify`` claim that checks it, its model, its
 hypotheses and the value it asserts.  A hypothesis is an atom that maps
 the graph's ``Facts`` and the budget to a condition text and whether it
 holds; each atom is written once.  ``theoretical_bounds`` (``analyze``)
-applies the first five rows and ``verification.check_claim``
-(``verify``) checks every row against the exhaustive oracle, so
-``verify`` checks exactly what ``analyze`` applies.
+applies the first five rows.  Each row is also a row of the claim table
+``verification.CLAIMS``, which ``verify`` checks against the exhaustive
+oracle, so ``verify`` checks exactly what ``analyze`` applies.
 """
 
 from __future__ import annotations
@@ -348,10 +348,10 @@ def _order(x: str, s: int) -> Atom:
     return atom
 
 
-def _at_least_3(x: str) -> Atom:
+def _at_least(x: str, k: int) -> Atom:
     def atom(f, h):
         value = _SYMBOL[x](f)
-        return f"{x}={value} >= 3", value >= 3
+        return f"{x}={value} >= {k}", value >= k
     return atom
 
 
@@ -410,16 +410,16 @@ THEOREMS = (
     Theorem("pmc_exact", "pmc_exact_value", DiagModel.PMC,
             (_maximally_connected, _H_AT_MOST_DELTA, _order("delta", 1)), lambda f, h: f.delta - h, "=="),
     Theorem("mm_lower", "mm_lower_bound", DiagModel.MMSTAR,
-            (_at_least_3("kappa"), _order("kappa", 3), _h_within_half("kappa"), _outside_family),
+            (_at_least("kappa", 3), _order("kappa", 3), _h_within_half("kappa"), _outside_family),
             lambda f, h: f.kappa - h, ">="),
     Theorem("mm_exact", "mm_exact_value", DiagModel.MMSTAR,
-            (_maximally_connected, _at_least_3("delta"), _order("delta", 3), _h_within_half("delta"),
+            (_maximally_connected, _at_least("delta", 3), _order("delta", 3), _h_within_half("delta"),
              _outside_family),
             lambda f, h: f.delta - h, "=="),
     Theorem("pmc_regular_exact", "pmc_regular_exact", DiagModel.PMC,
             (_regular, _kappa_is_degree, _order("k", 1), _h_at_most("k")), lambda f, h: f.delta - h, "=="),
     Theorem("mm_regular_exact", "mm_regular_exact", DiagModel.MMSTAR,
-            (_regular, _kappa_is_degree, _at_least_3("k"), _order("k", 3), _h_within_half("k")),
+            (_regular, _kappa_is_degree, _at_least("k", 3), _order("k", 3), _h_within_half("k")),
             lambda f, h: f.delta - h, "=="),
     Theorem("mm_common_neighbor_exact", "mm_common_neighbor_exact", DiagModel.MMSTAR,
             (_maximally_connected, _shortcut, _order("delta", 3), _h_within_half("delta")),

@@ -1,23 +1,29 @@
 """Theorem-checking harness: every claim versus the brute-force oracle.
 
-Each claim pairs a hypothesis checklist with an asserted value or bound.
-The claims swept over the edge budget h are the rows of
-``tolerance.THEOREMS``, the table ``analyze`` applies.
-Hypotheses are evaluated from exact module outputs (connectivity, degree
-profile, common neighbors, family recognition), never from generator
-labels, so the harness also catches generator bugs.  Rows whose
-hypotheses fail are recorded as hypothesis_not_met, never silently
-skipped; rows whose oracle cost exceeds the budget are recorded as
-budget_exceeded.  Failing rows embed a reproduction recipe (graph6
-serialization plus the claim parameters).
+Every claim is one row of ``CLAIMS``: its name and models, hypothesis
+atoms over the graph's ``Facts``, an oracle, and the value and relation
+it asserts.  The eight rows of ``tolerance.THEOREMS``, the table
+``analyze`` applies, are swept over the edge budget h against the
+exhaustive tolerable diagnosability; six more are checked once per
+graph: the classical PMC and MM* regular-graph bounds against
+``diagnosability``, connectivity under seeded edge deletions, and three
+structural facts of the exceptional family.  ``check_claim`` runs every
+row through one loop over models and budgets.  Hypotheses are evaluated
+from exact module outputs (connectivity, common neighbors, family
+recognition), never from generator labels, so the harness also catches
+generator bugs.  Rows whose hypotheses fail are recorded as
+hypothesis_not_met, never silently skipped; rows whose oracle cost
+exceeds the budget are recorded as budget_exceeded.  Failing rows embed
+a reproduction recipe (graph6 serialization plus the claim parameters).
 """
 
 from __future__ import annotations
 
+import operator
 import random
 from dataclasses import dataclass
 from math import comb
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .connectivity import _kappa_value
 from .diagnosis import DiagModel, diagnosability
@@ -33,7 +39,16 @@ from .families import (
     wheel,
 )
 from .graphs import Graph, delete_edges
-from .tolerance import THEOREMS, Facts, _connected, _kappa_is_degree, _regular, edge_tolerable_diagnosability
+from .tolerance import (
+    THEOREMS,
+    Atom,
+    Facts,
+    _at_least,
+    _connected,
+    _kappa_is_degree,
+    _regular,
+    edge_tolerable_diagnosability,
+)
 
 PASS = "pass"
 FAIL = "fail"
@@ -47,30 +62,6 @@ CLAIM_MM_EXACT = "mm_exact_value"
 CLAIM_UPPER = "min_degree_upper_bound"
 CLAIM_CONN_DEL = "connectivity_under_edge_deletion"
 CLAIM_FAM_IRREGULAR = "family_irregularity"
-CLAIM_FAM_CN = "family_common_neighbors"
-CLAIM_FAM_CN4 = "family_common_neighbors_delta4"
-CLAIM_PMC_ZERO = "pmc_connected_diagnosability"
-CLAIM_MM_ZERO = "mm_regular_diagnosability"
-CLAIM_PMC_REG = "pmc_regular_exact"
-CLAIM_MM_REG = "mm_regular_exact"
-CLAIM_MM_CN = "mm_common_neighbor_exact"
-
-ALL_CLAIMS = (
-    CLAIM_PMC_LOWER,
-    CLAIM_PMC_EXACT,
-    CLAIM_MM_LOWER,
-    CLAIM_MM_EXACT,
-    CLAIM_UPPER,
-    CLAIM_CONN_DEL,
-    CLAIM_FAM_IRREGULAR,
-    CLAIM_FAM_CN,
-    CLAIM_FAM_CN4,
-    CLAIM_PMC_ZERO,
-    CLAIM_MM_ZERO,
-    CLAIM_PMC_REG,
-    CLAIM_MM_REG,
-    CLAIM_MM_CN,
-)
 
 
 @dataclass(frozen=True)
@@ -223,18 +214,6 @@ def _recipe(entry: CorpusEntry, model: Optional[DiagModel], h: Optional[int]) ->
     return tuple(items)
 
 
-def _oracle_value(entry: CorpusEntry, h: int, model: DiagModel, budget: Budget):
-    """Tolerable diagnosability via the exhaustive path, or None when the
-    budget rules the row out."""
-    g = entry.graph
-    if g.n > budget.max_n:
-        return None
-    if model is DiagModel.MMSTAR and h <= g.min_degree:
-        if comb(g.m, min(h, g.m)) > budget.max_scenarios:
-            return None
-    return edge_tolerable_diagnosability(g, h, model).value
-
-
 def _row(entry, claim, model, h, hypotheses, oracle, expected, relation, verdict):
     recipe = ()
     if verdict == FAIL:
@@ -246,56 +225,108 @@ def _row(entry, claim, model, h, hypotheses, oracle, expected, relation, verdict
                 recipe += (
                     ("worst_scenario", " ".join(f"{u}-{v}" for u, v in result.worst_scenario)),
                 )
-    return ClaimRow(
-        graph_name=entry.name,
-        claim=claim,
-        model=model.value if model is not None else None,
-        h=h,
-        hypotheses=tuple(hypotheses),
-        oracle=oracle,
-        expected=expected,
-        relation=relation,
-        verdict=verdict,
-        recipe=recipe,
-    )
+    model_name = model.value if model is not None else None
+    return ClaimRow(entry.name, claim, model_name, h, hypotheses, oracle, expected, relation, verdict, recipe)
 
 
-def _judge(oracle: int, expected: int, relation: str) -> str:
-    if relation == "==":
-        return PASS if oracle == expected else FAIL
-    if relation == ">=":
-        return PASS if oracle >= expected else FAIL
-    if relation == "<=":
-        return PASS if oracle <= expected else FAIL
-    raise ValueError(relation)
+# Oracles map (entry, facts, model, h, budget) to the measured value, or
+# None when the budget rules the row out.
 
 
-def _bound_rows(entry, facts, theorem, budget, h_values):
-    rows = []
-    for model in (theorem.model,) if theorem.model else (DiagModel.PMC, DiagModel.MMSTAR):
-        for h in h_values:
-            hypotheses = tuple(atom(facts, h) for atom in theorem.hypotheses)
-            if not all(ok for _, ok in hypotheses):
-                rows.append(_row(entry, theorem.claim, model, h, hypotheses, None, None, None, NOT_MET))
-                continue
-            oracle = _oracle_value(entry, h, model, budget)
-            if oracle is None:
-                rows.append(_row(entry, theorem.claim, model, h, hypotheses, None, None, None, BLOCKED))
-                continue
-            expected = theorem.value(facts, h)
-            relation = theorem.relation
-            if relation == "<=" and expected == 0:
-                relation = "=="  # diagnosability is never negative: a bound of 0 is attained
-            verdict = _judge(oracle, expected, relation)
-            rows.append(_row(entry, theorem.claim, model, h, hypotheses, oracle, expected, relation, verdict))
-    return rows
+def _tolerance(entry, facts, model, h, budget) -> Optional[int]:
+    """Tolerable diagnosability at budget h via the exhaustive path."""
+    g = entry.graph
+    if g.n > budget.max_n:
+        return None
+    if model is DiagModel.MMSTAR and h <= g.min_degree and comb(g.m, min(h, g.m)) > budget.max_scenarios:
+        return None
+    return edge_tolerable_diagnosability(g, h, model).value
 
 
-def _family_hypothesis(facts: Facts) -> Tuple[Tuple[str, bool], ...]:
-    return (("graph recognized as an exceptional-family member", facts.recognition.member),)
+def _diagnosability(entry, facts, model, h, budget) -> Optional[int]:
+    return diagnosability(entry.graph, model) if entry.graph.n <= budget.max_n else None
 
 
-_THEOREM_OF_CLAIM = {theorem.claim: theorem for theorem in THEOREMS}
+def _deletion_violations(entry, facts, model, h, budget) -> int:
+    """How many seeded deletions of at most kappa edges lowered kappa by
+    more than the number of edges deleted."""
+    g, kappa = entry.graph, facts.kappa
+    rng = random.Random(f"{budget.seed}-{entry.name}-edge-deletion")
+    violations = 0
+    for _ in range(budget.connectivity_trials_per_graph):
+        scenario = rng.sample(list(g.edges), min(rng.randrange(0, kappa + 1), g.m))
+        violations += _kappa_value(delete_edges(g, scenario)) < kappa - len(scenario)
+    return violations
+
+
+# The budgets a claim is checked at, from the per-graph sweep.
+def _once(facts, sweep):
+    return (None,)
+
+
+def _sweep(facts, sweep):
+    return sweep
+
+
+def _sweep_to_delta(facts, sweep):
+    return sorted(set(sweep) | {facts.delta})
+
+
+def _member(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return "graph recognized as an exceptional-family member", f.recognition.member
+
+
+def _pmc_order(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return f"|V|={f.n} >= 2*kappa+1={2 * f.kappa + 1}", f.n >= 2 * f.kappa + 1
+
+
+def _degree_above_2(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return f"degree {f.delta} > 2", f.delta > 2
+
+
+def _mm_order(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
+    return f"|V|={f.n} >= 2*{f.delta}+3={2 * f.delta + 3}", f.n >= 2 * f.delta + 3
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One checked claim: for each model and budget h, when every
+    hypothesis holds, the oracle's value stands in ``relation`` to
+    ``value``."""
+
+    name: str
+    models: Tuple[Optional[DiagModel], ...]  # (None,): the claim names no model
+    hypotheses: Tuple[Atom, ...]
+    oracle: Callable[..., Optional[int]]
+    value: Callable[[Facts, Optional[int]], int]
+    relation: str  # "<=", ">=" or "=="
+    budgets: Callable[[Facts, Sequence[int]], Sequence[Optional[int]]] = _once
+
+
+CLAIMS = tuple(
+    # the upper bound is swept on to h = delta, where isolating a vertex attains it
+    Claim(t.claim, (t.model,) if t.model else (DiagModel.PMC, DiagModel.MMSTAR), t.hypotheses,
+          _tolerance, t.value, t.relation, _sweep_to_delta if t.claim == CLAIM_UPPER else _sweep)
+    for t in THEOREMS
+) + (
+    Claim(CLAIM_CONN_DEL, (None,), (_connected,), _deletion_violations, lambda f, h: 0, "=="),
+    Claim(CLAIM_FAM_IRREGULAR, (None,), (_member,), lambda e, f, m, h, b: int(not f.regular),
+          lambda f, h: 1, "=="),
+    Claim("family_common_neighbors", (None,), (_member,), lambda e, f, m, h, b: f.common,
+          lambda f, h: f.delta - 1, ">="),
+    Claim("family_common_neighbors_delta4", (None,), (_member, _at_least("delta", 4)),
+          lambda e, f, m, h, b: f.common, lambda f, h: f.delta, ">="),
+    # Hakimi-Amin: a kappa-connected graph on at least 2*kappa+1 vertices is kappa-diagnosable
+    Claim("pmc_connected_diagnosability", (DiagModel.PMC,), (_at_least("kappa", 2), _pmc_order),
+          _diagnosability, lambda f, h: f.kappa, ">="),
+    # a k-regular, k-connected graph on at least 2k+3 vertices, k > 2, is k-diagnosable under MM*
+    Claim("mm_regular_diagnosability", (DiagModel.MMSTAR,),
+          (_regular, _kappa_is_degree, _degree_above_2, _mm_order),
+          _diagnosability, lambda f, h: f.delta, ">="),
+)
+ALL_CLAIMS = tuple(claim.name for claim in CLAIMS)
+_CLAIM_BY_NAME = dict(zip(ALL_CLAIMS, CLAIMS))
+_HOLDS = {"==": operator.eq, ">=": operator.ge, "<=": operator.le}
 
 
 def check_claim(
@@ -305,75 +336,24 @@ def check_claim(
     budget: Budget,
     h_sweep: Sequence[int],
 ) -> List[ClaimRow]:
-    g = entry.graph
-    kappa, delta = facts.kappa, facts.delta
-
-    theorem = _THEOREM_OF_CLAIM.get(claim)
-    if theorem is not None:
-        if claim == CLAIM_UPPER:
-            # swept on to h = delta, where isolating a vertex attains the bound 0
-            h_sweep = sorted(set(h_sweep) | {delta})
-        return _bound_rows(entry, facts, theorem, budget, h_sweep)
-    if claim == CLAIM_CONN_DEL:
-        hypotheses = (_connected(facts, None),)
-        if kappa < 1:
-            return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
-        rng = random.Random(f"{budget.seed}-{entry.name}-edge-deletion")
-        violations = 0
-        for _ in range(budget.connectivity_trials_per_graph):
-            size = rng.randrange(0, kappa + 1)
-            size = min(size, g.m)
-            scenario = rng.sample(list(g.edges), size)
-            if _kappa_value(delete_edges(g, scenario)) < kappa - size:
-                violations += 1
-        verdict = PASS if violations == 0 else FAIL
-        return [_row(entry, claim, None, None, hypotheses, violations, 0, "==", verdict)]
-    if claim == CLAIM_FAM_IRREGULAR:
-        hypotheses = _family_hypothesis(facts)
-        if not all(ok for _, ok in hypotheses):
-            return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
-        verdict = PASS if not facts.regular else FAIL
-        return [_row(entry, claim, None, None, hypotheses, int(not facts.regular), 1, "==", verdict)]
-    if claim == CLAIM_FAM_CN:
-        hypotheses = _family_hypothesis(facts)
-        if not all(ok for _, ok in hypotheses):
-            return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
-        verdict = PASS if facts.common >= delta - 1 else FAIL
-        return [_row(entry, claim, None, None, hypotheses, facts.common, delta - 1, ">=", verdict)]
-    if claim == CLAIM_FAM_CN4:
-        hypotheses = _family_hypothesis(facts) + ((f"delta={delta} >= 4", delta >= 4),)
-        if not all(ok for _, ok in hypotheses):
-            return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
-        verdict = PASS if facts.common >= delta else FAIL
-        return [_row(entry, claim, None, None, hypotheses, facts.common, delta, ">=", verdict)]
-    if claim == CLAIM_PMC_ZERO:
-        hypotheses = (
-            (f"kappa={kappa} >= 2", kappa >= 2),
-            (f"|V|={g.n} >= 2*kappa+1={2 * kappa + 1}", g.n >= 2 * kappa + 1),
-        )
-        if not all(ok for _, ok in hypotheses):
-            return [_row(entry, claim, DiagModel.PMC, None, hypotheses, None, None, None, NOT_MET)]
-        if g.n > budget.max_n:
-            return [_row(entry, claim, DiagModel.PMC, None, hypotheses, None, None, None, BLOCKED)]
-        oracle = diagnosability(g, DiagModel.PMC)
-        verdict = PASS if oracle >= kappa else FAIL
-        return [_row(entry, claim, DiagModel.PMC, None, hypotheses, oracle, kappa, ">=", verdict)]
-    if claim == CLAIM_MM_ZERO:
-        k = delta
-        hypotheses = (
-            _regular(facts, None),
-            _kappa_is_degree(facts, None),
-            (f"degree {k} > 2", k > 2),
-            (f"|V|={g.n} >= 2*{k}+3={2 * k + 3}", g.n >= 2 * k + 3),
-        )
-        if not all(ok for _, ok in hypotheses):
-            return [_row(entry, claim, DiagModel.MMSTAR, None, hypotheses, None, None, None, NOT_MET)]
-        if g.n > budget.max_n:
-            return [_row(entry, claim, DiagModel.MMSTAR, None, hypotheses, None, None, None, BLOCKED)]
-        oracle = diagnosability(g, DiagModel.MMSTAR)
-        verdict = PASS if oracle >= k else FAIL
-        return [_row(entry, claim, DiagModel.MMSTAR, None, hypotheses, oracle, k, ">=", verdict)]
-    raise ValueError(f"unknown claim {claim!r}")
+    """The rows of one claim on one graph, one per model and budget."""
+    spec = _CLAIM_BY_NAME[claim]
+    rows = []
+    for model in spec.models:
+        for h in spec.budgets(facts, h_sweep):
+            hypotheses = tuple(atom(facts, h) for atom in spec.hypotheses)
+            oracle = expected = relation = None
+            verdict = NOT_MET
+            if all(ok for _, ok in hypotheses):
+                oracle = spec.oracle(entry, facts, model, h, budget)
+                verdict = BLOCKED
+            if oracle is not None:
+                expected, relation = spec.value(facts, h), spec.relation
+                if relation == "<=" and expected == 0:
+                    relation = "=="  # diagnosability is never negative: a bound of 0 is attained
+                verdict = PASS if _HOLDS[relation](oracle, expected) else FAIL
+            rows.append(_row(entry, claim, model, h, hypotheses, oracle, expected, relation, verdict))
+    return rows
 
 
 def run_suite(
@@ -407,13 +387,7 @@ def run_suite(
         if facts.recognition.member and entry.graph.n <= budget.max_n:
             mm_t = diagnosability(entry.graph, DiagModel.MMSTAR)
             observations.append(
-                FamilyObservation(
-                    entry.name,
-                    facts.recognition.index,
-                    facts.delta,
-                    mm_t,
-                    mm_t < facts.delta,
-                )
+                FamilyObservation(entry.name, facts.recognition.index, facts.delta, mm_t, mm_t < facts.delta)
             )
     rows.sort(key=lambda r: (r.graph_name, r.claim, r.h if r.h is not None else -1, r.model or ""))
     observations.sort(key=lambda o: o.graph_name)

@@ -1,8 +1,10 @@
+import gzip
 import json
 import subprocess
 import sys
 import time
 from itertools import combinations, islice
+from pathlib import Path
 
 import pytest
 
@@ -10,6 +12,10 @@ from diagnoscope.cli import main
 from diagnoscope.families import complete, hypercube, petersen
 from diagnoscope.formats import emit_edge_list, emit_graph6, gamma_spec_to_json, parse_graph6
 from diagnoscope.families import GammaSpec
+
+
+GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens"
+FAMILY_3 = {"family": 3, "delta": 3, "l": 4, "assign_left": [0, 1, 0, 1], "assign_right": [0, 1, 0, 1]}
 
 
 def run_cli(capsys, *argv):
@@ -50,6 +56,17 @@ class TestGen:
         {"family": 5, "delta": 3, "l": 5, "attach": ["x"]},
         {"family": 1, "delta": 3, "l": 4.7},
         {"family": 1, "delta": 3},
+        # well-formed, but make_gamma rejects them
+        {"family": 1, "delta": 3, "l": 4, "core_edges": [[0, 5]]},
+        {"family": 1, "delta": 2, "l": 4},
+        # content the construction would silently ignore
+        {"family": 1, "delta": 3, "l": 4, "bogus": 1},
+        {"family": 1, "delta": 3, "l": 4, "bridge": [0, 2]},
+        {"family": 1, "delta": 3, "l": 4, "assign": [0, 1, 0, 1]},
+        {"family": 2, "delta": 3, "l": 4, "core_pair_edges": [[0, 0], [0, 0]], "assign": [0, 1, 0, 1]},
+        {**FAMILY_3, "core_left_edges": [[0, 1], [0, 1]]},
+        {**FAMILY_3, "core_right_edges": [[0, 0], [0, 0]]},
+        {**FAMILY_3, "left_right_edges": [[1, 0], [1, 0]]},
     ])
     def test_malformed_gamma_spec_exit_2(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
@@ -59,6 +76,13 @@ class TestGen:
         assert out == ""
         assert err.startswith("input error: bad family spec: ")
         assert "Traceback" not in err
+
+    def test_gamma_over_cap_exit_3(self, capsys, tmp_path):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"family": 1, "delta": 3, "l": 80}))
+        code, out, err = run_cli(capsys, "gen", "gamma", str(path))
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded: ")
 
     def test_unknown_kind(self, capsys):
         code, _, err = run_cli(capsys, "gen", "dodecahedron")
@@ -315,6 +339,11 @@ class TestOtherCommands:
         assert code == 0
         payload = json.loads(out)
         assert payload["summary"]["fail"] == 0
+
+    def test_verify_default_json_matches_golden(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--format", "json")
+        assert code == 0
+        assert out.encode() == gzip.decompress((GOLDENS / "verify-default-h3.json.gz").read_bytes())
 
     def test_verify_unknown_claim(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claims", "nope")

@@ -1,14 +1,36 @@
 import json
+import random
+from math import comb
 
 import pytest
 
-from diagnoscope.diagnosis import DiagModel
-from diagnoscope.families import GammaSpec, complete, hypercube, make_gamma, wheel
+from diagnoscope.connectivity import _kappa_value
+from diagnoscope.diagnosis import DiagModel, diagnosability
+from diagnoscope.families import (
+    GammaSpec,
+    circulant,
+    complete,
+    complete_bipartite,
+    hypercube,
+    make_gamma,
+    random_gamma,
+    wheel,
+)
 from diagnoscope.formats import parse_graph6
-from diagnoscope.tolerance import edge_tolerable_diagnosability, theoretical_bounds
+from diagnoscope.graphs import delete_edges
+from diagnoscope.tolerance import (
+    THEOREMS,
+    Facts,
+    _connected,
+    _kappa_is_degree,
+    _regular,
+    edge_tolerable_diagnosability,
+    theoretical_bounds,
+)
 from diagnoscope.verification import (
     ALL_CLAIMS,
     BLOCKED,
+    CLAIMS,
     Budget,
     CLAIM_CONN_DEL,
     CLAIM_FAM_IRREGULAR,
@@ -21,6 +43,8 @@ from diagnoscope.verification import (
     FAIL,
     NOT_MET,
     PASS,
+    _row,
+    check_claim,
     default_corpus,
     run_suite,
 )
@@ -224,3 +248,140 @@ class TestVerifyChecksWhatAnalyzeApplies:
                     assert pair in verify[condition.rule].hypotheses, (where, pair)
                     checked += 1
         assert checked > 0
+
+
+# --- the hand-written claim checks the claim table replaced, frozen ---------
+
+
+def _reference_oracle_value(entry, h, model, budget):
+    g = entry.graph
+    if g.n > budget.max_n:
+        return None
+    if model is DiagModel.MMSTAR and h <= g.min_degree:
+        if comb(g.m, min(h, g.m)) > budget.max_scenarios:
+            return None
+    return edge_tolerable_diagnosability(g, h, model).value
+
+
+def _reference_judge(oracle, expected, relation):
+    return PASS if {"==": oracle == expected, ">=": oracle >= expected, "<=": oracle <= expected}[relation] else FAIL
+
+
+def _reference_bound_rows(entry, facts, theorem, budget, h_values):
+    rows = []
+    for model in (theorem.model,) if theorem.model else (DiagModel.PMC, DiagModel.MMSTAR):
+        for h in h_values:
+            hypotheses = tuple(atom(facts, h) for atom in theorem.hypotheses)
+            if not all(ok for _, ok in hypotheses):
+                rows.append(_row(entry, theorem.claim, model, h, hypotheses, None, None, None, NOT_MET))
+                continue
+            oracle = _reference_oracle_value(entry, h, model, budget)
+            if oracle is None:
+                rows.append(_row(entry, theorem.claim, model, h, hypotheses, None, None, None, BLOCKED))
+                continue
+            expected = theorem.value(facts, h)
+            relation = theorem.relation
+            if relation == "<=" and expected == 0:
+                relation = "=="
+            verdict = _reference_judge(oracle, expected, relation)
+            rows.append(_row(entry, theorem.claim, model, h, hypotheses, oracle, expected, relation, verdict))
+    return rows
+
+
+def reference_check_claim(entry, facts, claim, budget, h_sweep):
+    g = entry.graph
+    kappa, delta = facts.kappa, facts.delta
+    theorem = {t.claim: t for t in THEOREMS}.get(claim)
+    member = (("graph recognized as an exceptional-family member", facts.recognition.member),)
+    if theorem is not None:
+        if claim == CLAIM_UPPER:
+            h_sweep = sorted(set(h_sweep) | {delta})
+        return _reference_bound_rows(entry, facts, theorem, budget, h_sweep)
+    if claim == CLAIM_CONN_DEL:
+        hypotheses = (_connected(facts, None),)
+        if kappa < 1:
+            return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
+        rng = random.Random(f"{budget.seed}-{entry.name}-edge-deletion")
+        violations = 0
+        for _ in range(budget.connectivity_trials_per_graph):
+            size = rng.randrange(0, kappa + 1)
+            size = min(size, g.m)
+            scenario = rng.sample(list(g.edges), size)
+            if _kappa_value(delete_edges(g, scenario)) < kappa - size:
+                violations += 1
+        verdict = PASS if violations == 0 else FAIL
+        return [_row(entry, claim, None, None, hypotheses, violations, 0, "==", verdict)]
+    if claim == CLAIM_FAM_IRREGULAR:
+        if not facts.recognition.member:
+            return [_row(entry, claim, None, None, member, None, None, None, NOT_MET)]
+        verdict = PASS if not facts.regular else FAIL
+        return [_row(entry, claim, None, None, member, int(not facts.regular), 1, "==", verdict)]
+    if claim == "family_common_neighbors":
+        if not facts.recognition.member:
+            return [_row(entry, claim, None, None, member, None, None, None, NOT_MET)]
+        verdict = PASS if facts.common >= delta - 1 else FAIL
+        return [_row(entry, claim, None, None, member, facts.common, delta - 1, ">=", verdict)]
+    if claim == "family_common_neighbors_delta4":
+        hypotheses = member + ((f"delta={delta} >= 4", delta >= 4),)
+        if not all(ok for _, ok in hypotheses):
+            return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
+        verdict = PASS if facts.common >= delta else FAIL
+        return [_row(entry, claim, None, None, hypotheses, facts.common, delta, ">=", verdict)]
+    if claim == "pmc_connected_diagnosability":
+        hypotheses = (
+            (f"kappa={kappa} >= 2", kappa >= 2),
+            (f"|V|={g.n} >= 2*kappa+1={2 * kappa + 1}", g.n >= 2 * kappa + 1),
+        )
+        if not all(ok for _, ok in hypotheses):
+            return [_row(entry, claim, DiagModel.PMC, None, hypotheses, None, None, None, NOT_MET)]
+        if g.n > budget.max_n:
+            return [_row(entry, claim, DiagModel.PMC, None, hypotheses, None, None, None, BLOCKED)]
+        oracle = diagnosability(g, DiagModel.PMC)
+        verdict = PASS if oracle >= kappa else FAIL
+        return [_row(entry, claim, DiagModel.PMC, None, hypotheses, oracle, kappa, ">=", verdict)]
+    if claim == "mm_regular_diagnosability":
+        k = delta
+        hypotheses = (
+            _regular(facts, None),
+            _kappa_is_degree(facts, None),
+            (f"degree {k} > 2", k > 2),
+            (f"|V|={g.n} >= 2*{k}+3={2 * k + 3}", g.n >= 2 * k + 3),
+        )
+        if not all(ok for _, ok in hypotheses):
+            return [_row(entry, claim, DiagModel.MMSTAR, None, hypotheses, None, None, None, NOT_MET)]
+        if g.n > budget.max_n:
+            return [_row(entry, claim, DiagModel.MMSTAR, None, hypotheses, None, None, None, BLOCKED)]
+        oracle = diagnosability(g, DiagModel.MMSTAR)
+        verdict = PASS if oracle >= k else FAIL
+        return [_row(entry, claim, DiagModel.MMSTAR, None, hypotheses, oracle, k, ">=", verdict)]
+    raise ValueError(f"unknown claim {claim!r}")
+
+
+def _extended_corpus():
+    extra = [
+        CorpusEntry("hypercube-5", hypercube(5)),
+        CorpusEntry("bipartite-6-6", complete_bipartite(6, 6)),
+        CorpusEntry("wheel-20", wheel(20)),
+        CorpusEntry("circulant-12-1-3", circulant(12, (1, 3))),
+    ]
+    extra += [CorpusEntry(f"gamma{f}-d4", random_gamma(f, 4, seed=7)[1]) for f in range(1, 6)]
+    return default_corpus() + tuple(extra)
+
+
+class TestClaimTable:
+    def test_all_claims_read_off_the_table(self):
+        assert ALL_CLAIMS == tuple(claim.name for claim in CLAIMS)
+        assert len(set(ALL_CLAIMS)) == len(ALL_CLAIMS) == 14
+        assert {t.claim for t in THEOREMS} <= set(ALL_CLAIMS)
+
+    @pytest.mark.parametrize("budget", [Budget(), Budget(max_n=0)], ids=["default", "max_n-0"])
+    def test_same_rows_as_the_hand_written_checks(self, budget):
+        checked = 0
+        for entry in _extended_corpus():
+            facts = Facts(entry.graph)
+            h_sweep = list(range(0, min(facts.delta, 3) + 1))
+            for claim in ALL_CLAIMS:
+                ours = check_claim(entry, facts, claim, budget, h_sweep)
+                assert ours == reference_check_claim(entry, facts, claim, budget, h_sweep), (entry.name, claim)
+                checked += len(ours)
+        assert checked > 1500
