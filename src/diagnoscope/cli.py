@@ -71,11 +71,14 @@ _positive = _int_at_least(1)
 
 
 def _vertex_list(text: str) -> List[int]:
-    """argparse type for a comma-separated vertex list, returned sorted."""
+    """argparse type for a comma-separated list of distinct vertices, returned sorted."""
     try:
-        return sorted(int(x) for x in text.split(",") if x != "")
+        vertices = sorted(int(x) for x in text.split(",") if x != "")
     except ValueError:
         raise argparse.ArgumentTypeError(f"invalid vertex list {text!r}")
+    if len(set(vertices)) < len(vertices):
+        raise argparse.ArgumentTypeError(f"repeated vertex in {text!r}")
+    return vertices
 
 
 def _read_input(path: str) -> str:
@@ -334,7 +337,7 @@ def build_parser() -> _Parser:
     p_syn.add_argument("--policy", choices=("zero", "one", "random"), default="zero",
                        help="adversary completion for faulty-controlled outcomes")
     p_syn.add_argument("--seed", type=int, default=0, help="seed for --policy random")
-    p_syn.add_argument("--t", type=int, default=None, help="decoding budget (default |faults|)")
+    p_syn.add_argument("--t", type=_nonnegative, default=None, help="decoding budget (default |faults|)")
     p_syn.set_defaults(func=_cmd_syndrome)
 
     p_ver = sub.add_parser("verify", help="run the theorem-checking suite")

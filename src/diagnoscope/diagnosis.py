@@ -16,17 +16,16 @@ characterizations used here are:
 A graph is t-diagnosable under a model when every pair of distinct
 candidates of size at most t is distinguishable.  The decision procedure
 groups candidate pairs by their union U and symmetric difference D and
-searches over D, not U.  Under PMC a pair is indistinguishable iff
-N[D] is inside U; under MM* each vertex x of N(D) - D must be in U or
-have N(x) inside U, and conditions (2)/(3) become a balanced split of D.
-So each D has a few minimal unions ("closures") whose size only grows
-with D, and the depth-first search over D stops as soon as no closure
-fits in 2t vertices.  On regular highly connected graphs that cuts the
-search to a handful of small D.  Every witness of the smallest size is a
-closure, so the search returns the same canonical witness as a scan of
-every U in order would: smallest |U|, then lexicographic U, then
-ascending D (tests cross-check it against such a scan and against the
-direct pair scan).
+searches over D, not U (``_search_differences``; the folded PMC table in
+``tolerance`` runs the same search).  Under PMC a pair is
+indistinguishable iff N[D] is inside U; under MM* each vertex x of
+N(D) - D must be in U or have N(x) inside U, and conditions (2)/(3)
+become a balanced split of D.  So each D has a few minimal unions
+("closures"), and the search drops D once none fits in 2t vertices,
+which on highly connected graphs leaves a handful of small D.  The
+engine returns the same canonical witness as a scan of every U in
+order would: smallest |U|, then lexicographic U, then ascending D (tests
+cross-check it against such a scan and against the direct pair scan).
 
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.
@@ -37,7 +36,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, List, Optional, Tuple
+from typing import Callable, Iterable, List, Optional, Tuple
 
 from .graphs import Graph, GraphError, bits_of
 
@@ -226,26 +225,39 @@ def _witness_for_union(adj: Tuple[int, ...], full: int, u_mask: int, t: int, mm:
         return f1, f2
 
 
-def _closures(adj: Tuple[int, ...], d_mask: int, bound: int, mm: bool) -> List[int]:
+def _search_differences(adj: Tuple[int, ...], visit: Callable[[int, int], bool]) -> None:
+    """Call ``visit(D, N[D])`` on nonempty vertex sets D, depth first.
+
+    Each D is extended by each vertex above its largest one, smallest
+    first, so D comes in lexicographic order of its sorted vertex tuple:
+    {0}, {0, 1}, {0, 1, 2}, ..., {0, 2}, ...  A D whose ``visit`` returns
+    false is not extended.  Dropping D on a size bound is safe, since
+    N[D] and the closures only grow with D: a closure of a larger D
+    contains one of D.  N[D] is carried on the stack, never rebuilt.
+    """
+    n = len(adj)
+    stack = [(1 << v, adj[v] | 1 << v, v) for v in range(n - 1, -1, -1)]
+    while stack:
+        d_mask, closed, top = stack.pop()
+        if visit(d_mask, closed):
+            stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1)]
+
+
+def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, bound: int, mm: bool) -> List[int]:
     """The closures of the difference D with at most ``bound`` vertices.
 
     A closure is a smallest union U that D forces.  Under PMC the only
-    one is N[D].  Under MM* each vertex x of Gamma(D) = N(D) - D either
-    joins U or stays outside, and then all of N(x) must join U; the
-    closures are
+    one is ``closed`` = N[D].  Under MM* each vertex x of Gamma(D) =
+    N[D] - D either joins U or stays outside, and then all of N(x) must
+    join U; the closures are
     D | (Gamma(D) - Out) | N(Out) over independent sets Out.  An
     undecided vertex is never adjacent to an outside one (that neighbor
     would already be in U), so independence needs no check.
     """
-    gamma = 0
-    for v in bits_of(d_mask):
-        gamma |= adj[v]
-    gamma &= ~d_mask
     if not mm:
-        u_mask = d_mask | gamma
-        return [u_mask] if u_mask.bit_count() <= bound else []
+        return [closed] if closed.bit_count() <= bound else []
     found = []
-    stack = [(d_mask, gamma)]
+    stack = [(d_mask, closed ^ d_mask)]
     while stack:
         u_mask, rest = stack.pop()
         if u_mask.bit_count() > bound:
@@ -265,31 +277,27 @@ def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
     """First indistinguishable pair with both sizes <= t, or None.
 
     "First" orders pairs by U = F1 | F2 (ascending size, then
-    lexicographic) and then by D = F1 ^ F2 (ascending submask).  The
-    search runs over D, extended in ascending vertex order.  Any witness
-    (U, D) contains a closure of D (see ``_closures``) that is itself a
-    witness, so every witness of the smallest size is a closure, and
-    closure sizes only grow with D: a branch stops once no closure of D
-    fits within 2t, or within the smallest witness found so far.  The
-    lexicographically smallest witnessing closure of the smallest size
-    is then the first U, and ``_witness_for_union`` picks its first D.
+    lexicographic) and then by D = F1 ^ F2 (ascending submask).  Any
+    witness (U, D) contains a closure of D that is itself a witness, so
+    every witness of the smallest size is a closure.  The search
+    (``_search_differences``) drops D once no closure fits within 2t, or
+    within the smallest witness found so far.  The lexicographically
+    smallest witnessing closure of the smallest size is then the first U,
+    and ``_witness_for_union`` picks its first D.
     """
     n = g.n
     if t <= 0 or n == 0:
         return None
     adj = g.adj_masks
-    full = g.full_mask
     mm = model is DiagModel.MMSTAR
     bound = min(2 * t, n)
     best_u = 0
     found = None
     checked = set()
-    stack = [(1 << v, v) for v in range(n - 1, -1, -1)]
-    while stack:
-        d_mask, top = stack.pop()
-        closures = _closures(adj, d_mask, bound, mm)
-        if not closures:
-            continue
+
+    def visit(d_mask: int, closed: int) -> bool:
+        nonlocal bound, best_u, found
+        closures = _closures(adj, d_mask, closed, bound, mm)
         dsize = d_mask.bit_count()
         for u_mask in closures:
             usize = u_mask.bit_count()
@@ -300,11 +308,12 @@ def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
                 if not u_mask & diff & -diff:
                     continue  # not lexicographically before best_u
             checked.add(u_mask)
-            pair = _witness_for_union(adj, full, u_mask, t, mm)
+            pair = _witness_for_union(adj, g.full_mask, u_mask, t, mm)
             if pair is not None:
                 best_u, found, bound = u_mask, pair, usize
-        for w in range(n - 1, top, -1):
-            stack.append((d_mask | 1 << w, w))
+        return bool(closures)
+
+    _search_differences(adj, visit)
     return found
 
 

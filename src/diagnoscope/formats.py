@@ -237,6 +237,9 @@ def gamma_spec_from_json(payload: dict) -> GammaSpec:
             values[f.name] = _read_field(f.name, payload[f.name], *_SHAPES[f.type])
         elif f.default is MISSING:
             raise FormatError(f"bad family spec: missing {f.name!r}")
+    # a key, not a value: GammaSpec cannot tell the default bridge from none
+    if "bridge" in values and values["family"] != 4:
+        raise FormatError(f"bad family spec: family {values['family']} does not use bridge")
     return GammaSpec(**values)
 
 

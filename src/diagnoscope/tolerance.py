@@ -9,11 +9,11 @@ enumerates those.
 Under PMC the per-scenario loop can be folded away exactly: a candidate
 pair becomes indistinguishable after deleting F_e iff F_e covers every
 edge between the outside region and the symmetric difference D, so the
-worst scenario for a pair costs exactly the number of such edges.  A
-depth-first search over D, trading each neighbor of D between the union
-and the deleted edges, therefore yields the whole value table for every
-budget at once.  The scenario sweep remains the oracle the folded table
-is tested against, and is the production path for MM*.
+worst scenario for a pair costs exactly the number of such edges.  The
+engine's search over D (``diagnosis._search_differences``), trading each
+neighbor of D between the union and the deleted edges, yields the value
+table for every budget at once.  The scenario sweep remains the oracle
+the folded table is tested against, and is the production path for MM*.
 
 An automorphism sigma of G makes G - F and G - sigma(F) isomorphic, so
 the sweep visits only the lexicographically first scenario of each
@@ -39,7 +39,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
-from .diagnosis import DiagModel, diagnosability, diagnosability_cap, is_t_diagnosable
+from .diagnosis import DiagModel, _search_differences, diagnosability, diagnosability_cap, is_t_diagnosable
 from .families import RecognitionResult, common_neighbor_shortcut, recognize_exceptional
 from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, delete_edges, normalize_edge
 
@@ -83,11 +83,10 @@ def _pmc_break_table(g: Graph):
     t >= |U| - floor(|D| / 2).  A vertex of V - U with no edge to D only
     raises that threshold by leaving U, so every optimal pair has
     U = N[D] - Out for some Out inside Gamma(D) = N(D) - D, at cost
-    r = sum of the edges from each Out vertex to D.  The search therefore
-    runs over D, extended in ascending vertex order, and for each D over
-    every Out of cost at most delta (deleting more isolates a vertex).
-    Any pair grown from D has threshold >= (|N[D]| - r) / 2 and |N[D]|
-    only grows with D, so a branch stops once |N[D]| exceeds
+    r = sum of the edges from each Out vertex to D.  So for each D that
+    ``_search_differences`` visits, every Out of cost at most delta is
+    tried (deleting more isolates a vertex).  Any pair grown from D has
+    threshold >= (|N[D]| - r) / 2, so D is dropped once |N[D]| exceeds
     2 * thresholds[r] + r for every r.
 
     Returns (thresholds, scenarios): thresholds[r] is the minimum breaking
@@ -99,19 +98,15 @@ def _pmc_break_table(g: Graph):
     n = g.n
     delta = g.min_degree
     adj = g.adj_masks
-    full = g.full_mask
     infinite = n + 2
     best = [infinite] * (delta + 1)
     witness: list = [None] * (delta + 1)
     limit = n  # |N[D]| <= n, so nothing is cut before the first pairs
-    stack = [(1 << v, v) for v in range(n - 1, -1, -1)]
-    while stack:
-        d_mask, top = stack.pop()
-        closed = d_mask
-        for v in bits_of(d_mask):
-            closed |= adj[v]
+
+    def visit(d_mask: int, closed: int) -> bool:
+        nonlocal limit
         if closed.bit_count() > limit:
-            continue
+            return False
         base = closed.bit_count() - (d_mask.bit_count() >> 1)
         outs = [(0, 0, 0)]  # (Out, |Out|, edges from Out to D)
         for x in bits_of(closed ^ d_mask):
@@ -132,17 +127,14 @@ def _pmc_break_table(g: Graph):
             best[r] = threshold
             witness[r] = (u_mask, d_mask)
         limit = max(2 * b + r for r, b in enumerate(best))
-        for w in range(n - 1, top, -1):
-            stack.append((d_mask | 1 << w, w))
-    scenarios = []
-    for u_mask, d_mask in witness:
-        o_mask = full ^ u_mask
-        cut = []
-        for v in bits_of(d_mask):
-            for w in bits_of(adj[v] & o_mask):
-                cut.append((v, w) if v < w else (w, v))
-        scenarios.append(tuple(sorted(cut)))
-    return tuple(best), tuple(scenarios)
+        return True
+
+    _search_differences(adj, visit)
+    scenarios = tuple(
+        tuple(sorted(normalize_edge(v, w) for v in bits_of(d_mask) for w in bits_of(adj[v] & ~u_mask)))
+        for u_mask, d_mask in witness
+    )
+    return tuple(best), scenarios
 
 
 def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
@@ -285,8 +277,6 @@ def edge_tolerable_by_definition(g: Graph, h: int, model: DiagModel) -> int:
             break
         value = t
     return value
-
-
 
 
 class Facts:

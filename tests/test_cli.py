@@ -1,4 +1,5 @@
 import gzip
+import io
 import json
 import subprocess
 import sys
@@ -67,6 +68,7 @@ class TestGen:
         {**FAMILY_3, "core_left_edges": [[0, 1], [0, 1]]},
         {**FAMILY_3, "core_right_edges": [[0, 0], [0, 0]]},
         {**FAMILY_3, "left_right_edges": [[1, 0], [1, 0]]},
+        {"family": 1, "delta": 3, "l": 4, "bridge": [0, 1]},  # the default bridge
     ])
     def test_malformed_gamma_spec_exit_2(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
@@ -173,8 +175,6 @@ class TestAnalyze:
         ]
 
     def test_edge_list_stdin(self, capsys, monkeypatch):
-        import io
-
         monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(complete(4))))
         code, out, _ = run_cli(capsys, "analyze", "-", "--h-max", "0", "--model", "pmc")
         assert code == 0
@@ -248,6 +248,8 @@ class TestOtherCommands:
         ("analyze", "--cap", "-1"),
         ("recognize", "--cap", "-5"),
         ("syndrome", "--faults", "1,x"),
+        ("syndrome", "--faults", "1,1"),
+        ("syndrome", "--t", "-1"),
     ])
     def test_out_of_range_count_exit_1(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
@@ -344,6 +346,19 @@ class TestOtherCommands:
         code, out, _ = run_cli(capsys, "verify", "--format", "json")
         assert code == 0
         assert out.encode() == gzip.decompress((GOLDENS / "verify-default-h3.json.gz").read_bytes())
+
+    @pytest.mark.parametrize("model", ["pmc", "mm"])
+    @pytest.mark.parametrize("name, h_max", [("hypercube-4", 2), ("petersen", 1)])
+    def test_analyze_brute_json_matches_golden(self, capsys, monkeypatch, name, h_max, model):
+        # the engine, the folded PMC table and the MM* sweep, worst scenarios included
+        graph = hypercube(4) if name == "hypercube-4" else petersen()
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(graph)))
+        code, out, _ = run_cli(
+            capsys, "analyze", "-", "--method", "brute", "--h-max", str(h_max),
+            "--model", model, "--name", name,
+        )
+        assert code == 0
+        assert out.encode() == (GOLDENS / f"analyze-{name}-{model}-h{h_max}.json").read_bytes()
 
     def test_verify_unknown_claim(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--claims", "nope")

@@ -19,6 +19,7 @@ from diagnoscope.diagnosis import (
     DiagModel,
     _find_indistinguishable,
     _mm_split,
+    _search_differences,
     diagnosability,
     diagnosability_cap,
     distinguishable_mm,
@@ -287,6 +288,49 @@ class TestIsTDiagnosable:
         for model in (PMC, MM):
             if is_t_diagnosable(shrunk, t, model).diagnosable:
                 assert is_t_diagnosable(g, t, model).diagnosable
+
+
+def enumerator_graphs():
+    """Every graph on at most 5 vertices, then seeded random graphs on 6-7."""
+    for n in range(1, 6):
+        pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+        for bits in range(1 << len(pairs)):
+            yield build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
+    rng = random.Random("search-differences")
+    for _ in range(40):
+        n = rng.randrange(6, 8)
+        yield build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.5])
+
+
+class TestSearchDifferences:
+    @staticmethod
+    def search(g, keep):
+        seen = []
+        _search_differences(g.adj_masks, lambda d, closed: seen.append((d, closed)) or keep(d))
+        return seen
+
+    @staticmethod
+    def lexicographic(n):
+        return sorted(range(1, 1 << n), key=lambda d: tuple(bits_of(d)))
+
+    def test_visits_every_set_once_in_lexicographic_order(self):
+        for g in enumerator_graphs():
+            seen = self.search(g, lambda d: True)
+            assert [d for d, _ in seen] == self.lexicographic(g.n), g.edges
+            for d, closed in seen:
+                assert closed == d | g.vertex_mask(w for v in bits_of(d) for w in g.neighbors(v))
+
+    def test_pruned_set_is_not_extended(self):
+        rng = random.Random("search-differences-prune")
+        for g in enumerator_graphs():
+            pruned = {d for d in range(1, 1 << g.n) if rng.random() < 0.3}
+            seen = [d for d, _ in self.search(g, lambda d: d not in pruned)]
+
+            def extends_pruned(d):  # some proper prefix of D's sorted vertices is pruned
+                vertices = list(bits_of(d))
+                return any(g.vertex_mask(vertices[:k]) in pruned for k in range(1, len(vertices)))
+
+            assert seen == [d for d in self.lexicographic(g.n) if not extends_pruned(d)], g.edges
 
 
 class TestDiagnosability:
