@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
 import sys
 from typing import List, Optional, Tuple
@@ -369,7 +370,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
+    except BrokenPipeError:
+        # The reader went away: stop quietly, and send the flush at exit to devnull.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_USAGE
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

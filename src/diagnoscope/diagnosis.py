@@ -23,9 +23,11 @@ N(D) - D must be in U or have N(x) inside U, and conditions (2)/(3)
 become a balanced split of D.  So each D has a few minimal unions
 ("closures"), and the search drops D once none fits in 2t vertices,
 which on highly connected graphs leaves a handful of small D.  The
-engine returns the same canonical witness as a scan of every U in
-order would: smallest |U|, then lexicographic U, then ascending D (tests
-cross-check it against such a scan and against the direct pair scan).
+search also yields the canonical witness: each (closure, D) it visits is
+a candidate pair, and it keeps the first in witness order (``_before``:
+smallest |U|, then lexicographic U, then ascending D), the pair a scan
+of every U in order would find first.  Tests cross-check it against
+such a scan and against the direct pair scan.
 
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.
@@ -169,62 +171,6 @@ def _mm_split(adj: Tuple[int, ...], outside: int, d_mask: int, bound: int):
     return part1, d_mask ^ part1
 
 
-def _witness_for_union(adj: Tuple[int, ...], full: int, u_mask: int, t: int, mm: bool):
-    """First indistinguishable pair with union exactly ``u_mask``, or None.
-
-    For the outside set O = V - U, any indistinguishable D must avoid N(O)
-    under PMC, or N(W) under MM* where W is the set of outside vertices
-    that keep an outside neighbor; D then ranges over submasks of that
-    candidate mask in ascending order.
-    """
-    usize = u_mask.bit_count()
-    min_d = max(1, 2 * (usize - t))
-    o_mask = full ^ u_mask
-    blocked = 0
-    rest = o_mask
-    while rest:
-        low = rest & -rest
-        rest ^= low
-        a = adj[low.bit_length() - 1]
-        if mm:
-            if a & o_mask:
-                blocked |= a
-        else:
-            blocked |= a
-    cands = u_mask & ~blocked
-    if cands.bit_count() < min_d:
-        return None
-    d_mask = 0
-    while True:
-        d_mask = (d_mask - cands) & cands
-        if d_mask == 0:
-            return None
-        dsize = d_mask.bit_count()
-        if dsize < min_d:
-            continue
-        s_size = usize - dsize
-        if mm:
-            split = _mm_split(adj, o_mask, d_mask, t - s_size)
-            if split is None:
-                continue
-            d1, d2 = split
-        else:
-            half = dsize // 2
-            d1 = 0
-            for v in bits_of(d_mask):
-                if half == 0:
-                    break
-                d1 |= 1 << v
-                half -= 1
-            d2 = d_mask ^ d1
-        s_mask = u_mask ^ d_mask
-        f1 = s_mask | d1
-        f2 = s_mask | d2
-        if f1 > f2:
-            f1, f2 = f2, f1
-        return f1, f2
-
-
 def _search_differences(adj: Tuple[int, ...], visit: Callable[[int, int], bool]) -> None:
     """Call ``visit(D, N[D])`` on nonempty vertex sets D, depth first.
 
@@ -273,48 +219,66 @@ def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, bound: int, mm: bo
     return found
 
 
+def _before(u: int, d: int, u_old: int, d_old: int) -> bool:
+    """Whether the pair with union ``u`` and difference ``d`` comes before
+    the pair (``u_old``, ``d_old``) in witness order: smaller |U|, then
+    lexicographically smaller U (the lowest vertex in just one of the two
+    unions is in U), then smaller D as a mask."""
+    grow = u.bit_count() - u_old.bit_count()
+    if grow:
+        return grow < 0
+    diff = u ^ u_old
+    return bool(u & diff & -diff) if diff else d < d_old
+
+
 def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
     """First indistinguishable pair with both sizes <= t, or None.
 
-    "First" orders pairs by U = F1 | F2 (ascending size, then
-    lexicographic) and then by D = F1 ^ F2 (ascending submask).  Any
-    witness (U, D) contains a closure of D that is itself a witness, so
-    every witness of the smallest size is a closure.  The search
-    (``_search_differences``) drops D once no closure fits within 2t, or
-    within the smallest witness found so far.  The lexicographically
-    smallest witnessing closure of the smallest size is then the first U,
-    and ``_witness_for_union`` picks its first D.
+    "First" is ``_before`` on (U, D) = (F1 | F2, F1 ^ F2).  Any witness
+    (U, D) contains a closure of D that is itself a witness with the same
+    D, so for the smallest witness size every witness D of the first U has
+    U among its closures.  The search (``_search_differences``) drops D
+    once no closure fits within 2t, or within the first witness found so
+    far, and tests the split of D for each closure that would come before
+    that witness; the pair it keeps last is the first.
     """
     n = g.n
     if t <= 0 or n == 0:
         return None
     adj = g.adj_masks
+    full = g.full_mask
     mm = model is DiagModel.MMSTAR
     bound = min(2 * t, n)
-    best_u = 0
-    found = None
-    checked = set()
+    best = None  # (U, D, the half of D that goes to F1)
 
     def visit(d_mask: int, closed: int) -> bool:
-        nonlocal bound, best_u, found
+        nonlocal bound, best
         closures = _closures(adj, d_mask, closed, bound, mm)
         dsize = d_mask.bit_count()
         for u_mask in closures:
             usize = u_mask.bit_count()
-            if usize > bound or dsize < 2 * (usize - t) or u_mask in checked:
+            if dsize < 2 * (usize - t) or best and not _before(u_mask, d_mask, best[0], best[1]):
                 continue
-            if found is not None and usize == bound:
-                diff = u_mask ^ best_u
-                if not u_mask & diff & -diff:
-                    continue  # not lexicographically before best_u
-            checked.add(u_mask)
-            pair = _witness_for_union(adj, g.full_mask, u_mask, t, mm)
-            if pair is not None:
-                best_u, found, bound = u_mask, pair, usize
+            if mm:
+                split = _mm_split(adj, full ^ u_mask, d_mask, t - usize + dsize)
+                if split is None:
+                    continue
+                half = split[0]
+            else:  # the lowest floor(|D| / 2) vertices of D
+                rest = d_mask
+                for _ in range(dsize // 2):
+                    rest &= rest - 1
+                half = d_mask ^ rest
+            best, bound = (u_mask, d_mask, half), usize
         return bool(closures)
 
     _search_differences(adj, visit)
-    return found
+    if best is None:
+        return None
+    u_mask, d_mask, half = best
+    s_mask = u_mask ^ d_mask
+    f1, f2 = s_mask | half, s_mask | (d_mask ^ half)
+    return (f1, f2) if f1 < f2 else (f2, f1)
 
 
 def is_t_diagnosable(g: Graph, t: int, model: DiagModel) -> DiagnosisDecision:

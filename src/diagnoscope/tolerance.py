@@ -39,7 +39,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
-from .diagnosis import DiagModel, _search_differences, diagnosability, diagnosability_cap, is_t_diagnosable
+from .diagnosis import DiagModel, _before, _search_differences, diagnosability, diagnosability_cap, is_t_diagnosable
 from .families import RecognitionResult, common_neighbor_shortcut, recognize_exceptional
 from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, delete_edges, normalize_edge
 
@@ -91,9 +91,8 @@ def _pmc_break_table(g: Graph):
 
     Returns (thresholds, scenarios): thresholds[r] is the minimum breaking
     threshold over pairs whose outside-to-D edge set has size r <= delta,
-    and scenarios[r] is that edge set for the first such pair in the order
-    of a scan over every U (size ascending, then lexicographic U, then
-    ascending D).
+    and scenarios[r] is that edge set for the first such pair in witness
+    order (``diagnosis._before``).
     """
     n = g.n
     delta = g.min_degree
@@ -117,13 +116,8 @@ def _pmc_break_table(g: Graph):
             if threshold > best[r]:
                 continue
             u_mask = closed ^ out
-            if threshold == best[r]:
-                u_old, d_old = witness[r]
-                grow = u_mask.bit_count() - u_old.bit_count()
-                diff = u_mask ^ u_old
-                later = not u_mask & diff & -diff if diff else d_mask > d_old
-                if grow > 0 or grow == 0 and later:
-                    continue  # not before it in U-scan order: |U|, lexicographic U, D
+            if threshold == best[r] and not _before(u_mask, d_mask, *witness[r]):
+                continue
             best[r] = threshold
             witness[r] = (u_mask, d_mask)
         limit = max(2 * b + r for r, b in enumerate(best))

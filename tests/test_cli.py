@@ -1,6 +1,7 @@
 import gzip
 import io
 import json
+import os
 import subprocess
 import sys
 import time
@@ -94,6 +95,31 @@ class TestGen:
     def test_unsatisfiable_random(self, capsys):
         code, _, err = run_cli(capsys, "gen", "random-t-connected", "4", "9")
         assert code == 1
+
+    def test_closed_pipe_exits_1_quietly(self, capsys, monkeypatch, tmp_path):
+        class ClosedPipe:  # a stdout whose reader has gone away
+            def __init__(self, fd):
+                self.fd = fd
+
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+            def fileno(self):
+                return self.fd
+
+        fd = os.open(tmp_path / "stdout", os.O_WRONLY | os.O_CREAT)
+        try:
+            monkeypatch.setattr("sys.stdout", ClosedPipe(fd))
+            code = main(["gen", "hypercube", "3"])
+            # the flush at exit goes to devnull, not to the closed pipe
+            assert os.path.samestat(os.fstat(fd), os.stat(os.devnull))
+        finally:
+            os.close(fd)
+        assert code == 1
+        assert capsys.readouterr().err == ""
 
 
 class TestAnalyze:

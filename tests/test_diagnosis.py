@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 
 from diagnoscope.diagnosis import (
     DiagModel,
+    _before,
     _find_indistinguishable,
     _mm_split,
     _search_differences,
@@ -26,7 +27,18 @@ from diagnoscope.diagnosis import (
     distinguishable_pmc,
     is_t_diagnosable,
 )
-from diagnoscope.families import GammaSpec, complete, cycle, hypercube, make_gamma, petersen
+from diagnoscope.families import (
+    GammaSpec,
+    circulant,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    make_gamma,
+    petersen,
+    random_gamma,
+    wheel,
+)
 from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges, relabel
 
 PMC = DiagModel.PMC
@@ -271,6 +283,37 @@ class TestIsTDiagnosable:
     def test_q5_pmc_six_witness(self):
         w = is_t_diagnosable(hypercube(5), 6, PMC).witness
         assert (sorted(w.f1), sorted(w.f2)) == ([1, 2, 4, 8, 16], [0, 1, 2, 4, 8, 16])
+
+    def test_before_is_the_witness_order(self):
+        # every pair of (U, D) masks on 4 vertices, so on every n <= 4
+        def key(u, d):
+            return u.bit_count(), tuple(bits_of(u)), d
+
+        pairs = [(u, d) for u in range(16) for d in range(16)]
+        for u, d in pairs:
+            for u_old, d_old in pairs:
+                assert _before(u, d, u_old, d_old) == (key(u, d) < key(u_old, d_old)), (u, d, u_old, d_old)
+
+    @pytest.mark.parametrize("name, g", [
+        *[(f"K{a},{b}", complete_bipartite(a, b)) for a in range(1, 6) for b in range(a, 6)],
+        *[(f"wheel({k})", wheel(k)) for k in range(3, 9)],
+        *[(f"C({n}; 1, {j})", circulant(n, (1, j))) for j in (2, 3) for n in range(j + 1, 11)],
+        ("petersen", petersen()),
+        *[(f"gamma{f}", random_gamma(f, 3, seed=101)[1]) for f in range(1, 6)],
+    ])
+    def test_first_witness_matches_reference_on_named_graphs(self, name, g):
+        for t in range(diagnosability_cap(g) + 2):
+            for model in (PMC, MM):
+                assert _find_indistinguishable(g, t, model) == reference_first_witness(g, t, model), (t, model)
+
+    @pytest.mark.parametrize("g, t, model, f1, f2", [
+        (complete_bipartite(8, 8), 7, MM, [0, *range(2, 8)], [*range(1, 8)]),
+        (hypercube(6), 7, MM, [1, 2, 4, 8, 16, 32], [0, 1, 2, 4, 8, 16, 32]),
+        (complete_bipartite(8, 8), 8, PMC, [*range(8)], [*range(8, 16)]),
+        (random_gamma(1, 3, seed=101)[1], 3, MM, [1, 2], [0, 1, 2]),
+    ])
+    def test_golden_witnesses(self, g, t, model, f1, f2):
+        assert _find_indistinguishable(g, t, model) == (g.vertex_mask(f1), g.vertex_mask(f2))
 
     @given(graphs(), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
