@@ -12,6 +12,7 @@ import json
 import os
 import re
 import sys
+import warnings
 from typing import List, Optional, Tuple
 
 from .connectivity import internally_disjoint_paths, vertex_connectivity
@@ -370,7 +371,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         if not getattr(args, "command", None):
             parser.print_help(sys.stderr)
             return EXIT_USAGE
-        code = args.func(args)
+        with warnings.catch_warnings():
+            # a repaired input (a duplicate edge) warns: show the message, not the source line
+            warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+            code = args.func(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit
         return code
     except BrokenPipeError:

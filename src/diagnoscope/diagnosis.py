@@ -22,12 +22,14 @@ indistinguishable iff N[D] is inside U; under MM* each vertex x of
 N(D) - D must be in U or have N(x) inside U, and conditions (2)/(3)
 become a balanced split of D.  So each D has a few minimal unions
 ("closures"), and the search drops D once none fits in 2t vertices,
-which on highly connected graphs leaves a handful of small D.  The
-search also yields the canonical witness: each (closure, D) it visits is
-a candidate pair, and it keeps the first in witness order (``_before``:
-smallest |U|, then lexicographic U, then ascending D), the pair a scan
-of every U in order would find first.  Tests cross-check it against
-such a scan and against the direct pair scan.
+counting twice each vertex below D's largest that D skipped: the search
+never adds it to D again, so it is in both fault sets of every pair
+reached from D.  On highly connected graphs that leaves a handful of
+small D.  The search also yields the canonical witness: each (closure,
+D) it visits is a candidate pair, and it keeps the first in witness
+order (``_before``: smallest |U|, then lexicographic U, then ascending
+D), the pair a scan of every U in order would find first.  Tests
+cross-check it against such a scan and against the direct pair scan.
 
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.
@@ -189,8 +191,11 @@ def _search_differences(adj: Tuple[int, ...], visit: Callable[[int, int], bool])
             stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1)]
 
 
-def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, bound: int, mm: bool) -> List[int]:
-    """The closures of the difference D with at most ``bound`` vertices.
+def _closures(
+    adj: Tuple[int, ...], d_mask: int, closed: int, below: int, cap: int, bound: int, mm: bool
+) -> List[int]:
+    """The closures of the difference D with at most ``bound`` vertices
+    and |U| + |U & below| <= ``cap``.
 
     A closure is a smallest union U that D forces.  Under PMC the only
     one is ``closed`` = N[D].  Under MM* each vertex x of Gamma(D) =
@@ -198,15 +203,16 @@ def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, bound: int, mm: bo
     join U; the closures are
     D | (Gamma(D) - Out) | N(Out) over independent sets Out.  An
     undecided vertex is never adjacent to an outside one (that neighbor
-    would already be in U), so independence needs no check.
+    would already be in U), so independence needs no check.  Both limits
+    only grow with U, so a partial union past either one is dropped with
+    every closure that contains it.
     """
-    if not mm:
-        return [closed] if closed.bit_count() <= bound else []
     found = []
-    stack = [(d_mask, closed ^ d_mask)]
+    stack = [(d_mask, closed ^ d_mask) if mm else (closed, 0)]
     while stack:
         u_mask, rest = stack.pop()
-        if u_mask.bit_count() > bound:
+        size = u_mask.bit_count()
+        if size > bound or size + (u_mask & below).bit_count() > cap:
             continue
         rest &= ~u_mask
         if not rest:
@@ -237,10 +243,20 @@ def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
     "First" is ``_before`` on (U, D) = (F1 | F2, F1 ^ F2).  Any witness
     (U, D) contains a closure of D that is itself a witness with the same
     D, so for the smallest witness size every witness D of the first U has
-    U among its closures.  The search (``_search_differences``) drops D
-    once no closure fits within 2t, or within the first witness found so
-    far, and tests the split of D for each closure that would come before
-    that witness; the pair it keeps last is the first.
+    U among its closures.  The search (``_search_differences``) tests the
+    split of D for each closure that would come before the best witness
+    found so far; the pair it keeps last is the first.
+
+    It drops D once no closure passes two limits: |U| at most that of the
+    best witness so far, and |U| + |U & L| <= 2t for L = {v < max D} - D.
+    The search extends D only by vertices above max D, so every pair
+    (U', D') it reaches from D has D' disjoint from L, and a vertex of L
+    in U' is in both fault sets.  U' contains some closure U of D (under
+    PMC U' contains N[D]; under MM* each vertex of Gamma(D) outside U' has
+    all its neighbors in U'), so |F1| + |F2| = |U'| + |U' - D'| >=
+    |U| + |U & L|: a closure past 2t has no witness beyond it.  At D
+    itself |U| + |U & L| <= 2|U| - |D| = |F1| + |F2|, so no witness at D
+    is dropped.
     """
     n = g.n
     if t <= 0 or n == 0:
@@ -253,7 +269,8 @@ def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
 
     def visit(d_mask: int, closed: int) -> bool:
         nonlocal bound, best
-        closures = _closures(adj, d_mask, closed, bound, mm)
+        below = ~d_mask & (1 << d_mask.bit_length() - 1) - 1
+        closures = _closures(adj, d_mask, closed, below, 2 * t, bound, mm)
         dsize = d_mask.bit_count()
         for u_mask in closures:
             usize = u_mask.bit_count()

@@ -206,6 +206,13 @@ class TestAnalyze:
         assert code == 0
         assert json.loads(out)["graph"]["format_echo"] == "edge-list"
 
+    def test_duplicate_edge_warns_in_one_line(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 0\n"))
+        code, out, err = run_cli(capsys, "analyze", "-", "--method", "bounds")
+        assert code == 0
+        assert err == "warning: duplicate edge (1, 0) on line 3; deduplicated\n"
+        assert json.loads(out)["graph"]["m"] == 1
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         path = tmp_path / "bad.el"
         path.write_text("3 1\n0 0\n")

@@ -276,6 +276,29 @@ class TestIsTDiagnosable:
                         reference_first_witness(g, t, model)
                     ), (g.edges, t, model)
 
+    def test_first_witness_matches_reference_at_the_cap(self):
+        # t = cap is where the search must refute everything and t = cap + 1
+        # where it must find the first witness, so a prune that is too
+        # strong shows up at one or the other
+        rng = random.Random("first-witness-at-cap")
+        for _ in range(300):
+            n = rng.randrange(7, 11)
+            p = rng.uniform(0.3, 0.9)
+            g = build_graph(
+                n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+            )
+            cap = diagnosability_cap(g)
+            for t in (cap, cap + 1):
+                for model in (PMC, MM):
+                    assert _find_indistinguishable(g, t, model) == (
+                        reference_first_witness(g, t, model)
+                    ), (g.edges, t, model)
+
+    def test_k9_9_mm_diagnosability(self):
+        # no witness at t = 7; the one at t = 8 is in test_golden_witnesses.
+        # Both measured on the engine that pruned only on |U| > 2t
+        assert diagnosability(complete_bipartite(9, 9), MM) == 7
+
     @pytest.mark.parametrize("model", [PMC, MM])
     def test_q5_three_diagnosable(self, model):
         assert is_t_diagnosable(hypercube(5), 3, model).diagnosable
@@ -308,6 +331,7 @@ class TestIsTDiagnosable:
 
     @pytest.mark.parametrize("g, t, model, f1, f2", [
         (complete_bipartite(8, 8), 7, MM, [0, *range(2, 8)], [*range(1, 8)]),
+        (complete_bipartite(9, 9), 8, MM, [0, *range(2, 9)], [*range(1, 9)]),
         (hypercube(6), 7, MM, [1, 2, 4, 8, 16, 32], [0, 1, 2, 4, 8, 16, 32]),
         (complete_bipartite(8, 8), 8, PMC, [*range(8)], [*range(8, 16)]),
         (random_gamma(1, 3, seed=101)[1], 3, MM, [1, 2], [0, 1, 2]),
