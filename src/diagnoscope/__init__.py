@@ -13,7 +13,6 @@ from .connectivity import (
     DisjointPaths,
     internally_disjoint_paths,
     is_connected,
-    is_maximally_connected,
     max_common_neighbors,
     vertex_connectivity,
 )
@@ -21,11 +20,8 @@ from .diagnosis import (
     DiagModel,
     DiagnosisDecision,
     IndistinguishableWitness,
-    MmCheck,
     diagnosability,
     diagnosability_cap,
-    distinguishable_mm,
-    distinguishable_pmc,
     is_t_diagnosable,
 )
 from .families import (
@@ -44,7 +40,6 @@ from .families import (
     prism,
     random_gamma,
     random_t_connected,
-    rebuild_from_witness,
     recognize_exceptional,
     wheel,
 )
@@ -53,7 +48,6 @@ from .formats import (
     emit_edge_list,
     emit_graph6,
     gamma_spec_from_json,
-    gamma_spec_to_json,
     parse_edge_list,
     parse_graph6,
 )
@@ -63,32 +57,24 @@ from .graphs import (
     GraphError,
     build_graph,
     delete_edges,
-    delete_vertices,
-    disjoint_union,
-    induced_subgraph,
     relabel,
 )
 from .syndrome import (
     ALL_ONE,
     ALL_ZERO,
-    EXHAUSTIVE,
     AdversaryPolicy,
     MmSyndrome,
     PmcSyndrome,
     SyndromeError,
-    confusing_syndrome,
-    consistent_with,
     decode,
     generate_syndrome,
     seeded_random,
-    syndromes_compatible,
 )
 from .tolerance import (
     BoundCondition,
     BoundReport,
     Facts,
     ToleranceResult,
-    edge_tolerable_by_definition,
     edge_tolerable_diagnosability,
     theoretical_bounds,
 )

@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 
 from .connectivity import internally_disjoint_paths, vertex_connectivity
 from .diagnosis import DiagModel
-from .families import generate_standard, make_gamma, recognize_exceptional
+from .families import RecognitionResult, generate_standard, make_gamma, recognize_exceptional
 from .formats import (
     FormatError,
     bounds_to_json,
@@ -162,29 +162,29 @@ def _cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _family_json(result: RecognitionResult) -> dict:
+    """The family fragment of ``analyze`` and ``recognize``."""
+    payload = {"member": result.member}
+    if result.index is not None:
+        payload["index"] = result.index
+    payload["status"] = "decided"
+    return payload
+
+
 def _cmd_analyze(args) -> int:
     g, fmt = _load_nonempty(args)
     name = args.name or (args.input if args.input != "-" else "stdin")
     facts = Facts(g)
-    recognition = facts.recognition
-    family_json = {"member": recognition.member}
-    if recognition.index is not None:
-        family_json["index"] = recognition.index
-    family_json["status"] = "decided"
     h_max = args.h_max if args.h_max is not None else 1
     results = []
     for model in _model_list(args.model):
         for h in range(0, h_max + 1):
             bounds = theoretical_bounds(g, h, model, facts=facts)
             entry = {"model": model.value, "h": h}
-            if args.method == "bounds":
-                if bounds.exact is not None:
-                    entry["value"] = bounds.exact
-                    entry["method"] = "theorem"
-            elif args.method == "auto" and bounds.exact is not None:
+            if args.method != "brute" and bounds.exact is not None:
                 entry["value"] = bounds.exact
                 entry["method"] = "theorem"
-            else:  # brute, or auto with no applicable theorem
+            elif args.method != "bounds":  # brute, or auto with no applicable theorem
                 tol = edge_tolerable_diagnosability(g, h, model)
                 entry["value"] = tol.value
                 entry["method"] = tol.method
@@ -199,7 +199,7 @@ def _cmd_analyze(args) -> int:
         "max_common_neighbors": max(facts.common, 0),
         "regular": facts.regular,
         "maximally_connected": facts.kappa == facts.delta,
-        "exceptional_family": family_json,
+        "exceptional_family": _family_json(facts.recognition),
         "results": results,
     }
     _print_json(report)
@@ -209,10 +209,7 @@ def _cmd_analyze(args) -> int:
 def _cmd_recognize(args) -> int:
     g, _ = load_graph(args.input, args.format, args.cap)
     result = recognize_exceptional(g)
-    payload = {"member": result.member}
-    if result.index is not None:
-        payload["index"] = result.index
-    payload["status"] = "decided"
+    payload = _family_json(result)
     if result.witness is not None:
         payload["blocks"] = {
             "vertex_map": list(result.witness.vertex_map),

@@ -336,11 +336,6 @@ def vertex_connectivity(g: Graph) -> ConnectivityReport:
     return ConnectivityReport(kappa, delta, kappa == delta, frozenset(_witness_cut(g, kappa)))
 
 
-def is_maximally_connected(g: Graph) -> bool:
-    """True iff the vertex connectivity equals the minimum degree."""
-    return _kappa_value(g) == g.min_degree
-
-
 def max_common_neighbors(g: Graph) -> CommonNeighbors:
     """Maximum number of common neighbors over all vertex pairs.
 

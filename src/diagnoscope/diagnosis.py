@@ -40,7 +40,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .graphs import Graph, GraphError, bits_of
 
@@ -65,49 +65,6 @@ class IndistinguishableWitness:
 class DiagnosisDecision:
     diagnosable: bool
     witness: Optional[IndistinguishableWitness]
-
-
-@dataclass(frozen=True)
-class MmCheck:
-    distinguishable: bool
-    condition: Optional[int]  # 1, 2 or 3; None when indistinguishable
-
-
-def _pair_masks(g: Graph, f1: Iterable[int], f2: Iterable[int]) -> Tuple[int, int]:
-    m1 = g.vertex_mask(f1)
-    m2 = g.vertex_mask(f2)
-    if m1 == m2:
-        raise GraphError("distinguishability is undefined for identical fault sets")
-    return m1, m2
-
-
-def distinguishable_pmc(g: Graph, f1: Iterable[int], f2: Iterable[int]) -> bool:
-    """PMC distinguishability of two distinct candidate fault sets."""
-    m1, m2 = _pair_masks(g, f1, f2)
-    outside = g.full_mask & ~(m1 | m2)
-    diff = m1 ^ m2
-    for v in bits_of(diff):
-        if g.adj_masks[v] & outside:
-            return True
-    return False
-
-
-def distinguishable_mm(g: Graph, f1: Iterable[int], f2: Iterable[int]) -> MmCheck:
-    """MM* distinguishability, reporting which condition fired (1, 2 or 3)."""
-    m1, m2 = _pair_masks(g, f1, f2)
-    adj = g.adj_masks
-    outside = g.full_mask & ~(m1 | m2)
-    diff = m1 ^ m2
-    for u in bits_of(outside):
-        if adj[u] & outside and adj[u] & diff:
-            return MmCheck(True, 1)
-    for only, tag in ((m1 & ~m2, 2), (m2 & ~m1, 3)):
-        verts = list(bits_of(only))
-        for i, x in enumerate(verts):
-            for y in verts[i + 1:]:
-                if adj[x] & adj[y] & outside:
-                    return MmCheck(True, tag)
-    return MmCheck(False, None)
 
 
 def _mm_split(adj: Tuple[int, ...], outside: int, d_mask: int, bound: int):

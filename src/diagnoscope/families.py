@@ -42,15 +42,18 @@ from dataclasses import dataclass, fields
 from itertools import combinations
 from typing import List, Optional, Sequence, Tuple
 
-from .connectivity import max_common_neighbors
+from .connectivity import _kappa_value, max_common_neighbors
 from .graphs import (
+    CapExceededError,
     Edge,
     Graph,
     GraphError,
     bits_of,
     build_graph,
+    check_vertex_count,
     normalize_edge,
     relabel,
+    vertex_cap,
 )
 
 FAMILY_MIN_DELTA = 3
@@ -152,13 +155,19 @@ _FAMILY_FIELDS = {
 
 
 def make_gamma(spec: GammaSpec) -> Graph:
-    """Assemble the graph a spec describes, validating its invariants."""
-    edges = _gamma_edges(spec)
-    return build_graph(gamma_vertex_count(spec.family, spec.delta, spec.l), edges)
+    """Assemble the graph a spec describes, validating its invariants.
+
+    The vertex cap is checked once the spec's shape is valid, before any
+    edge is built.
+    """
+    n = _check_shape(spec)
+    check_vertex_count(n)
+    return build_graph(n, _gamma_edges(spec))
 
 
-def _gamma_edges(spec: GammaSpec) -> List[Edge]:
-    """The edges of ``make_gamma(spec)``, unnormalized; no vertex cap."""
+def _check_shape(spec: GammaSpec) -> int:
+    """Validate the family index, delta, l and the fields the family
+    reads; return the vertex count."""
     fam, delta, l = spec.family, spec.delta, spec.l
     if fam not in (1, 2, 3, 4, 5):
         raise GraphError(f"family index must be 1..5, got {fam}")
@@ -172,6 +181,13 @@ def _gamma_edges(spec: GammaSpec) -> List[Edge]:
     for f in fields(GammaSpec)[4:]:
         if f.name not in _FAMILY_FIELDS[fam] and getattr(spec, f.name) != f.default:
             raise GraphError(f"family {fam} does not use {f.name}")
+    return gamma_vertex_count(fam, delta, l)
+
+
+def _gamma_edges(spec: GammaSpec) -> List[Edge]:
+    """The edges of ``make_gamma(spec)``, unnormalized; no vertex cap."""
+    _check_shape(spec)
+    fam, delta, l = spec.family, spec.delta, spec.l
     core = _core_size(fam, delta)
     _check_block_edges(spec.core_edges, core, "core block")
     edges: List[Edge] = list(spec.core_edges)
@@ -344,6 +360,7 @@ def random_gamma(
     """
     if l is None:
         l = minimal_block_size(family, delta)
+    check_vertex_count(_check_shape(GammaSpec(family, delta, l)))
     rng = random.Random(f"gamma-{family}-{delta}-{l}-{seed}")
     for _ in range(attempts):
         spec = _draw_spec(rng, family, delta, l)
@@ -547,14 +564,6 @@ def recognize_exceptional(g: Graph) -> RecognitionResult:
     return RecognitionResult(index is not None, index, witness)
 
 
-def rebuild_from_witness(witness: RecognizedDecomposition) -> Graph:
-    """Reassemble the graph a recognition witness describes, in the
-    original vertex labeling."""
-    template = make_gamma(witness.spec)
-    perm = list(witness.vertex_map)
-    return relabel(template, perm)
-
-
 # ---------------------------------------------------------------------------
 # standard generators
 
@@ -563,6 +572,9 @@ def hypercube(dim: int) -> Graph:
     """Binary hypercube: vertices are bit strings, edges at Hamming distance 1."""
     if dim < 0:
         raise GraphError(f"hypercube dimension must be nonnegative, got {dim}")
+    limit = vertex_cap()
+    if dim >= max(limit, 0).bit_length():  # 2^dim > limit, without building 2^dim
+        raise CapExceededError(f"graph on 2^{dim} vertices exceeds the cap of {limit}")
     n = 1 << dim
     edges = [(v, v ^ (1 << b)) for v in range(n) for b in range(dim) if v < v ^ (1 << b)]
     return build_graph(n, edges)
@@ -571,24 +583,28 @@ def hypercube(dim: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
+    check_vertex_count(n)
     return build_graph(n, combinations(range(n), 2))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise GraphError("part sizes must be nonnegative")
+    check_vertex_count(a + b)
     return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a cycle needs at least 3 vertices, got {n}")
+    check_vertex_count(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"a path needs at least 1 vertex, got {n}")
+    check_vertex_count(n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
@@ -602,19 +618,18 @@ def petersen() -> Graph:
 def circulant(n: int, connections: Sequence[int]) -> Graph:
     if n < 3:
         raise GraphError(f"a circulant needs at least 3 vertices, got {n}")
-    edges = []
     for s in connections:
         if s % n == 0:
             raise GraphError(f"circulant step {s} is a multiple of {n}")
-        for i in range(n):
-            edges.append((i, (i + s) % n))
-    return build_graph(n, edges)
+    check_vertex_count(n)
+    return build_graph(n, [(i, (i + s) % n) for s in connections for i in range(n)])
 
 
 def prism(k: int) -> Graph:
     """Cartesian product of a k-cycle with a single edge (two stacked cycles)."""
     if k < 3:
         raise GraphError(f"a prism needs cycle length at least 3, got {k}")
+    check_vertex_count(2 * k)
     edges = [(i, (i + 1) % k) for i in range(k)]
     edges += [(k + i, k + (i + 1) % k) for i in range(k)]
     edges += [(i, k + i) for i in range(k)]
@@ -625,6 +640,7 @@ def wheel(k: int) -> Graph:
     """A k-cycle plus a hub adjacent to every rim vertex (hub id k)."""
     if k < 3:
         raise GraphError(f"a wheel needs rim length at least 3, got {k}")
+    check_vertex_count(k + 1)
     edges = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
     return build_graph(k + 1, edges)
 
@@ -635,12 +651,11 @@ def random_t_connected(n: int, t: int, seed: int, *, attempts: int = 200) -> Gra
     Samples edge sets of increasing density until the connectivity oracle
     confirms the target; unsatisfiable requests (t >= n) are an error.
     """
-    from .connectivity import _kappa_value
-
     if t < 0:
         raise GraphError(f"connectivity target must be nonnegative, got {t}")
     if t > n - 1:
         raise GraphError(f"no graph on {n} vertices is {t}-connected")
+    check_vertex_count(n)
     rng = random.Random(f"random-t-connected-{n}-{t}-{seed}")
     p = min(0.95, (t + 1.0) / max(1, n - 1))
     for _ in range(attempts):

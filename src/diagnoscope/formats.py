@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields
 from typing import Optional
 
 from .families import GammaSpec
-from .graphs import Graph, GraphError, build_graph
+from .graphs import Graph, GraphError, build_graph, check_vertex_count
 from .tolerance import BoundReport
 
 
@@ -137,6 +137,7 @@ def parse_graph6(text: str, *, cap: int | None = None) -> Graph:
         raise FormatError("truncated adjacency bits", offset=len(data))
     if len(data) - pos > nbytes:
         raise FormatError("trailing bytes after adjacency bits", offset=pos + nbytes)
+    check_vertex_count(n, cap)  # before decoding n(n-1)/2 bits
     bits = []
     for i in range(nbytes):
         b = data[pos + i]
@@ -198,23 +199,6 @@ _SHAPES = {
     "Tuple[Tuple[int, int], ...]": (2, 2),
     "Tuple[Tuple[int, ...], ...]": (2, None),
 }
-
-
-def _plain(value):
-    return [_plain(v) for v in value] if isinstance(value, tuple) else value
-
-
-def gamma_spec_to_json(spec: GammaSpec) -> dict:
-    """One key per field: the integers and ``core_edges`` always, other
-    fields when nonempty, and ``bridge`` last, for family 4 only."""
-    out = {}
-    for f in fields(GammaSpec):
-        value = getattr(spec, f.name)
-        if f.name != "bridge" and (value or f.default is MISSING or f.name == "core_edges"):
-            out[f.name] = _plain(value)
-    if spec.family == 4:
-        out["bridge"] = list(spec.bridge)
-    return out
 
 
 def _read_field(name: str, value, depth: int, width: Optional[int]):

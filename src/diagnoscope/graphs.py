@@ -1,20 +1,17 @@
 """Immutable simple undirected graphs with bitmask adjacency.
 
-Vertices are dense integer ids ``0..n-1``.  The disjoint union places
-the left operand's ids first and shifts the right operand's ids by the
-left vertex count, so layouts are deterministic and goldens stay stable.
-
-Vertex subsets are plain Python ints used as bitmasks; ``Graph.adj_masks``
-exposes the adjacency in the same encoding so that exhaustive-search
-engines can run on pure integer set algebra.  Graphs are immutable after
-construction: every operation returns a new value, which makes them safe
-to share across concurrent workers.
+Vertices are dense integer ids ``0..n-1``, and vertex subsets are plain
+Python ints used as bitmasks; ``Graph.adj_masks`` exposes the adjacency
+in the same encoding so that exhaustive-search engines can run on pure
+integer set algebra.  Graphs are immutable after construction: every
+operation returns a new value, which makes them safe to share across
+concurrent workers.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Iterable, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 Edge = Tuple[int, int]
 
@@ -46,6 +43,17 @@ def vertex_cap(override: int | None = None) -> int:
         return int(raw)
     except ValueError as exc:
         raise GraphError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
+
+
+def check_vertex_count(n: int, cap: int | None = None) -> None:
+    """Raise CapExceededError when n exceeds the cap (see ``vertex_cap``).
+
+    Constructors call this as soon as they know n, before any work that
+    grows with n, so an over-cap request fails at once.
+    """
+    limit = vertex_cap(cap)
+    if n > limit:
+        raise CapExceededError(f"graph on {n} vertices exceeds the cap of {limit}")
 
 
 def normalize_edge(u: int, v: int) -> Edge:
@@ -156,9 +164,7 @@ def build_graph(n: int, edge_list: Iterable[Tuple[int, int]], *, cap: int | None
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    limit = vertex_cap(cap)
-    if n > limit:
-        raise CapExceededError(f"graph on {n} vertices exceeds the cap of {limit}")
+    check_vertex_count(n, cap)
     seen = set()
     for u, v in edge_list:
         if u == v:
@@ -167,12 +173,6 @@ def build_graph(n: int, edge_list: Iterable[Tuple[int, int]], *, cap: int | None
             raise GraphError(f"edge ({u}, {v}) has an endpoint out of range 0..{n - 1}")
         seen.add(normalize_edge(u, v))
     return Graph(n, sorted(seen))
-
-
-def disjoint_union(g: Graph, h: Graph) -> Graph:
-    shift = g.n
-    edges = list(g.edges) + [(u + shift, v + shift) for u, v in h.edges]
-    return Graph(g.n + h.n, edges)
 
 
 def delete_edges(g: Graph, fault_edges: Iterable[Tuple[int, int]]) -> Graph:
@@ -184,31 +184,6 @@ def delete_edges(g: Graph, fault_edges: Iterable[Tuple[int, int]]) -> Graph:
             raise GraphError(f"cannot delete ({u}, {v}): not an edge of the graph")
         drop.add(e)
     return Graph(g.n, [e for e in g.edges if e not in drop])
-
-
-def induced_subgraph(g: Graph, keep: Iterable[int]) -> Tuple[Graph, Dict[int, int]]:
-    """Induced subgraph on ``keep``; also returns the old-to-new id map.
-
-    Kept vertices are renumbered in ascending order of their old ids.
-    """
-    kept = sorted(set(keep))
-    for v in kept:
-        if not 0 <= v < g.n:
-            raise GraphError(f"vertex {v} out of range for graph on {g.n} vertices")
-    remap = {old: new for new, old in enumerate(kept)}
-    edges = [
-        (remap[u], remap[v])
-        for u, v in g.edges
-        if u in remap and v in remap
-    ]
-    return Graph(len(kept), edges), remap
-
-
-def delete_vertices(g: Graph, drop: Iterable[int]) -> Graph:
-    """Vertex deletion realized as the induced subgraph on the complement set."""
-    drop_set = set(drop)
-    sub, _ = induced_subgraph(g, (v for v in range(g.n) if v not in drop_set))
-    return sub
 
 
 def relabel(g: Graph, perm: Sequence[int]) -> Graph:

@@ -8,8 +8,7 @@ when at least one compared neighbor is faulty, while a faulty comparator
 reports an arbitrary bit.
 
 "Arbitrary" is made concrete by an adversary policy: fixed all-zero or
-all-one answers, a seeded random completion, or an exhaustive stream over
-every completion (capped, since there are 2^k of them).
+all-one answers, or a seeded random completion.
 
 Decoding lists every fault set within the budget that could have
 produced the syndrome under some adversary completion.  A fault set fits
@@ -24,12 +23,10 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagnosis import DiagModel
 from .graphs import Graph, GraphError, bits_of
-
-DEFAULT_EXHAUSTIVE_CAP = 18
 
 
 class SyndromeError(GraphError):
@@ -40,11 +37,11 @@ class SyndromeError(GraphError):
 class AdversaryPolicy:
     """How outcomes controlled by faulty units are filled in."""
 
-    kind: str  # "all_zero" | "all_one" | "seeded_random" | "exhaustive"
+    kind: str  # "all_zero" | "all_one" | "seeded_random"
     seed: Optional[int] = None
 
     def __post_init__(self):
-        if self.kind not in ("all_zero", "all_one", "seeded_random", "exhaustive"):
+        if self.kind not in ("all_zero", "all_one", "seeded_random"):
             raise SyndromeError(f"unknown adversary policy {self.kind!r}")
         if self.kind == "seeded_random" and self.seed is None:
             raise SyndromeError("seeded_random policy requires a seed")
@@ -52,7 +49,6 @@ class AdversaryPolicy:
 
 ALL_ZERO = AdversaryPolicy("all_zero")
 ALL_ONE = AdversaryPolicy("all_one")
-EXHAUSTIVE = AdversaryPolicy("exhaustive")
 
 
 def seeded_random(seed: int) -> AdversaryPolicy:
@@ -78,17 +74,6 @@ class _Syndrome:
     def to_lines(self) -> List[str]:
         fmt = " ".join(["%s"] * (self.entry_len + 1))
         return [fmt % (*entry, bit) for entry, bit in sorted(self.outcomes.items())]
-
-    @classmethod
-    def from_lines(cls, lines: Iterable[str]):
-        outcomes = {}
-        for line in lines:
-            parts = line.split()
-            if len(parts) != cls.entry_len + 1:
-                raise SyndromeError(f"bad {cls.model_name.upper()} syndrome line: {line!r}")
-            *entry, bit = (int(p) for p in parts)
-            outcomes[tuple(entry)] = bit
-        return cls(outcomes)
 
 
 class PmcSyndrome(_Syndrome):
@@ -145,44 +130,18 @@ _MODELS = {
 }
 
 
-def generate_syndrome(
-    g: Graph,
-    faults: Iterable[int],
-    model,
-    policy: AdversaryPolicy,
-    *,
-    exhaustive_cap: int = DEFAULT_EXHAUSTIVE_CAP,
-):
-    """Syndrome(s) consistent with the fault set under the model semantics.
-
-    Returns one syndrome, or an iterator over all completions when the
-    policy is exhaustive (error above the cap, since there are 2^k).
-    """
+def generate_syndrome(g: Graph, faults: Iterable[int], model, policy: AdversaryPolicy):
+    """The syndrome the fault set produces under the model semantics, with
+    the entries its members control filled in by the policy."""
     cls, entries, forced = _MODELS[model]
     fault_mask = g.vertex_mask(faults)
-    fixed = {}
+    outcomes = {}
     controlled = []
     for entry in entries(g):
         if (fault_mask >> entry[0]) & 1:
             controlled.append(entry)
         else:
-            fixed[entry] = forced(entry, fault_mask)
-    if policy.kind == "exhaustive":
-        k = len(controlled)
-        if k > exhaustive_cap:
-            raise SyndromeError(
-                f"exhaustive adversary needs 2^{k} completions, above the cap 2^{exhaustive_cap}"
-            )
-
-        def stream() -> Iterator:
-            for pattern in range(1 << k):
-                outcomes = dict(fixed)
-                for i, entry in enumerate(controlled):
-                    outcomes[entry] = (pattern >> i) & 1
-                yield cls(outcomes)
-
-        return stream()
-    outcomes = dict(fixed)
+            outcomes[entry] = forced(entry, fault_mask)
     if policy.kind == "all_zero":
         for entry in controlled:
             outcomes[entry] = 0
@@ -216,21 +175,6 @@ def _validate_shape(g: Graph, syndrome, spec: _ModelSpec):
     for entry, bit in syndrome.outcomes.items():
         if bit not in (0, 1):
             raise SyndromeError(f"syndrome outcome for {entry} must be 0 or 1, got {bit}")
-
-
-def consistent_with(g: Graph, syndrome, faults: Iterable[int], model) -> bool:
-    """Could this fault set have produced the syndrome under some adversary?
-
-    Exactly the entries whose tester or comparator is outside the fault
-    set are forced; controlled entries can always be matched.
-    """
-    spec = _MODELS[model]
-    _validate_shape(g, syndrome, spec)
-    fault_mask = g.vertex_mask(faults)
-    for entry, bit in syndrome.outcomes.items():
-        if not (fault_mask >> entry[0]) & 1 and bit != spec.forced(entry, fault_mask):
-            return False
-    return True
 
 
 def _options(g: Graph, syndrome, t: int, mm: bool) -> List[List[int]]:
@@ -303,45 +247,3 @@ def decode(g: Graph, syndrome, t: int, model) -> Tuple[frozenset, ...]:
             stack.append((w + 1, faulty | x, clear | bit | rest))
     found.sort(key=lambda m: (m.bit_count(), tuple(bits_of(m))))
     return tuple(frozenset(bits_of(m)) for m in found)
-
-
-def syndromes_compatible(g: Graph, f1: Iterable[int], f2: Iterable[int], model) -> bool:
-    """True when some single syndrome is consistent with both fault sets.
-
-    Entries whose tester or comparator lies outside both sets are forced
-    by each set; the sets share a syndrome exactly when all those forced
-    bits agree.  This is the operational counterpart of the
-    distinguishability predicates and is kept deliberately independent of
-    them.
-    """
-    _, entries, forced = _MODELS[model]
-    m1 = g.vertex_mask(f1)
-    m2 = g.vertex_mask(f2)
-    both = m1 | m2
-    for entry in entries(g):
-        if not (both >> entry[0]) & 1 and forced(entry, m1) != forced(entry, m2):
-            return False
-    return True
-
-
-def confusing_syndrome(g: Graph, f1: Iterable[int], f2: Iterable[int], model):
-    """A syndrome consistent with both fault sets of an indistinguishable pair.
-
-    Entries outside f1 follow f1's semantics, remaining entries outside f2
-    follow f2's, and entries controlled by both are zero.  When the pair
-    is indistinguishable the doubly-forced entries agree, so the result is
-    consistent with both sets (decode confirms).
-    """
-    cls, entries, forced = _MODELS[model]
-    m1 = g.vertex_mask(f1)
-    m2 = g.vertex_mask(f2)
-    outcomes = {}
-    for entry in entries(g):
-        head = entry[0]
-        if not (m1 >> head) & 1:
-            outcomes[entry] = forced(entry, m1)
-        elif not (m2 >> head) & 1:
-            outcomes[entry] = forced(entry, m2)
-        else:
-            outcomes[entry] = 0
-    return cls(outcomes)

@@ -17,9 +17,7 @@ the folded table is tested against, and is the production path for MM*.
 
 An automorphism sigma of G makes G - F and G - sigma(F) isomorphic, so
 the sweep visits only the lexicographically first scenario of each
-orbit; asymmetric graphs sweep every scenario.  The sweep runs in one
-process: once it swept only orbit representatives, a pool of worker
-processes cost more to start than it saved, and was removed.
+orbit; asymmetric graphs sweep every scenario.
 
 The paper's theorems are stated once, as the rows of ``THEOREMS``: a
 rule name, the ``verify`` claim that checks it, its model, its
@@ -39,7 +37,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
-from .diagnosis import DiagModel, _before, _search_differences, diagnosability, diagnosability_cap, is_t_diagnosable
+from .diagnosis import DiagModel, _before, _search_differences, diagnosability, is_t_diagnosable
 from .families import RecognitionResult, common_neighbor_shortcut, recognize_exceptional
 from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, delete_edges, normalize_edge
 
@@ -245,32 +243,6 @@ def _tolerance_cached(g: Graph, h: int, model: DiagModel) -> ToleranceResult:
     else:
         value, scenario = _scenario_sweep(g, size, model)
     return ToleranceResult(h, model, value, tuple(scenario), METHOD_BRUTE)
-
-
-def edge_tolerable_by_definition(g: Graph, h: int, model: DiagModel) -> int:
-    """Largest t such that every deletion of at most h edges stays t-diagnosable.
-
-    Direct realization of the defining quantifier, enumerating all
-    scenario sizes 0..h.  Exponential; used to cross-check the
-    minimum-over-scenarios computation on small graphs.
-    """
-    if h < 0:
-        raise GraphError(f"edge budget must be nonnegative, got {h}")
-    cap = diagnosability_cap(g)
-    value = 0
-    for t in range(1, cap + 1):
-        ok = True
-        for size in range(0, min(h, g.m) + 1):
-            for scenario in combinations(g.edges, size):
-                if not is_t_diagnosable(delete_edges(g, scenario), t, model).diagnosable:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            break
-        value = t
-    return value
 
 
 class Facts:

@@ -38,6 +38,7 @@ from .families import (
     random_t_connected,
     wheel,
 )
+from .formats import emit_graph6
 from .graphs import Graph, delete_edges
 from .tolerance import (
     THEOREMS,
@@ -55,10 +56,6 @@ FAIL = "fail"
 NOT_MET = "hypothesis_not_met"
 BLOCKED = "budget_exceeded"
 
-CLAIM_PMC_LOWER = "pmc_lower_bound"
-CLAIM_PMC_EXACT = "pmc_exact_value"
-CLAIM_MM_LOWER = "mm_lower_bound"
-CLAIM_MM_EXACT = "mm_exact_value"
 CLAIM_UPPER = "min_degree_upper_bound"
 CLAIM_CONN_DEL = "connectivity_under_edge_deletion"
 CLAIM_FAM_IRREGULAR = "family_irregularity"
@@ -204,8 +201,6 @@ def default_corpus() -> Tuple[CorpusEntry, ...]:
 
 
 def _recipe(entry: CorpusEntry, model: Optional[DiagModel], h: Optional[int]) -> Tuple[Tuple[str, str], ...]:
-    from .formats import emit_graph6
-
     items = [("graph6", emit_graph6(entry.graph)), ("graph", entry.name)]
     if model is not None:
         items.append(("model", model.value))
@@ -369,8 +364,6 @@ def run_suite(
     brute-force cost profile; rows are sorted by (graph, claim, h, model)
     so reports are deterministic regardless of execution order.
     """
-    from .formats import emit_graph6
-
     corpus = tuple(corpus) if corpus is not None else default_corpus()
     claim_list = tuple(claims) if claims is not None else ALL_CLAIMS
     for claim in claim_list:

@@ -16,7 +16,7 @@ from diagnoscope.connectivity import (
     max_common_neighbors,
     vertex_connectivity,
 )
-from diagnoscope.diagnosis import DiagModel, diagnosability, distinguishable_mm, is_t_diagnosable
+from diagnoscope.diagnosis import DiagModel, diagnosability, is_t_diagnosable
 from diagnoscope.families import (
     GammaSpec,
     complete_bipartite,
@@ -26,13 +26,15 @@ from diagnoscope.families import (
     random_gamma,
     recognize_exceptional,
 )
-from diagnoscope.graphs import delete_edges, delete_vertices
-from diagnoscope.tolerance import (
-    edge_tolerable_by_definition,
-    edge_tolerable_diagnosability,
-)
+from diagnoscope.graphs import delete_edges
+from diagnoscope.tolerance import edge_tolerable_diagnosability
 from diagnoscope.verification import default_corpus, run_suite
-from test_syndrome import unique_decoding_everywhere
+from oracles import (
+    delete_vertices,
+    distinguishable_mm,
+    edge_tolerable_by_definition,
+    unique_decoding_everywhere,
+)
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR

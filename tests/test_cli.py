@@ -12,8 +12,9 @@ import pytest
 
 from diagnoscope.cli import main
 from diagnoscope.families import complete, hypercube, petersen
-from diagnoscope.formats import emit_edge_list, emit_graph6, gamma_spec_to_json, parse_graph6
+from diagnoscope.formats import emit_edge_list, emit_graph6, parse_graph6
 from diagnoscope.families import GammaSpec
+from oracles import gamma_spec_to_json
 
 
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens"
@@ -86,6 +87,32 @@ class TestGen:
         code, out, err = run_cli(capsys, "gen", "gamma", str(path))
         assert (code, out) == (3, "")
         assert err.startswith("cap exceeded: ")
+
+    @pytest.mark.parametrize("argv", [
+        ("hypercube", "40"),
+        ("cycle", "1000000000000"),
+        ("complete-bipartite", "1000000", "1000000"),
+        ("wheel", "1000000000"),
+        ("random-t-connected", "100000", "3"),
+        ("gamma", '{"family": 1, "delta": 3, "l": 1000000000000}'),
+    ], ids=["hypercube", "cycle", "bipartite", "wheel", "random-t-connected", "gamma"])
+    def test_huge_size_exit_3_at_once(self, capsys, monkeypatch, argv):
+        # each of these once built its edges before the cap check
+        monkeypatch.delenv("DIAGNOSCOPE_CAP", raising=False)
+        if argv[0] == "gamma":
+            monkeypatch.setattr("sys.stdin", io.StringIO(argv[1]))
+            argv = ("gamma", "-")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "gen", *argv)
+        assert (code, out) == (3, "")
+        assert err.startswith("cap exceeded: ")
+        assert time.perf_counter() - start < 1.0
+
+    def test_huge_gamma_with_bad_family_exit_2(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO('{"family": 9, "delta": 3, "l": 1000000000000}'))
+        code, out, err = run_cli(capsys, "gen", "gamma", "-")
+        assert (code, out) == (2, "")
+        assert err == "input error: bad family spec: family index must be 1..5, got 9\n"
 
     def test_unknown_kind(self, capsys):
         code, _, err = run_cli(capsys, "gen", "dodecahedron")
@@ -254,6 +281,18 @@ class TestAnalyze:
         assert code == 3
         assert "200 vertices" in err
         assert time.perf_counter() - start < 2.0
+
+    def test_large_over_cap_graph6_exit_3(self, capsys, tmp_path):
+        # 4,000 vertices, 1.3 MB: decoding every bit took seconds to reach the cap
+        n = 4000
+        line = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+        path = tmp_path / "big.g6"
+        path.write_text(line + "?" * ((n * (n - 1) // 2 + 5) // 6) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (3, "")
+        assert err == "cap exceeded: graph on 4000 vertices exceeds the cap of 64\n"
+        assert time.perf_counter() - start < 1.0
 
     def test_byte_stable(self, capsys, tmp_path):
         path = tmp_path / "pet.g6"

@@ -11,7 +11,6 @@ from diagnoscope.connectivity import (
     _kappa_value,
     internally_disjoint_paths,
     is_connected,
-    is_maximally_connected,
     max_common_neighbors,
     vertex_connectivity,
 )
@@ -25,15 +24,9 @@ from diagnoscope.families import (
     petersen,
     random_t_connected,
 )
-from diagnoscope.graphs import (
-    GraphError,
-    build_graph,
-    delete_edges,
-    delete_vertices,
-    disjoint_union,
-    induced_subgraph,
-)
+from diagnoscope.graphs import GraphError, build_graph, delete_edges
 from diagnoscope.verification import default_corpus
+from oracles import delete_vertices, induced_subgraph
 
 
 # --- independent oracles -----------------------------------------------------
@@ -226,7 +219,7 @@ def graphs(draw, min_n=1, max_n=7):
     return build_graph(n, edges)
 
 
-two_triangles = disjoint_union(complete(3), complete(3))
+two_triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 bridged_triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
 
 
@@ -443,16 +436,16 @@ class TestWhitneyAndEdgeDeletion:
 
 class TestMaximallyConnected:
     def test_hypercube(self):
-        assert is_maximally_connected(hypercube(4))
+        assert vertex_connectivity(hypercube(4)).maximally_connected
 
     def test_bridged_triangles(self):
         # min degree 2 but a cut vertex: not maximally connected
         assert bridged_triangles.min_degree == 2
         assert vertex_connectivity(bridged_triangles).kappa == 1
-        assert not is_maximally_connected(bridged_triangles)
+        assert not vertex_connectivity(bridged_triangles).maximally_connected
 
     def test_complete(self):
-        assert is_maximally_connected(complete(6))
+        assert vertex_connectivity(complete(6)).maximally_connected
 
 
 class TestMaxCommonNeighbors:

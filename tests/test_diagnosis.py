@@ -23,8 +23,6 @@ from diagnoscope.diagnosis import (
     _search_differences,
     diagnosability,
     diagnosability_cap,
-    distinguishable_mm,
-    distinguishable_pmc,
     is_t_diagnosable,
 )
 from diagnoscope.families import (
@@ -40,6 +38,7 @@ from diagnoscope.families import (
     wheel,
 )
 from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges, relabel
+from oracles import distinguishable_mm, distinguishable_pmc
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR

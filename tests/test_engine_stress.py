@@ -7,12 +7,10 @@ graphs slightly larger than the property tests reach."""
 import random
 from itertools import combinations
 
-from diagnoscope.diagnosis import DiagModel, distinguishable_mm, _mm_split
+from diagnoscope.diagnosis import DiagModel, _mm_split
 from diagnoscope.graphs import bits_of, build_graph
-from diagnoscope.tolerance import (
-    edge_tolerable_by_definition,
-    edge_tolerable_diagnosability,
-)
+from diagnoscope.tolerance import edge_tolerable_diagnosability
+from oracles import distinguishable_mm, edge_tolerable_by_definition
 
 
 def random_graph(rng, n, p=0.45):

@@ -1,4 +1,6 @@
 import random
+import re
+import time
 from itertools import combinations
 from typing import Dict, Optional, Sequence, Tuple
 
@@ -28,11 +30,11 @@ from diagnoscope.families import (
     prism,
     random_gamma,
     random_t_connected,
-    rebuild_from_witness,
     recognize_exceptional,
     wheel,
 )
-from diagnoscope.graphs import Edge, Graph, GraphError, bits_of, build_graph
+from diagnoscope.graphs import CapExceededError, Edge, Graph, GraphError, bits_of, build_graph
+from oracles import rebuild_from_witness
 
 K3_EDGES = ((0, 1), (0, 2), (1, 2))
 
@@ -661,3 +663,61 @@ class TestGenerators:
             generate_standard("moebius", 5)
         with pytest.raises(GraphError, match="exactly"):
             generate_standard("cycle", 4, 5)
+
+
+class TestOverCap:
+    """Every sized constructor checks the vertex cap as soon as it knows n,
+    so an over-cap size fails at once instead of building its edges."""
+
+    @pytest.fixture(autouse=True)
+    def default_cap(self, monkeypatch):
+        monkeypatch.delenv("DIAGNOSCOPE_CAP", raising=False)
+
+    @pytest.mark.parametrize("build, n", [
+        (lambda: hypercube(40), "2^40"),
+        (lambda: hypercube(10**12), "2^1000000000000"),
+        (lambda: complete(10**8), "100000000"),
+        (lambda: complete_bipartite(10**6, 10**6), "2000000"),
+        (lambda: cycle(10**12), "1000000000000"),
+        (lambda: path(10**12), "1000000000000"),
+        (lambda: circulant(10**12, (1, 2)), "1000000000000"),
+        (lambda: prism(10**12), "2000000000000"),
+        (lambda: wheel(10**9), "1000000001"),
+        (lambda: random_t_connected(10**5, 3, 1), "100000"),
+        (lambda: make_gamma(GammaSpec(1, 3, 10**12)), "1000000000003"),
+        (lambda: random_gamma(2, 3, 10**12, seed=1), "1000000000004"),
+    ], ids=["hypercube-40", "hypercube-1e12", "complete", "bipartite", "cycle", "path",
+            "circulant", "prism", "wheel", "random-t-connected", "make-gamma", "random-gamma"])
+    def test_fails_at_once(self, build, n):
+        start = time.perf_counter()
+        message = re.escape(f"graph on {n} vertices exceeds the cap of 64")
+        with pytest.raises(CapExceededError, match=f"^{message}$"):
+            build()
+        assert time.perf_counter() - start < 1.0
+
+    @pytest.mark.parametrize("cap", [0, 1, 2, 3, 7, 8, 9, 63, 64, 65])
+    def test_hypercube_cap_boundary(self, monkeypatch, cap):
+        monkeypatch.setenv("DIAGNOSCOPE_CAP", str(cap))
+        for dim in range(8):
+            if 1 << dim <= cap:
+                assert hypercube(dim).n == 1 << dim
+            else:
+                with pytest.raises(CapExceededError):
+                    hypercube(dim)
+
+    def test_at_the_cap_builds(self):
+        assert [g.n for g in (hypercube(6), cycle(64), wheel(63), prism(32), complete_bipartite(32, 32))] == [64] * 5
+        assert make_gamma(GammaSpec(1, 3, 61)).n == 64
+
+    @pytest.mark.parametrize("build, message", [
+        (lambda: make_gamma(GammaSpec(9, 3, 10**12)), "family index must be 1..5"),
+        (lambda: make_gamma(GammaSpec(1, 2, 10**12)), "require delta >= 3"),
+        (lambda: make_gamma(GammaSpec(1, 3, 10**12, assign=(0,))), "does not use assign"),
+        (lambda: random_gamma(9, 3, 10**12, seed=1), "family index must be 1..5"),
+        (lambda: circulant(10**12, (10**12,)), "multiple"),
+        (lambda: random_t_connected(10**5, 10**5, 1), "is 100000-connected"),
+    ], ids=["family", "delta", "unused-field", "random-gamma-family", "circulant-step", "random-t-connected"])
+    def test_shape_errors_come_first(self, build, message):
+        with pytest.raises(GraphError, match=message) as info:
+            build()
+        assert not isinstance(info.value, CapExceededError)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import networkx as nx
 import pytest
@@ -11,12 +12,12 @@ from diagnoscope.formats import (
     emit_edge_list,
     emit_graph6,
     gamma_spec_from_json,
-    gamma_spec_to_json,
     parse_edge_list,
     parse_gamma_spec,
     parse_graph6,
 )
 from diagnoscope.graphs import CapExceededError, build_graph
+from oracles import gamma_spec_to_json
 
 
 @st.composite
@@ -116,6 +117,19 @@ class TestGraph6:
         # n=2: one significant bit; set a padding bit
         with pytest.raises(FormatError, match="padding"):
             parse_graph6("A" + chr(63 + 1))
+
+    def test_cap_checked_before_decoding(self):
+        # 4,000 vertices: 1.3 MB of adjacency bits that took seconds to decode
+        n = 4000
+        line = "~" + "".join(chr(63 + (n >> shift & 63)) for shift in (12, 6, 0))
+        line += "?" * ((n * (n - 1) // 2 + 5) // 6)
+        start = time.perf_counter()
+        with pytest.raises(CapExceededError, match="graph on 4000 vertices"):
+            parse_graph6(line)
+        assert time.perf_counter() - start < 1.0
+        # a malformed length is still a format error, over the cap or not
+        with pytest.raises(FormatError, match="truncated"):
+            parse_graph6(line[:-1])
 
     @given(graphs())
     @settings(max_examples=60)

@@ -14,9 +14,9 @@ from diagnoscope.graphs import (
     automorphism_generators,
     build_graph,
     delete_edges,
-    induced_subgraph,
     relabel,
 )
+from oracles import induced_subgraph
 
 
 def empty_graph(n):

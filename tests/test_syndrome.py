@@ -19,15 +19,13 @@ from diagnoscope.syndrome import (
     SyndromeError,
     _forced_bit_mm,
     _forced_bit_pmc,
-    confusing_syndrome,
-    consistent_with,
     decode,
     generate_syndrome,
     mm_entries,
     pmc_entries,
     seeded_random,
-    syndromes_compatible,
 )
+from oracles import confusing_syndrome, consistent_with, every_syndrome, unique_decoding_everywhere
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR
@@ -53,26 +51,6 @@ def reference_decode(g, syndrome, t, model):
             if ok:
                 found.append(frozenset(combo))
     return tuple(found)
-
-
-def unique_decoding_everywhere(g, t, model):
-    """Whether every syndrome from every fault set of size at most t decodes
-    to a single candidate, under every adversary completion.
-
-    Equivalent to: no two distinct candidate sets within the budget share
-    a syndrome.  Checked pairwise via syndromes_compatible, with no budget:
-    the oracle ``is_t_diagnosable`` is compared against.
-    """
-    sets = [
-        frozenset(combo)
-        for size in range(0, min(t, g.n) + 1)
-        for combo in combinations(range(g.n), size)
-    ]
-    for i in range(len(sets)):
-        for j in range(i + 1, len(sets)):
-            if syndromes_compatible(g, sets[i], sets[j], model):
-                return False
-    return True
 
 
 def random_syndrome(g, model, rng):
@@ -103,6 +81,8 @@ class TestGeneration:
         g = build_graph(3, [(0, 1), (1, 2)])
         syn = generate_syndrome(g, [1], PMC, ALL_ZERO)
         assert syn.outcomes == {(0, 1): 1, (2, 1): 1, (1, 0): 0, (1, 2): 0}
+        lines = syn.to_lines()
+        assert lines == sorted(lines) == ["0 1 1", "1 0 0", "1 2 0", "2 1 1"]
 
     def test_star_center_fault_mm_all_one(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
@@ -117,20 +97,16 @@ class TestGeneration:
 
     def test_exhaustive_stream_counts(self):
         g = build_graph(3, [(0, 1), (1, 2)])
-        stream = list(generate_syndrome(g, [1], PMC, AdversaryPolicy("exhaustive")))
+        stream = list(every_syndrome(g, [1], PMC))
         # the faulty center controls its two outgoing tests
         assert len(stream) == 4
         assert len({tuple(sorted(s.outcomes.items())) for s in stream}) == 4
 
-    def test_exhaustive_cap(self):
-        with pytest.raises(SyndromeError, match="cap"):
-            generate_syndrome(
-                hypercube(3), range(8), PMC, AdversaryPolicy("exhaustive"), exhaustive_cap=4
-            )
-
     def test_policy_validation(self):
         with pytest.raises(SyndromeError):
             AdversaryPolicy("coin_flip")
+        with pytest.raises(SyndromeError):
+            AdversaryPolicy("exhaustive")  # every completion is tests/oracles.py's every_syndrome
         with pytest.raises(SyndromeError):
             AdversaryPolicy("seeded_random")
 
@@ -305,24 +281,6 @@ class TestDecodeFrontierQ6:
         assert len(candidates) == 2
 
 
-class TestSerialization:
-    def test_pmc_lines_roundtrip(self):
-        g = cycle(4)
-        syn = generate_syndrome(g, [2], PMC, ALL_ONE)
-        lines = syn.to_lines()
-        assert lines == sorted(lines)
-        assert PmcSyndrome.from_lines(lines) == syn
-
-    def test_mm_lines_roundtrip(self):
-        g = hypercube(2)
-        syn = generate_syndrome(g, [0], MM, seeded_random(1))
-        assert MmSyndrome.from_lines(syn.to_lines()) == syn
-
-    def test_bad_line(self):
-        with pytest.raises(SyndromeError):
-            PmcSyndrome.from_lines(["0 1"])
-
-
 class TestDiagnosabilityLink:
     def test_exhaustive_decode_uniqueness_matches_predicate_small(self):
         """Full operational check on tiny graphs: stream every adversary
@@ -337,14 +295,9 @@ class TestDiagnosabilityLink:
             for model in (PMC, MM):
                 for t in range(0, 3):
                     unique = True
-                    from itertools import combinations
-
                     for size in range(0, t + 1):
                         for faults in combinations(range(g.n), size):
-                            stream = generate_syndrome(
-                                g, faults, model, AdversaryPolicy("exhaustive")
-                            )
-                            for syn in stream:
+                            for syn in every_syndrome(g, faults, model):
                                 if len(decode(g, syn, t, model)) != 1:
                                     unique = False
                                     break

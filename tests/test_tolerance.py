@@ -34,11 +34,11 @@ from diagnoscope.tolerance import (
     _orbit_scenarios,
     _scenario_sweep,
     Facts,
-    edge_tolerable_by_definition,
     edge_tolerable_diagnosability,
     theoretical_bounds,
 )
 from diagnoscope.verification import default_corpus
+from oracles import edge_tolerable_by_definition
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR

@@ -34,10 +34,6 @@ from diagnoscope.verification import (
     Budget,
     CLAIM_CONN_DEL,
     CLAIM_FAM_IRREGULAR,
-    CLAIM_MM_EXACT,
-    CLAIM_MM_LOWER,
-    CLAIM_PMC_EXACT,
-    CLAIM_PMC_LOWER,
     CLAIM_UPPER,
     CorpusEntry,
     FAIL,
@@ -82,7 +78,7 @@ class TestSuite:
         rows = [
             r
             for r in small_report.rows
-            if r.graph_name == "hypercube-3" and r.claim == CLAIM_PMC_EXACT
+            if r.graph_name == "hypercube-3" and r.claim == "pmc_exact_value"
         ]
         assert {r.h for r in rows} == {0, 1, 2, 3}
         for r in rows:
@@ -94,7 +90,7 @@ class TestSuite:
         rows = [
             r
             for r in small_report.rows
-            if r.graph_name == "gamma1-k3" and r.claim == CLAIM_MM_EXACT
+            if r.graph_name == "gamma1-k3" and r.claim == "mm_exact_value"
         ]
         assert rows and all(r.verdict == NOT_MET for r in rows)
         for r in rows:
@@ -109,7 +105,7 @@ class TestSuite:
         rows = [
             r
             for r in small_report.rows
-            if r.graph_name == "wheel-9" and r.claim == CLAIM_MM_EXACT
+            if r.graph_name == "wheel-9" and r.claim == "mm_exact_value"
         ]
         by_h = {r.h: r for r in rows}
         assert by_h[0].verdict == PASS and by_h[0].oracle == 3
@@ -154,7 +150,7 @@ class TestSuite:
 
     def test_max_n_blocks_large_graphs(self):
         budget = Budget(max_n=4)
-        report = run_suite(corpus=SMALL_CORPUS[:1], claims=[CLAIM_PMC_EXACT], budget=budget)
+        report = run_suite(corpus=SMALL_CORPUS[:1], claims=["pmc_exact_value"], budget=budget)
         assert all(r.verdict in (BLOCKED, NOT_MET) for r in report.rows)
 
 
@@ -189,7 +185,7 @@ class TestFailurePath:
         # the real suite, then recompute one passing row from its inputs.
         report = run_suite(corpus=SMALL_CORPUS)
         row = next(
-            r for r in report.rows if r.verdict == PASS and r.claim == CLAIM_PMC_EXACT
+            r for r in report.rows if r.verdict == PASS and r.claim == "pmc_exact_value"
         )
         graph6 = dict(report.corpus)[row.graph_name]
         g = parse_graph6(graph6)
@@ -204,10 +200,10 @@ class TestVerifyChecksWhatAnalyzeApplies:
 
     CLAIM_OF_RULE = {
         "min_degree_upper": CLAIM_UPPER,
-        "pmc_lower": CLAIM_PMC_LOWER,
-        "pmc_exact": CLAIM_PMC_EXACT,
-        "mm_lower": CLAIM_MM_LOWER,
-        "mm_exact": CLAIM_MM_EXACT,
+        "pmc_lower": "pmc_lower_bound",
+        "pmc_exact": "pmc_exact_value",
+        "mm_lower": "mm_lower_bound",
+        "mm_exact": "mm_exact_value",
     }
     RULES = {
         DiagModel.PMC: ("min_degree_upper", "pmc_lower", "pmc_exact"),
