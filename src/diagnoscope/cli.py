@@ -126,14 +126,6 @@ def _print_json(payload) -> None:
     sys.stdout.write(json.dumps(payload, indent=2) + "\n")
 
 
-def _model_list(name: str) -> List[DiagModel]:
-    if name == "pmc":
-        return [DiagModel.PMC]
-    if name == "mm":
-        return [DiagModel.MMSTAR]
-    return [DiagModel.PMC, DiagModel.MMSTAR]
-
-
 def _cmd_gen(args) -> int:
     if not args.kind:
         raise UsageError("gen requires a graph kind")
@@ -177,7 +169,7 @@ def _cmd_analyze(args) -> int:
     facts = Facts(g)
     h_max = args.h_max if args.h_max is not None else 1
     results = []
-    for model in _model_list(args.model):
+    for model in list(DiagModel) if args.model == "both" else [DiagModel(args.model)]:
         for h in range(0, h_max + 1):
             bounds = theoretical_bounds(g, h, model, facts=facts)
             entry = {"model": model.value, "h": h}
@@ -224,7 +216,7 @@ def _cmd_recognize(args) -> int:
 def _cmd_syndrome(args) -> int:
     g, _ = load_graph(args.input, args.format, args.cap)
     faults = args.faults
-    model = DiagModel.PMC if args.model == "pmc" else DiagModel.MMSTAR
+    model = DiagModel(args.model)
     if args.policy == "zero":
         policy = ALL_ZERO
     elif args.policy == "one":
@@ -249,8 +241,10 @@ def _cmd_syndrome(args) -> int:
 
 def _cmd_verify(args) -> int:
     claims = None
-    if args.claims:
+    if args.claims is not None:
         claims = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not claims:
+            raise UsageError(f"--claims names no claim; available: {', '.join(ALL_CLAIMS)}")
         unknown = [c for c in claims if c not in ALL_CLAIMS]
         if unknown:
             raise UsageError(

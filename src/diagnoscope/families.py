@@ -57,6 +57,7 @@ from .graphs import (
 )
 
 FAMILY_MIN_DELTA = 3
+SAMPLE_ATTEMPTS = 200  # draws before a seeded random generator gives up
 
 
 def common_neighbor_shortcut(delta: int, common: int) -> bool:
@@ -344,7 +345,7 @@ def _draw_spec(rng: random.Random, family: int, delta: int, l: int) -> GammaSpec
 
 
 def random_gamma(
-    family: int, delta: int = 3, l: int | None = None, *, seed: int, attempts: int = 200
+    family: int, delta: int = 3, l: int | None = None, *, seed: int
 ) -> Tuple[GammaSpec, Graph]:
     """Seeded random family instance whose recognition round-trips.
 
@@ -362,7 +363,7 @@ def random_gamma(
         l = minimal_block_size(family, delta)
     check_vertex_count(_check_shape(GammaSpec(family, delta, l)))
     rng = random.Random(f"gamma-{family}-{delta}-{l}-{seed}")
-    for _ in range(attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         spec = _draw_spec(rng, family, delta, l)
         g = make_gamma(spec)
         if g.min_degree != delta:
@@ -371,7 +372,7 @@ def random_gamma(
         if result.member and result.index == family:
             return spec, g
     raise GraphError(
-        f"could not draw a valid family-{family} instance in {attempts} attempts"
+        f"could not draw a valid family-{family} instance in {SAMPLE_ATTEMPTS} attempts"
     )
 
 
@@ -645,7 +646,7 @@ def wheel(k: int) -> Graph:
     return build_graph(k + 1, edges)
 
 
-def random_t_connected(n: int, t: int, seed: int, *, attempts: int = 200) -> Graph:
+def random_t_connected(n: int, t: int, seed: int) -> Graph:
     """Seeded random graph with vertex connectivity at least t.
 
     Samples edge sets of increasing density until the connectivity oracle
@@ -658,14 +659,14 @@ def random_t_connected(n: int, t: int, seed: int, *, attempts: int = 200) -> Gra
     check_vertex_count(n)
     rng = random.Random(f"random-t-connected-{n}-{t}-{seed}")
     p = min(0.95, (t + 1.0) / max(1, n - 1))
-    for _ in range(attempts):
+    for _ in range(SAMPLE_ATTEMPTS):
         edges = [e for e in combinations(range(n), 2) if rng.random() < p]
         g = build_graph(n, edges)
         if _kappa_value(g) >= t:
             return g
         p = min(0.97, p * 1.15)
     raise GraphError(
-        f"failed to sample a {t}-connected graph on {n} vertices in {attempts} attempts"
+        f"failed to sample a {t}-connected graph on {n} vertices in {SAMPLE_ATTEMPTS} attempts"
     )
 
 

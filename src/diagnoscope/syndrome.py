@@ -1,11 +1,10 @@
 """Operational test semantics: syndrome generation and decoding.
 
-PMC semantics: every vertex tests every neighbor; a fault-free tester
-reports the true status of the tested vertex (1 = faulty) while a faulty
-tester reports an arbitrary bit.  MM* semantics: every vertex compares
-every pair of its neighbors; a fault-free comparator reports 1 exactly
-when at least one compared neighbor is faulty, while a faulty comparator
-reports an arbitrary bit.
+A syndrome holds one outcome bit per entry.  An entry is a unit w
+followed by the neighbors its test covers, ascending: one under PMC (w
+tests each neighbor) and two under MM* (w compares each pair of its
+neighbors).  A fault-free w reports 1 exactly when one of those
+neighbors is faulty; a faulty w reports an arbitrary bit.
 
 "Arbitrary" is made concrete by an adversary policy: fixed all-zero or
 all-one answers, or a seeded random completion.
@@ -23,7 +22,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Callable, Dict, Iterable, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .diagnosis import DiagModel
 from .graphs import Graph, GraphError, bits_of
@@ -77,86 +76,45 @@ class _Syndrome:
 
 
 class PmcSyndrome(_Syndrome):
-    """Outcome bit for every ordered adjacent pair (tester, tested)."""
-
     model_name = "pmc"
     entry_len = 2
 
 
 class MmSyndrome(_Syndrome):
-    """Outcome bit for every comparison (comparator; smaller, larger)."""
-
     model_name = "mm"
     entry_len = 3
 
 
-def pmc_entries(g: Graph) -> List[Tuple[int, int]]:
-    """All ordered adjacent pairs, sorted."""
-    out = []
-    for u, v in g.edges:
-        out.append((u, v))
-        out.append((v, u))
-    return sorted(out)
+_SYNDROMES = {DiagModel.PMC: PmcSyndrome, DiagModel.MMSTAR: MmSyndrome}
 
 
-def mm_entries(g: Graph) -> List[Tuple[int, int, int]]:
-    """All comparison triples (w; u, v) with u < v both adjacent to w, sorted."""
-    out = []
-    for w in range(g.n):
-        nbrs = sorted(bits_of(g.adj_masks[w]))
-        for u, v in combinations(nbrs, 2):
-            out.append((w, u, v))
-    return sorted(out)
-
-
-def _forced_bit_pmc(entry: Tuple[int, int], fault_mask: int) -> int:
-    return (fault_mask >> entry[1]) & 1
-
-
-def _forced_bit_mm(entry: Tuple[int, int, int], fault_mask: int) -> int:
-    _, u, v = entry
-    return 1 if ((fault_mask >> u) | (fault_mask >> v)) & 1 else 0
-
-
-class _ModelSpec(NamedTuple):
-    syndrome_cls: type
-    entries: Callable[[Graph], list]
-    forced: Callable[[tuple, int], int]
-
-
-_MODELS = {
-    DiagModel.PMC: _ModelSpec(PmcSyndrome, pmc_entries, _forced_bit_pmc),
-    DiagModel.MMSTAR: _ModelSpec(MmSyndrome, mm_entries, _forced_bit_mm),
-}
+def entries(g: Graph, model) -> List[Tuple[int, ...]]:
+    """Every entry of the model on g, sorted."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:  # sorted, so each list comes out ascending
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    k = _SYNDROMES[model].entry_len - 1
+    return [(w,) + tested for w in range(g.n) for tested in combinations(nbrs[w], k)]
 
 
 def generate_syndrome(g: Graph, faults: Iterable[int], model, policy: AdversaryPolicy):
     """The syndrome the fault set produces under the model semantics, with
-    the entries its members control filled in by the policy."""
-    cls, entries, forced = _MODELS[model]
+    the entries its members control filled in by the policy, in entry order."""
     fault_mask = g.vertex_mask(faults)
+    rng = random.Random(policy.seed) if policy.kind == "seeded_random" else None
+    fixed = int(policy.kind == "all_one")
     outcomes = {}
-    controlled = []
-    for entry in entries(g):
-        if (fault_mask >> entry[0]) & 1:
-            controlled.append(entry)
-        else:
-            outcomes[entry] = forced(entry, fault_mask)
-    if policy.kind == "all_zero":
-        for entry in controlled:
-            outcomes[entry] = 0
-    elif policy.kind == "all_one":
-        for entry in controlled:
-            outcomes[entry] = 1
-    else:
-        rng = random.Random(policy.seed)
-        for entry in controlled:
-            outcomes[entry] = rng.getrandbits(1)
-    return cls(outcomes)
+    for e in entries(g, model):
+        if fault_mask >> e[0] & 1:
+            outcomes[e] = rng.getrandbits(1) if rng else fixed
+        else:  # e[1] is e[-1] under PMC
+            outcomes[e] = (fault_mask >> e[1] | fault_mask >> e[-1]) & 1
+    return _SYNDROMES[model](outcomes)
 
 
-def _validate_shape(g: Graph, syndrome, spec: _ModelSpec):
-    cls = spec.syndrome_cls
+def _validate_shape(g: Graph, syndrome, model):
+    cls = _SYNDROMES[model]
     if not isinstance(syndrome, cls):
         raise SyndromeError(f"expected a {cls.__name__} for the {cls.model_name} model")
     # as many keys as the graph has entries, each one an entry
@@ -222,8 +180,7 @@ def decode(g: Graph, syndrome, t: int, model) -> Tuple[frozenset, ...]:
     """
     if t < 0:
         raise GraphError(f"fault budget must be nonnegative, got {t}")
-    spec = _MODELS[model]
-    _validate_shape(g, syndrome, spec)
+    _validate_shape(g, syndrome, model)
     t = min(t, g.n)
     adj = g.adj_masks
     opts = _options(g, syndrome, t, model is DiagModel.MMSTAR)

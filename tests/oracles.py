@@ -12,10 +12,17 @@ from dataclasses import MISSING, dataclass, fields
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
 
-from diagnoscope.diagnosis import diagnosability_cap, is_t_diagnosable
+from diagnoscope.diagnosis import DiagModel, diagnosability_cap, is_t_diagnosable
 from diagnoscope.families import GammaSpec, RecognizedDecomposition, make_gamma
 from diagnoscope.graphs import Graph, GraphError, bits_of, delete_edges, relabel
-from diagnoscope.syndrome import ALL_ZERO, _MODELS, _validate_shape, generate_syndrome
+from diagnoscope.syndrome import (
+    ALL_ZERO,
+    MmSyndrome,
+    PmcSyndrome,
+    _validate_shape,
+    entries,
+    generate_syndrome,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -112,17 +119,30 @@ def every_syndrome(g: Graph, faults: Iterable[int], model):
         yield type(base)(outcomes)
 
 
+def fault_free_report(entry, model, faults) -> int:
+    """The bit a fault-free tester or comparator reports for the entry.
+
+    PMC: the tester reports the status of the vertex it tests (1 =
+    faulty).  MM*: the comparator reports 1 exactly when at least one of
+    the two vertices it compares is faulty.
+    """
+    if model is DiagModel.PMC:
+        _tester, tested = entry
+        return int(tested in faults)
+    _comparator, u, v = entry
+    return int(u in faults or v in faults)
+
+
 def consistent_with(g: Graph, syndrome, faults: Iterable[int], model) -> bool:
     """Could this fault set have produced the syndrome under some adversary?
 
     Exactly the entries whose tester or comparator is outside the fault
     set are forced; controlled entries can always be matched.
     """
-    spec = _MODELS[model]
-    _validate_shape(g, syndrome, spec)
-    fault_mask = g.vertex_mask(faults)
+    _validate_shape(g, syndrome, model)
+    faults = set(faults)
     for entry, bit in syndrome.outcomes.items():
-        if not (fault_mask >> entry[0]) & 1 and bit != spec.forced(entry, fault_mask):
+        if entry[0] not in faults and bit != fault_free_report(entry, model, faults):
             return False
     return True
 
@@ -136,14 +156,13 @@ def syndromes_compatible(g: Graph, f1: Iterable[int], f2: Iterable[int], model) 
     distinguishability predicates and is kept deliberately independent of
     them.
     """
-    _, entries, forced = _MODELS[model]
-    m1 = g.vertex_mask(f1)
-    m2 = g.vertex_mask(f2)
-    both = m1 | m2
-    for entry in entries(g):
-        if not (both >> entry[0]) & 1 and forced(entry, m1) != forced(entry, m2):
-            return False
-    return True
+    f1, f2 = set(f1), set(f2)
+    both = f1 | f2
+    return all(
+        fault_free_report(entry, model, f1) == fault_free_report(entry, model, f2)
+        for entry in entries(g, model)
+        if entry[0] not in both
+    )
 
 
 def confusing_syndrome(g: Graph, f1: Iterable[int], f2: Iterable[int], model):
@@ -154,19 +173,17 @@ def confusing_syndrome(g: Graph, f1: Iterable[int], f2: Iterable[int], model):
     is indistinguishable the doubly-forced entries agree, so the result is
     consistent with both sets (decode confirms).
     """
-    cls, entries, forced = _MODELS[model]
-    m1 = g.vertex_mask(f1)
-    m2 = g.vertex_mask(f2)
+    f1, f2 = set(f1), set(f2)
     outcomes = {}
-    for entry in entries(g):
+    for entry in entries(g, model):
         head = entry[0]
-        if not (m1 >> head) & 1:
-            outcomes[entry] = forced(entry, m1)
-        elif not (m2 >> head) & 1:
-            outcomes[entry] = forced(entry, m2)
+        if head not in f1:
+            outcomes[entry] = fault_free_report(entry, model, f1)
+        elif head not in f2:
+            outcomes[entry] = fault_free_report(entry, model, f2)
         else:
             outcomes[entry] = 0
-    return cls(outcomes)
+    return (PmcSyndrome if model is DiagModel.PMC else MmSyndrome)(outcomes)
 
 
 def unique_decoding_everywhere(g, t, model):

@@ -11,13 +11,17 @@ from pathlib import Path
 import pytest
 
 from diagnoscope.cli import main
-from diagnoscope.families import complete, hypercube, petersen
+from diagnoscope.families import complete, hypercube, petersen, random_t_connected
 from diagnoscope.formats import emit_edge_list, emit_graph6, parse_graph6
 from diagnoscope.families import GammaSpec
 from oracles import gamma_spec_to_json
 
 
 GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens"
+# ``syndrome --faults 0,5`` stdout per graph, model and policy
+SYNDROME_GOLDEN = Path(__file__).resolve().parent / "goldens" / "syndrome-faults-0-5.json"
+SYNDROME_POLICIES = {"zero": ["--policy", "zero"], "one": ["--policy", "one"],
+                     "random-7": ["--policy", "random", "--seed", "7"]}
 FAMILY_3 = {"family": 3, "delta": 3, "l": 4, "assign_left": [0, 1, 0, 1], "assign_right": [0, 1, 0, 1]}
 
 
@@ -436,6 +440,24 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "verify", "--claims", "nope")
         assert code == 1
         assert "unknown claims" in err
+
+    @pytest.mark.parametrize("claims", [",", " , ", ""])
+    def test_verify_claims_naming_no_claim_exit_1(self, capsys, claims):
+        code, out, err = run_cli(capsys, "verify", "--claims", claims)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: --claims names no claim; available: ")
+        assert len(err.splitlines()) == 1
+
+    @pytest.mark.parametrize("policy", list(SYNDROME_POLICIES))
+    @pytest.mark.parametrize("model", ["pmc", "mm"])
+    @pytest.mark.parametrize("name", ["q3", "petersen", "random-9-3-1"])
+    def test_syndrome_json_matches_golden(self, capsys, monkeypatch, name, model, policy):
+        graph = {"q3": hypercube(3), "petersen": petersen(), "random-9-3-1": random_t_connected(9, 3, 1)}[name]
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(graph)))
+        code, out, _ = run_cli(capsys, "syndrome", "-", "--faults", "0,5", "--model", model,
+                               *SYNDROME_POLICIES[policy])
+        assert code == 0
+        assert out == json.loads(SYNDROME_GOLDEN.read_text())[f"{name}-{model}-{policy}"]
 
 
 def test_module_entrypoint_subprocess():

@@ -17,15 +17,18 @@ from diagnoscope.syndrome import (
     MmSyndrome,
     PmcSyndrome,
     SyndromeError,
-    _forced_bit_mm,
-    _forced_bit_pmc,
     decode,
+    entries,
     generate_syndrome,
-    mm_entries,
-    pmc_entries,
     seeded_random,
 )
-from oracles import confusing_syndrome, consistent_with, every_syndrome, unique_decoding_everywhere
+from oracles import (
+    confusing_syndrome,
+    consistent_with,
+    every_syndrome,
+    fault_free_report,
+    unique_decoding_everywhere,
+)
 
 PMC = DiagModel.PMC
 MM = DiagModel.MMSTAR
@@ -34,18 +37,14 @@ MM = DiagModel.MMSTAR
 def reference_decode(g, syndrome, t, model):
     """The subset-enumeration decoder, frozen as the reference for
     ``decode`` (shape validation is left to ``decode``)."""
-    model_name = "pmc" if model is DiagModel.PMC else "mm"
-    forced = _forced_bit_pmc if model_name == "pmc" else _forced_bit_mm
-    entries = list(syndrome.outcomes.items())
+    outcomes = list(syndrome.outcomes.items())
     found = []
     for size in range(0, min(t, g.n) + 1):
         for combo in combinations(range(g.n), size):
-            fault_mask = 0
-            for v in combo:
-                fault_mask |= 1 << v
+            faults = set(combo)
             ok = True
-            for entry, bit in entries:
-                if not (fault_mask >> entry[0]) & 1 and bit != forced(entry, fault_mask):
+            for entry, bit in outcomes:
+                if entry[0] not in faults and bit != fault_free_report(entry, model, faults):
                     ok = False
                     break
             if ok:
@@ -54,9 +53,8 @@ def reference_decode(g, syndrome, t, model):
 
 
 def random_syndrome(g, model, rng):
-    if model is PMC:
-        return PmcSyndrome({e: rng.getrandbits(1) for e in pmc_entries(g)})
-    return MmSyndrome({e: rng.getrandbits(1) for e in mm_entries(g)})
+    cls = PmcSyndrome if model is PMC else MmSyndrome
+    return cls({e: rng.getrandbits(1) for e in entries(g, model)})
 
 
 def empty_graph(n):
@@ -69,6 +67,26 @@ def graphs(draw, min_n=1, max_n=5):
     pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
     edges = [e for e in pairs if draw(st.booleans())]
     return build_graph(n, edges)
+
+
+class TestEntries:
+    """The entry list read by definition: PMC, every ordered adjacent pair
+    (tester, tested); MM*, every (comparator, u, v) with u < v both
+    adjacent to the comparator."""
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_every_graph_up_to_five_vertices(self, n):
+        for g in all_graphs(n):
+            pairs = [(u, v) for u in range(n) for v in range(n) if g.has_edge(u, v)]
+            triples = [
+                (w, u, v)
+                for w in range(n)
+                for u in range(n)
+                for v in range(u + 1, n)
+                if g.has_edge(w, u) and g.has_edge(w, v)
+            ]
+            assert entries(g, PMC) == sorted(pairs)
+            assert entries(g, MM) == sorted(triples)
 
 
 class TestGeneration:
@@ -204,14 +222,13 @@ class TestShapeValidation:
 
     @pytest.mark.parametrize("model", [PMC, MM])
     def test_agrees_with_entry_set_comparison(self, model):
-        entries = pmc_entries if model is PMC else mm_entries
         width = 2 if model is PMC else 3
         for n in range(1, 5):
             pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
             keys = list(product(range(-1, n + 1), repeat=width))
             for bits in range(1 << len(pairs)):
                 g = build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
-                full = entries(g)
+                full = entries(g, model)
                 variants = [full, full[1:], full[:-1]]
                 variants += [full + [k] for k in keys]
                 variants += [full[1:] + [k] for k in keys]
