@@ -2,7 +2,9 @@
 
 Subcommands: gen, analyze, recognize, syndrome, verify, paths.
 JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
-1 usage error, 2 input format error, 3 budget or cap exceeded.
+1 usage error, 2 input format error, 3 budget or cap exceeded.  Graph input
+takes no options: ``load_graph`` reads the format off the first content
+line, and ``DIAGNOSCOPE_CAP`` is the one vertex-cap setting.
 """
 
 from __future__ import annotations
@@ -10,7 +12,6 @@ from __future__ import annotations
 import argparse
 import json
 import os
-import re
 import sys
 import warnings
 from typing import List, Optional, Tuple
@@ -93,30 +94,24 @@ def _read_input(path: str) -> str:
         raise UsageError(f"cannot read {path}: {exc}")
 
 
-_EDGE_LIST_HEADER = re.compile(r"^\s*\d+\s+\d+\s*$")
+def load_graph(path: str) -> Tuple[Graph, str]:
+    """Read a graph file (or stdin for '-') and the name of its format.
 
-
-def load_graph(path: str, fmt: str = "auto", cap: Optional[int] = None) -> Tuple[Graph, str]:
-    """Read a graph file (or stdin for '-'), auto-detecting the format.
-
-    graph6 files may hold one graph per line; the first line is used.
+    The first line that is neither blank nor a ``#`` comment decides: an
+    edge list opens with its ``n m`` header, so with a digit, and no graph6
+    line does (graph6 bytes are 63-126).  Only that line is read as graph6.
     """
     text = _read_input(path)
-    if fmt == "auto":
-        first = next(
-            (line for line in text.splitlines() if line.strip() and not line.lstrip().startswith("#")),
-            "",
-        )
-        fmt = "edge-list" if _EDGE_LIST_HEADER.match(first) else "graph6"
-    if fmt == "edge-list":
-        return parse_edge_list(text, cap=cap), "edge-list"
-    first = next((line for line in text.splitlines() if line.strip()), "")
-    return parse_graph6(first, cap=cap), "graph6"
+    lines = (line.strip() for line in text.splitlines())
+    first = next((line for line in lines if line and not line.startswith("#")), "")
+    if first[:1].isdecimal():
+        return parse_edge_list(text), "edge-list"
+    return parse_graph6(first), "graph6"
 
 
 def _load_nonempty(args) -> Tuple[Graph, str]:
     """``load_graph`` for commands that are undefined on zero vertices."""
-    g, fmt = load_graph(args.input, args.format, args.cap)
+    g, fmt = load_graph(args.input)
     if g.n == 0:
         raise FormatError("graph has no vertices")
     return g, fmt
@@ -199,7 +194,7 @@ def _cmd_analyze(args) -> int:
 
 
 def _cmd_recognize(args) -> int:
-    g, _ = load_graph(args.input, args.format, args.cap)
+    g, _ = load_graph(args.input)
     result = recognize_exceptional(g)
     payload = _family_json(result)
     if result.witness is not None:
@@ -214,7 +209,7 @@ def _cmd_recognize(args) -> int:
 
 
 def _cmd_syndrome(args) -> int:
-    g, _ = load_graph(args.input, args.format, args.cap)
+    g, _ = load_graph(args.input)
     faults = args.faults
     model = DiagModel(args.model)
     if args.policy == "zero":
@@ -287,13 +282,8 @@ def _cmd_paths(args) -> int:
     return EXIT_OK
 
 
-def _add_input_options(sub) -> None:
+def _add_input(sub) -> None:
     sub.add_argument("input", nargs="?", default="-", help="graph file, or - for stdin")
-    sub.add_argument(
-        "--format", choices=("auto", "graph6", "edge-list"), default="auto",
-        help="input format (default: auto-detect)",
-    )
-    sub.add_argument("--cap", type=_nonnegative, default=None, help="vertex-count cap override")
 
 
 def build_parser() -> _Parser:
@@ -310,7 +300,7 @@ def build_parser() -> _Parser:
     p_gen.set_defaults(func=_cmd_gen)
 
     p_an = sub.add_parser("analyze", help="full diagnosability report as JSON")
-    _add_input_options(p_an)
+    _add_input(p_an)
     p_an.add_argument("--model", choices=("pmc", "mm", "both"), default="both")
     p_an.add_argument("--h-max", type=_nonnegative, default=None, dest="h_max",
                       help="edge budgets 0..K (default 1)")
@@ -320,11 +310,11 @@ def build_parser() -> _Parser:
     p_an.set_defaults(func=_cmd_analyze)
 
     p_rec = sub.add_parser("recognize", help="exceptional-family membership, decided at every size")
-    _add_input_options(p_rec)
+    _add_input(p_rec)
     p_rec.set_defaults(func=_cmd_recognize)
 
     p_syn = sub.add_parser("syndrome", help="inject faults, emit a syndrome, decode it back")
-    _add_input_options(p_syn)
+    _add_input(p_syn)
     p_syn.add_argument("--faults", type=_vertex_list, default="", help="comma-separated fault vertices")
     p_syn.add_argument("--model", choices=("pmc", "mm"), default="pmc")
     p_syn.add_argument("--policy", choices=("zero", "one", "random"), default="zero",
@@ -347,7 +337,7 @@ def build_parser() -> _Parser:
     p_ver.set_defaults(func=_cmd_verify)
 
     p_path = sub.add_parser("paths", help="connectivity and internally disjoint paths")
-    _add_input_options(p_path)
+    _add_input(p_path)
     p_path.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"),
                         help="report a maximum disjoint-path family between U and V")
     p_path.set_defaults(func=_cmd_paths)

@@ -80,10 +80,6 @@ def is_connected(g: Graph) -> bool:
     return seen == full
 
 
-def _is_complete(g: Graph) -> bool:
-    return g.m == g.n * (g.n - 1) // 2
-
-
 class _Flow:
     """Unit-vertex-capacity flow between terminals s and t over ``adj``.
 
@@ -272,13 +268,11 @@ def _kappa_value(g: Graph) -> int:
     """Vertex connectivity without witness extraction.
 
     Conventions: kappa of a complete graph on n vertices is n-1 (including
-    kappa(K1) = 0) and kappa of a disconnected graph is 0.
+    kappa(K1) = 0; its pair list is empty, so kappa = delta) and kappa of a
+    disconnected graph is 0.
     """
-    n = g.n
-    if n == 0:
+    if g.n == 0:
         raise GraphError("connectivity is undefined for the empty graph")
-    if _is_complete(g):
-        return n - 1
     if not is_connected(g):
         return 0
     adj = g.adj_masks
@@ -331,7 +325,7 @@ def vertex_connectivity(g: Graph) -> ConnectivityReport:
     """
     kappa = _kappa_value(g)
     delta = g.min_degree
-    if _is_complete(g) or kappa == 0:
+    if kappa in (0, g.n - 1):  # disconnected, or complete
         return ConnectivityReport(kappa, delta, kappa == delta, frozenset())
     return ConnectivityReport(kappa, delta, kappa == delta, frozenset(_witness_cut(g, kappa)))
 

@@ -39,7 +39,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, fields
-from itertools import combinations
+from itertools import chain, combinations
 from typing import List, Optional, Sequence, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
@@ -361,7 +361,7 @@ def random_gamma(
     """
     if l is None:
         l = minimal_block_size(family, delta)
-    check_vertex_count(_check_shape(GammaSpec(family, delta, l)))
+    check_vertex_count(_check_shape(GammaSpec(family, delta, l)))  # before drawing spec lists
     rng = random.Random(f"gamma-{family}-{delta}-{l}-{seed}")
     for _ in range(SAMPLE_ATTEMPTS):
         spec = _draw_spec(rng, family, delta, l)
@@ -584,29 +584,26 @@ def hypercube(dim: int) -> Graph:
 def complete(n: int) -> Graph:
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    check_vertex_count(n)
+    check_vertex_count(n)  # combinations() pools range(n) at once
     return build_graph(n, combinations(range(n), 2))
 
 
 def complete_bipartite(a: int, b: int) -> Graph:
     if a < 0 or b < 0:
         raise GraphError("part sizes must be nonnegative")
-    check_vertex_count(a + b)
-    return build_graph(a + b, [(i, a + j) for i in range(a) for j in range(b)])
+    return build_graph(a + b, ((i, a + j) for i in range(a) for j in range(b)))
 
 
 def cycle(n: int) -> Graph:
     if n < 3:
         raise GraphError(f"a cycle needs at least 3 vertices, got {n}")
-    check_vertex_count(n)
-    return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return build_graph(n, ((i, (i + 1) % n) for i in range(n)))
 
 
 def path(n: int) -> Graph:
     if n < 1:
         raise GraphError(f"a path needs at least 1 vertex, got {n}")
-    check_vertex_count(n)
-    return build_graph(n, [(i, i + 1) for i in range(n - 1)])
+    return build_graph(n, ((i, i + 1) for i in range(n - 1)))
 
 
 def petersen() -> Graph:
@@ -622,18 +619,16 @@ def circulant(n: int, connections: Sequence[int]) -> Graph:
     for s in connections:
         if s % n == 0:
             raise GraphError(f"circulant step {s} is a multiple of {n}")
-    check_vertex_count(n)
-    return build_graph(n, [(i, (i + s) % n) for s in connections for i in range(n)])
+    return build_graph(n, ((i, (i + s) % n) for s in connections for i in range(n)))
 
 
 def prism(k: int) -> Graph:
     """Cartesian product of a k-cycle with a single edge (two stacked cycles)."""
     if k < 3:
         raise GraphError(f"a prism needs cycle length at least 3, got {k}")
-    check_vertex_count(2 * k)
-    edges = [(i, (i + 1) % k) for i in range(k)]
-    edges += [(k + i, k + (i + 1) % k) for i in range(k)]
-    edges += [(i, k + i) for i in range(k)]
+    edges = chain.from_iterable(  # per i: an edge of each cycle, and the rung between them
+        ((i, (i + 1) % k), (k + i, k + (i + 1) % k), (i, k + i)) for i in range(k)
+    )
     return build_graph(2 * k, edges)
 
 
@@ -641,8 +636,7 @@ def wheel(k: int) -> Graph:
     """A k-cycle plus a hub adjacent to every rim vertex (hub id k)."""
     if k < 3:
         raise GraphError(f"a wheel needs rim length at least 3, got {k}")
-    check_vertex_count(k + 1)
-    edges = [(i, (i + 1) % k) for i in range(k)] + [(i, k) for i in range(k)]
+    edges = chain.from_iterable(((i, (i + 1) % k), (i, k)) for i in range(k))  # rim, spoke
     return build_graph(k + 1, edges)
 
 
@@ -656,7 +650,7 @@ def random_t_connected(n: int, t: int, seed: int) -> Graph:
         raise GraphError(f"connectivity target must be nonnegative, got {t}")
     if t > n - 1:
         raise GraphError(f"no graph on {n} vertices is {t}-connected")
-    check_vertex_count(n)
+    check_vertex_count(n)  # before sampling from combinations(range(n), 2)
     rng = random.Random(f"random-t-connected-{n}-{t}-{seed}")
     p = min(0.95, (t + 1.0) / max(1, n - 1))
     for _ in range(SAMPLE_ATTEMPTS):

@@ -13,7 +13,7 @@ import warnings
 from dataclasses import MISSING, fields
 from typing import Optional
 
-from .families import GammaSpec
+from .families import _FAMILY_FIELDS, GammaSpec
 from .graphs import Graph, GraphError, build_graph, check_vertex_count
 from .tolerance import BoundReport
 
@@ -36,7 +36,7 @@ class FormatError(ValueError):
 # edge list
 
 
-def parse_edge_list(text: str, *, cap: int | None = None) -> Graph:
+def parse_edge_list(text: str) -> Graph:
     """Parse the ``n m`` edge-list format.
 
     Duplicate edges warn and deduplicate.  Self-loops and out-of-range ids
@@ -85,7 +85,7 @@ def parse_edge_list(text: str, *, cap: int | None = None) -> Graph:
         raise FormatError(
             f"header declared {declared} edges but {listed} were listed", line=header
         )
-    return build_graph(n, edges, cap=cap)
+    return build_graph(n, edges)
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -100,7 +100,7 @@ def emit_edge_list(g: Graph) -> str:
 _G6_HEADER = ">>graph6<<"
 
 
-def parse_graph6(text: str, *, cap: int | None = None) -> Graph:
+def parse_graph6(text: str) -> Graph:
     """Decode one graph6 line (optional ``>>graph6<<`` header allowed)."""
     s = text.strip()
     if s.startswith(_G6_HEADER):
@@ -137,7 +137,7 @@ def parse_graph6(text: str, *, cap: int | None = None) -> Graph:
         raise FormatError("truncated adjacency bits", offset=len(data))
     if len(data) - pos > nbytes:
         raise FormatError("trailing bytes after adjacency bits", offset=pos + nbytes)
-    check_vertex_count(n, cap)  # before decoding n(n-1)/2 bits
+    check_vertex_count(n)  # before decoding n(n-1)/2 bits
     bits = []
     for i in range(nbytes):
         b = data[pos + i]
@@ -156,7 +156,7 @@ def parse_graph6(text: str, *, cap: int | None = None) -> Graph:
             if bits[k]:
                 edges.append((i, j))
             k += 1
-    return build_graph(n, edges, cap=cap)
+    return build_graph(n, edges)
 
 
 def emit_graph6(g: Graph) -> str:
@@ -221,9 +221,11 @@ def gamma_spec_from_json(payload: dict) -> GammaSpec:
             values[f.name] = _read_field(f.name, payload[f.name], *_SHAPES[f.type])
         elif f.default is MISSING:
             raise FormatError(f"bad family spec: missing {f.name!r}")
-    # a key, not a value: GammaSpec cannot tell the default bridge from none
-    if "bridge" in values and values["family"] != 4:
-        raise FormatError(f"bad family spec: family {values['family']} does not use bridge")
+    # a key, not a value: GammaSpec cannot tell a default field from an omitted one
+    used = _FAMILY_FIELDS.get(values["family"])  # a bad index is make_gamma's error
+    for f in fields(GammaSpec)[4:]:
+        if used is not None and f.name in values and f.name not in used:
+            raise FormatError(f"bad family spec: family {values['family']} does not use {f.name}")
     return GammaSpec(**values)
 
 

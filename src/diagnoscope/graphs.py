@@ -5,7 +5,7 @@ Python ints used as bitmasks; ``Graph.adj_masks`` exposes the adjacency
 in the same encoding so that exhaustive-search engines can run on pure
 integer set algebra.  Graphs are immutable after construction: every
 operation returns a new value, which makes them safe to share across
-concurrent workers.
+concurrent workers.  ``build_graph`` enforces the vertex cap, ``vertex_cap()``.
 """
 
 from __future__ import annotations
@@ -32,26 +32,23 @@ class CapExceededError(GraphError):
     """
 
 
-def vertex_cap(override: int | None = None) -> int:
-    """Resolve the vertex cap: explicit override, else ``DIAGNOSCOPE_CAP``, else 64."""
-    if override is not None:
-        return override
-    raw = os.environ.get(CAP_ENV_VAR)
-    if raw is None:
-        return DEFAULT_VERTEX_CAP
+def vertex_cap() -> int:
+    """The vertex cap: ``DIAGNOSCOPE_CAP`` if set, else 64."""
+    raw = os.environ.get(CAP_ENV_VAR, str(DEFAULT_VERTEX_CAP))
     try:
         return int(raw)
     except ValueError as exc:
         raise GraphError(f"{CAP_ENV_VAR} must be an integer, got {raw!r}") from exc
 
 
-def check_vertex_count(n: int, cap: int | None = None) -> None:
+def check_vertex_count(n: int) -> None:
     """Raise CapExceededError when n exceeds the cap (see ``vertex_cap``).
 
-    Constructors call this as soon as they know n, before any work that
-    grows with n, so an over-cap request fails at once.
+    ``build_graph`` calls this before it takes the first edge; a
+    constructor that does work growing with n before then calls it first,
+    so an over-cap request fails at once.
     """
-    limit = vertex_cap(cap)
+    limit = vertex_cap()
     if n > limit:
         raise CapExceededError(f"graph on {n} vertices exceeds the cap of {limit}")
 
@@ -156,15 +153,17 @@ def bits_of(mask: int):
         mask ^= low
 
 
-def build_graph(n: int, edge_list: Iterable[Tuple[int, int]], *, cap: int | None = None) -> Graph:
+def build_graph(n: int, edge_list: Iterable[Tuple[int, int]]) -> Graph:
     """Build a graph from a raw edge list, deduplicating undirected pairs.
 
     Raises GraphError for endpoints out of range or self-loops, naming
-    the offending pair, and CapExceededError when n exceeds the cap.
+    the offending pair, and CapExceededError when n exceeds the cap; the
+    cap is checked before the first edge is taken, so a lazy edge list
+    for an over-cap n is never iterated.
     """
     if n < 0:
         raise GraphError(f"vertex count must be nonnegative, got {n}")
-    check_vertex_count(n, cap)
+    check_vertex_count(n)
     seen = set()
     for u, v in edge_list:
         if u == v:

@@ -279,9 +279,9 @@ class Facts:
 
     @property
     def excluded(self) -> bool:
-        """G outside the exceptional family: the common-neighbor shortcut
-        first, then the recognizer."""
-        return self.shortcut or not self.recognition.member
+        """G outside the exceptional family (the recognizer applies the
+        common-neighbor shortcut itself)."""
+        return not self.recognition.member
 
 
 # A hypothesis atom maps (facts, h) to (condition text, holds).  X names

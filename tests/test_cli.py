@@ -10,9 +10,16 @@ from pathlib import Path
 
 import pytest
 
-from diagnoscope.cli import main
-from diagnoscope.families import complete, hypercube, petersen, random_t_connected
-from diagnoscope.formats import emit_edge_list, emit_graph6, parse_graph6
+from diagnoscope.cli import load_graph, main
+from diagnoscope.families import (
+    complete,
+    generate_standard,
+    hypercube,
+    make_gamma,
+    petersen,
+    random_t_connected,
+)
+from diagnoscope.formats import emit_edge_list, emit_graph6, parse_gamma_spec, parse_graph6
 from diagnoscope.families import GammaSpec
 from oracles import gamma_spec_to_json
 
@@ -75,6 +82,8 @@ class TestGen:
         {**FAMILY_3, "core_right_edges": [[0, 0], [0, 0]]},
         {**FAMILY_3, "left_right_edges": [[1, 0], [1, 0]]},
         {"family": 1, "delta": 3, "l": 4, "bridge": [0, 1]},  # the default bridge
+        {"family": 1, "delta": 3, "l": 4, "attach": []},  # a default, on a family without it
+        {"family": 9, "delta": 3, "l": 4, "attach": []},  # make_gamma rejects the index
     ])
     def test_malformed_gamma_spec_exit_2(self, capsys, tmp_path, spec):
         path = tmp_path / "spec.json"
@@ -268,10 +277,11 @@ class TestAnalyze:
         assert code == 0
         json.loads(out)
 
-    def test_cap_exit_3(self, capsys, tmp_path):
+    def test_cap_exit_3(self, capsys, tmp_path, monkeypatch):
         path = tmp_path / "k5.g6"
         path.write_text(emit_graph6(complete(5)) + "\n")
-        code, _, err = run_cli(capsys, "analyze", str(path), "--cap", "4")
+        monkeypatch.setenv("DIAGNOSCOPE_CAP", "4")
+        code, _, err = run_cli(capsys, "analyze", str(path))
         assert code == 3
         assert "cap" in err.lower()
 
@@ -306,6 +316,61 @@ class TestAnalyze:
         assert first == second
 
 
+# every gen kind at a small size; gamma reads FAMILY_3 from a spec file
+GEN_ARGV = [
+    ("hypercube", "3"), ("complete", "0"), ("complete", "1"), ("complete", "4"),
+    ("complete-bipartite", "2", "3"), ("cycle", "5"), ("path", "4"), ("petersen",),
+    ("prism", "4"), ("wheel", "5"), ("circulant", "8", "1", "2"),
+    ("random-t-connected", "8", "3", "1"), ("gamma",),
+]
+COMMENTS = "# a comment\n\n   # an indented comment\n\n"
+
+
+class TestLoadGraph:
+    """The first line neither blank nor a comment picks the format."""
+
+    @pytest.mark.parametrize("argv", GEN_ARGV, ids="-".join)
+    @pytest.mark.parametrize("comments", ["", COMMENTS], ids=["plain", "commented"])
+    def test_both_formats_read_the_same_graph(self, capsys, tmp_path, argv, comments):
+        if argv == ("gamma",):
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(FAMILY_3))
+            argv = ("gamma", str(spec))
+            expected = make_gamma(parse_gamma_spec(json.dumps(FAMILY_3)))
+        else:
+            expected = generate_standard(argv[0], *map(int, argv[1:]))
+        for fmt in ("graph6", "edge-list"):
+            code, out, _ = run_cli(capsys, "gen", *argv, "--format", fmt)
+            assert code == 0
+            path = tmp_path / f"graph.{fmt}"
+            path.write_text(comments + out)
+            assert load_graph(str(path)) == (expected, fmt)
+
+    def test_graph6_after_comment_lines(self, capsys, tmp_path):
+        path = tmp_path / "q3.g6"
+        path.write_text(COMMENTS + emit_graph6(hypercube(3)) + "\n")
+        code, out, err = run_cli(capsys, "paths", str(path))
+        assert (code, err) == (0, "")
+        assert json.loads(out)["kappa"] == 3
+
+    @pytest.mark.parametrize("header", ["3 x", "3", " 3 x y"])
+    def test_bad_edge_list_header_exit_2(self, capsys, tmp_path, header):
+        path = tmp_path / "bad.el"
+        path.write_text(f"# a comment\n\n{header}\n0 1\n")
+        code, out, err = run_cli(capsys, "analyze", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("input error: header") and "(line 3)" in err
+
+    @pytest.mark.parametrize("command", ["analyze", "recognize", "syndrome", "paths"])
+    @pytest.mark.parametrize("option", [("--format", "graph6"), ("--cap", "100")])
+    def test_no_input_options(self, capsys, command, option):
+        # the format is read off the input and the cap is DIAGNOSCOPE_CAP
+        code, out, err = run_cli(capsys, command, "-", *option)
+        assert (code, out) == (1, "")
+        assert f"unrecognized arguments: {' '.join(option)}" in err
+        assert "Traceback" not in err
+
+
 class TestOtherCommands:
     def test_usage_error_exit_1(self, capsys):
         code, _, _ = run_cli(capsys, "analyze", "--model", "bogus")
@@ -321,8 +386,6 @@ class TestOtherCommands:
         ("verify", "--max-scenarios", "-1"),
         ("verify", "--trials", "-2"),
         ("verify", "--jobs", "0"),
-        ("analyze", "--cap", "-1"),
-        ("recognize", "--cap", "-5"),
         ("syndrome", "--faults", "1,x"),
         ("syndrome", "--faults", "1,1"),
         ("syndrome", "--t", "-1"),

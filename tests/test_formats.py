@@ -1,12 +1,13 @@
 import json
 import time
+from dataclasses import fields
 
 import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagnoscope.families import GammaSpec, complete, make_gamma, random_gamma
+from diagnoscope.families import _FAMILY_FIELDS, GammaSpec, complete, make_gamma, random_gamma
 from diagnoscope.formats import (
     FormatError,
     emit_edge_list,
@@ -96,10 +97,10 @@ class TestGraph6:
         assert parse_graph6(">>graph6<<C~") == complete(4)
 
     def test_large_n_header(self):
-        g = build_graph(63, [(0, 62)], cap=64)
+        g = build_graph(63, [(0, 62)])
         line = emit_graph6(g)
         assert line.startswith("~")
-        assert parse_graph6(line, cap=64) == g
+        assert parse_graph6(line) == g
 
     def test_bad_byte(self):
         with pytest.raises(FormatError, match="byte"):
@@ -161,6 +162,22 @@ class TestGammaSpecJson:
         text = json.dumps(gamma_spec_to_json(spec))
         assert parse_gamma_spec(text) == spec
         assert make_gamma(parse_gamma_spec(text)) == make_gamma(spec)
+
+    @pytest.mark.parametrize("family, key", [
+        (family, f.name) for family in _FAMILY_FIELDS for f in fields(GammaSpec)[4:]
+        if f.name not in _FAMILY_FIELDS[family]
+    ])
+    def test_key_the_family_does_not_use(self, family, key):
+        # rejected even at its default value, which the spec could not tell from omitted
+        default = json.loads(json.dumps(getattr(GammaSpec(family, 3, 4), key)))
+        with pytest.raises(FormatError, match=f"^bad family spec: family {family} does not use {key}$"):
+            gamma_spec_from_json({"family": family, "delta": 3, "l": 4, key: default})
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_FIELDS))
+    def test_own_keys_accepted_at_defaults(self, family):
+        spec = GammaSpec(family, 3, 4)
+        payload = {key: json.loads(json.dumps(getattr(spec, key))) for key in _FAMILY_FIELDS[family]}
+        assert gamma_spec_from_json({"family": family, "delta": 3, "l": 4, **payload}) == spec
 
     def test_bad_json(self):
         with pytest.raises(FormatError, match="JSON"):

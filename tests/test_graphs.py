@@ -58,8 +58,9 @@ class TestBuildGraph:
             build_graph(11, [])
         build_graph(10, [])
 
-    def test_cap_argument_override(self):
-        assert build_graph(70, [], cap=128).n == 70
+    def test_cap_argument_override(self, monkeypatch):
+        monkeypatch.setenv("DIAGNOSCOPE_CAP", "128")
+        assert build_graph(70, []).n == 70
 
     def test_adjacency_symmetric(self):
         g = build_graph(4, [(0, 2), (1, 3), (2, 3)])
