@@ -194,8 +194,9 @@ def _before(u: int, d: int, u_old: int, d_old: int) -> bool:
     return bool(u & diff & -diff) if diff else d < d_old
 
 
-def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
-    """First indistinguishable pair with both sizes <= t, or None.
+def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel):
+    """First indistinguishable pair with both sizes <= t in the graph with
+    adjacency masks ``adj``, or None.
 
     "First" is ``_before`` on (U, D) = (F1 | F2, F1 ^ F2).  Any witness
     (U, D) contains a closure of D that is itself a witness with the same
@@ -215,11 +216,10 @@ def _find_indistinguishable(g: Graph, t: int, model: DiagModel):
     itself |U| + |U & L| <= 2|U| - |D| = |F1| + |F2|, so no witness at D
     is dropped.
     """
-    n = g.n
+    n = len(adj)
     if t <= 0 or n == 0:
         return None
-    adj = g.adj_masks
-    full = g.full_mask
+    full = (1 << n) - 1
     mm = model is DiagModel.MMSTAR
     bound = min(2 * t, n)
     best = None  # (U, D, the half of D that goes to F1)
@@ -259,7 +259,7 @@ def is_t_diagnosable(g: Graph, t: int, model: DiagModel) -> DiagnosisDecision:
     """Decide t-diagnosability; on failure return a canonical witness pair."""
     if t < 0:
         raise GraphError(f"fault budget must be nonnegative, got {t}")
-    found = _find_indistinguishable(g, t, model)
+    found = _find_indistinguishable(g.adj_masks, t, model)
     if found is None:
         return DiagnosisDecision(True, None)
     f1, f2 = found

@@ -19,6 +19,14 @@ An automorphism sigma of G makes G - F and G - sigma(F) isomorphic, so
 the sweep visits only the lexicographically first scenario of each
 orbit; asymmetric graphs sweep every scenario.
 
+Deleting one edge e lowers diagnosability by at most one, under both
+models.  A pair (F1, F2) indistinguishable in G - e either has both ends
+of e in F1 | F2, and is indistinguishable in G, or gains an end x of e
+outside F1 | F2 in both sets; x is then neither in the symmetric
+difference nor outside the union, so no PMC test and no MM* comparator
+through e tells the larger pair apart in G.  So t(G) <= t(G - e) + 1,
+and the value at budget h is t_{h-1} or t_{h-1} - 1.
+
 The paper's theorems are stated once, as the rows of ``THEOREMS``: a
 rule name, the ``verify`` claim that checks it, its model, its
 hypotheses and the value it asserts.  A hypothesis is an atom that maps
@@ -37,9 +45,10 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
-from .diagnosis import DiagModel, _before, _search_differences, diagnosability, is_t_diagnosable
+from .diagnosis import DiagModel, _before, _find_indistinguishable, _search_differences, diagnosability
+from .diagnosis import is_t_diagnosable  # noqa: F401  (bench/selftest.py checks the tracer patches this binding)
 from .families import RecognitionResult, common_neighbor_shortcut, recognize_exceptional
-from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, delete_edges, normalize_edge
+from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, normalize_edge
 
 METHOD_BRUTE = "brute_force"
 METHOD_THEOREM = "theorem"
@@ -157,14 +166,6 @@ def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
     return value, tuple(sorted(base))
 
 
-def _descend(g2: Graph, upper: int, model: DiagModel) -> int:
-    """Exact diagnosability known to be strictly below ``upper``."""
-    t = upper - 1
-    while t > 0 and not is_t_diagnosable(g2, t, model).diagnosable:
-        t -= 1
-    return t
-
-
 def _orbit_scenarios(g: Graph, size: int):
     """The first size-``size`` edge set of each automorphism orbit, in
     ``combinations(g.edges, size)`` order; each yielded bitmask over edge
@@ -198,20 +199,35 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel) -> Tuple[int, Tuple[E
     scenario overall is the first member of its own orbit, so a scan in
     lexicographic order that replaces its result only on a strictly
     smaller value returns the same pair as a sweep over every scenario.
+    By the one-edge bound no scenario goes below t_{size-1} - 1, so the
+    scan stops there, and the first scenario's value climbs from there.
+    The bound also makes each drop of the running minimum exactly one:
+    a scenario S other than the first misses some edge e of the first
+    one below max S, and S - max S + e, or the first member of its
+    orbit, comes earlier in the scan with a value at most
+    t(G - (S - max S)) <= t(G - S) + 1.  Each scenario is refuted on a
+    copy of the adjacency masks.
     """
+    if size == 0:
+        return diagnosability(g, model), ()
+    floor = max(_tolerance_cached(g, size - 1, model).value - 1, 0)
     best_val: Optional[int] = None
     best_scenario: Tuple[Edge, ...] = ()
     for scenario in _orbit_scenarios(g, size):
-        g2 = delete_edges(g, scenario)
+        adj = list(g.adj_masks)
+        for u, v in scenario:
+            adj[u] ^= 1 << v
+            adj[v] ^= 1 << u
         if best_val is None:
-            best_val = diagnosability(g2, model)
-            best_scenario = scenario
+            best_val, cap = floor, min(min(a.bit_count() for a in adj), (g.n - 1) // 2)
+            while best_val < cap and _find_indistinguishable(adj, best_val + 1, model) is None:
+                best_val += 1
+        elif _find_indistinguishable(adj, best_val, model) is None:
+            continue  # at least as large as the current minimum
         else:
-            if is_t_diagnosable(g2, best_val, model).diagnosable:
-                continue  # at least as large as the current minimum
-            best_val = _descend(g2, best_val, model)
-            best_scenario = scenario
-        if best_val == 0:
+            best_val -= 1  # an earlier scenario is at most one above this one
+        best_scenario = scenario
+        if best_val == floor:
             break
     assert best_val is not None
     return best_val, best_scenario

@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import all_graphs
 from diagnoscope.diagnosis import (
     DiagModel,
     _before,
@@ -51,18 +52,26 @@ def subsets_up_to(n, t):
     return out
 
 
-def reference_is_t_diagnosable(g, t, model):
-    """Direct double-quantifier scan using the public pair predicates."""
+def reference_distinguishable(g, f1, f2, model):
+    if model is PMC:
+        return distinguishable_pmc(g, f1, f2)
+    return distinguishable_mm(g, f1, f2).distinguishable
+
+
+def reference_indistinguishable_pair(g, t, model):
+    """First pair of candidates of size <= t that the public pair
+    predicates cannot tell apart, or None."""
     candidates = subsets_up_to(g.n, t)
     for i, f1 in enumerate(candidates):
         for f2 in candidates[i + 1:]:
-            if model is PMC:
-                ok = distinguishable_pmc(g, f1, f2)
-            else:
-                ok = distinguishable_mm(g, f1, f2).distinguishable
-            if not ok:
-                return False
-    return True
+            if not reference_distinguishable(g, f1, f2, model):
+                return f1, f2
+    return None
+
+
+def reference_is_t_diagnosable(g, t, model):
+    """Direct double-quantifier scan using the public pair predicates."""
+    return reference_indistinguishable_pair(g, t, model) is None
 
 
 def reference_first_witness(g, t, model):
@@ -257,7 +266,7 @@ class TestIsTDiagnosable:
                 g = build_graph(n, [e for i, e in enumerate(pairs) if (bits >> i) & 1])
                 for t in range(0, 4):
                     for model in (PMC, MM):
-                        assert _find_indistinguishable(g, t, model) == (
+                        assert _find_indistinguishable(g.adj_masks, t, model) == (
                             reference_first_witness(g, t, model)
                         ), (g.edges, t, model)
 
@@ -271,7 +280,7 @@ class TestIsTDiagnosable:
             )
             for t in range(1, 5):
                 for model in (PMC, MM):
-                    assert _find_indistinguishable(g, t, model) == (
+                    assert _find_indistinguishable(g.adj_masks, t, model) == (
                         reference_first_witness(g, t, model)
                     ), (g.edges, t, model)
 
@@ -289,7 +298,7 @@ class TestIsTDiagnosable:
             cap = diagnosability_cap(g)
             for t in (cap, cap + 1):
                 for model in (PMC, MM):
-                    assert _find_indistinguishable(g, t, model) == (
+                    assert _find_indistinguishable(g.adj_masks, t, model) == (
                         reference_first_witness(g, t, model)
                     ), (g.edges, t, model)
 
@@ -326,7 +335,9 @@ class TestIsTDiagnosable:
     def test_first_witness_matches_reference_on_named_graphs(self, name, g):
         for t in range(diagnosability_cap(g) + 2):
             for model in (PMC, MM):
-                assert _find_indistinguishable(g, t, model) == reference_first_witness(g, t, model), (t, model)
+                assert _find_indistinguishable(g.adj_masks, t, model) == (
+                    reference_first_witness(g, t, model)
+                ), (t, model)
 
     @pytest.mark.parametrize("g, t, model, f1, f2", [
         (complete_bipartite(8, 8), 7, MM, [0, *range(2, 8)], [*range(1, 8)]),
@@ -336,7 +347,7 @@ class TestIsTDiagnosable:
         (random_gamma(1, 3, seed=101)[1], 3, MM, [1, 2], [0, 1, 2]),
     ])
     def test_golden_witnesses(self, g, t, model, f1, f2):
-        assert _find_indistinguishable(g, t, model) == (g.vertex_mask(f1), g.vertex_mask(f2))
+        assert _find_indistinguishable(g.adj_masks, t, model) == (g.vertex_mask(f1), g.vertex_mask(f2))
 
     @given(graphs(), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
@@ -354,6 +365,28 @@ class TestIsTDiagnosable:
         for model in (PMC, MM):
             if is_t_diagnosable(shrunk, t, model).diagnosable:
                 assert is_t_diagnosable(g, t, model).diagnosable
+
+    def test_one_edge_lowers_diagnosability_by_at_most_one(self):
+        # t(G) - 1 <= t(G - e) <= t(G) for every edge, both models, by the
+        # direct pair scan alone: every graph on at most 5 vertices, then
+        # seeded random graphs on 6-8
+        rng = random.Random("one-edge-bound")
+        random_graphs = []
+        for _ in range(200):
+            n = rng.randrange(6, 9)
+            p = rng.random()
+            random_graphs.append(
+                build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            )
+        for g in [g for n in range(1, 6) for g in all_graphs(n)] + random_graphs:
+            for model in (PMC, MM):
+                t = 0  # t(G), and a pair of size <= t + 1 that G cannot tell apart
+                while (pair := reference_indistinguishable_pair(g, t + 1, model)) is None:
+                    t += 1
+                for e in g.edges:
+                    shrunk = delete_edges(g, [e])
+                    assert reference_is_t_diagnosable(shrunk, t - 1, model), (g.edges, e, model)
+                    assert not reference_distinguishable(shrunk, *pair, model), (g.edges, e, model)
 
 
 def enumerator_graphs():

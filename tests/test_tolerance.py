@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs
-from diagnoscope.diagnosis import DiagModel, diagnosability, is_t_diagnosable
+from diagnoscope.diagnosis import DiagModel, _diagnosability_cached, diagnosability, is_t_diagnosable
 from diagnoscope.families import (
     circulant,
     complete,
@@ -318,9 +318,64 @@ class TestOrbitSweep:
     def test_one_scenario_per_orbit(self, g, h, orbits):
         assert len(list(_orbit_scenarios(g, h))) == orbits
 
+    def test_random_graphs(self):
+        # the frozen sweep refutes every scenario, about 1 ms each; the cap
+        # leaves out 14 of the 249 levels, all at h = 3 on dense graphs
+        rng = random.Random("scenario-sweep")
+        for _ in range(100):
+            n = rng.randrange(6, 10)
+            p = rng.random()
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+            self.check(g, 3, max_scenarios=2000)
+
+    def test_level_that_does_not_drop(self):
+        # the value holds at h = 1, so the floor at h = 2 is 1, not 0;
+        # test_verify_corpus compares each level with the frozen sweep
+        g = next(e.graph for e in default_corpus() if e.name == "gamma3-c")
+        assert [edge_tolerable_diagnosability(g, h, MM).value for h in range(4)] == [2, 2, 1, 0]
+
+    def test_cold_call_equals_ascending_run(self):
+        def clear():
+            tolerance._tolerance_cached.cache_clear()
+            _pmc_break_table.cache_clear()
+            _diagnosability_cached.cache_clear()
+
+        rng = random.Random("cold-sweep")
+        corpus = [e.graph for e in default_corpus() if e.name in ("gamma3-c", "hypercube-4", "petersen")]
+        while len(corpus) < 13:
+            n = rng.randrange(7, 10)
+            g = build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.6])
+            if g.min_degree >= 3:
+                corpus.append(g)
+        for g in corpus:
+            clear()
+            cold = edge_tolerable_diagnosability(g, 3, MM)
+            clear()
+            ascending = [edge_tolerable_diagnosability(g, h, MM) for h in range(4)]
+            assert cold == ascending[-1], g.edges
+
     def test_q5_mm_frontier(self):
+        # recorded from a sweep over every orbit, which takes about 36 s at h = 4
         g = hypercube(5)
-        expected = {0: (5, ()), 1: (4, ((0, 1),)), 2: (3, ((0, 1), (0, 2)))}
+        expected = {
+            0: (5, ()),
+            1: (4, ((0, 1),)),
+            2: (3, ((0, 1), (0, 2))),
+            3: (2, ((0, 1), (0, 2), (0, 4))),
+            4: (1, ((0, 1), (0, 2), (0, 4), (0, 8))),
+        }
+        for h, pair in expected.items():
+            assert _scenario_sweep(g, h, MM) == pair
+
+    def test_q6_mm_frontier(self):
+        # recorded from a sweep over every orbit, which takes about 43 s at h = 3
+        g = hypercube(6)
+        expected = {
+            0: (6, ()),
+            1: (5, ((0, 1),)),
+            2: (4, ((0, 1), (0, 2))),
+            3: (3, ((0, 1), (0, 2), (0, 4))),
+        }
         for h, pair in expected.items():
             assert _scenario_sweep(g, h, MM) == pair
 
