@@ -21,17 +21,21 @@ Core blocks are arbitrary spanning subgraphs of the complete graph of
 their size, so a ``GammaSpec`` carries explicit edge lists.  Membership
 is always judged against the minimum degree of the graph itself.
 
-Construction layout: core-side blocks first in definition order, the
-independent block last, ids ascending within a block.
+The block layout is stated once, in the table ``_LAYOUT``: each family's
+blocks before the independent block, in build order, ids ascending
+within a block.  The role tables ``_INNER``, ``_CROSS`` and ``_SLOT`` say
+which blocks each ``GammaSpec`` field joins, and ``make_gamma``'s edge
+assembly, the seeded draw and the recognizer's read-back all loop over
+them.  The shapes are stated once, in ``make_gamma``.
 
 ``recognize_exceptional`` decides membership for every graph under the
 vertex cap: cheap necessary filters first, then, family by family in
 index order, proposers yield vertex layouts in the construction layout,
 and ``_fit`` reads a spec off each and accepts it exactly when
-``make_gamma``'s edge assembly rebuilds the graph.  So each shape is
-stated once, in ``make_gamma``; the proposers apply only necessary
-filters.  The side-pair scan for families 1-3 prunes each pair with one
-mask intersection, so it costs at most O(n^4) mask operations.
+``make_gamma``'s edge assembly rebuilds the graph; the proposers apply
+only necessary filters.  The side-pair scan for families 1-3 prunes each
+pair with one mask intersection, so it costs at most O(n^4) mask
+operations.
 """
 
 from __future__ import annotations
@@ -40,7 +44,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass, fields
 from itertools import chain, combinations
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
 from .graphs import (
@@ -74,24 +78,24 @@ def common_neighbor_shortcut(delta: int, common: int) -> bool:
 class GammaSpec:
     """Parameters fully determining one exceptional-family instance.
 
-    ``core_edges`` describes the core block (size depends on the family
-    index).  Cross-edge fields are local-id pairs and only the fields
-    relevant to the family index may differ from their defaults.
+    Edge and slot fields hold block-local ids; the role tables ``_INNER``,
+    ``_CROSS`` and ``_SLOT`` say which blocks each one joins.  Only the
+    fields the family reads may differ from their defaults.
     """
 
     family: int
     delta: int
     l: int
     core_edges: Tuple[Edge, ...] = ()
-    left_pair_edges: Tuple[Edge, ...] = ()   # family 3: first side block
-    right_pair_edges: Tuple[Edge, ...] = ()  # family 3: second side block
-    core_pair_edges: Tuple[Edge, ...] = ()   # family 2: (core, pair) cross edges
-    core_left_edges: Tuple[Edge, ...] = ()   # family 3
-    core_right_edges: Tuple[Edge, ...] = ()  # family 3
-    left_right_edges: Tuple[Edge, ...] = ()  # family 3
-    assign: Tuple[int, ...] = ()             # family 2: pair slot per block vertex
-    assign_left: Tuple[int, ...] = ()        # family 3
-    assign_right: Tuple[int, ...] = ()       # family 3
+    left_pair_edges: Tuple[Edge, ...] = ()
+    right_pair_edges: Tuple[Edge, ...] = ()
+    core_pair_edges: Tuple[Edge, ...] = ()
+    core_left_edges: Tuple[Edge, ...] = ()
+    core_right_edges: Tuple[Edge, ...] = ()
+    left_right_edges: Tuple[Edge, ...] = ()
+    assign: Tuple[int, ...] = ()
+    assign_left: Tuple[int, ...] = ()
+    assign_right: Tuple[int, ...] = ()
     bridge: Tuple[int, int] = (0, 1)         # family 4: block-local edge endpoints
     removed: Tuple[Tuple[int, int], ...] = ()  # family 4: (core id, bridge slot)
     attach: Tuple[Tuple[int, ...], ...] = () # family 5: core ids per block vertex
@@ -116,42 +120,59 @@ class RecognitionResult:
     witness: Optional[RecognizedDecomposition]
 
 
-def _core_size(family: int, delta: int) -> int:
-    return {1: delta, 2: delta - 1, 3: delta - 2, 4: delta, 5: delta + 1}[family]
+# Per family: the core size minus delta, the blocks before the independent
+# block in build order (pair, left and right have two vertices), and the
+# GammaSpec fields the family reads that no block role covers.
+_LAYOUT = {
+    1: (0, ("core",), ()),
+    2: (-1, ("core", "pair"), ()),
+    3: (-2, ("left", "core", "right"), ()),
+    4: (0, ("core",), ("bridge", "removed")),
+    5: (1, ("core",), ("attach",)),
+}
+
+# The block roles of the GammaSpec fields, in field order, which is also
+# the order a seeded draw takes them: the edges inside a block, the edges
+# between two blocks, and the slot in a two-vertex block that each
+# independent vertex takes.
+_INNER = {"core_edges": ("core",), "left_pair_edges": ("left",), "right_pair_edges": ("right",)}
+_CROSS = {
+    "core_pair_edges": ("core", "pair"),
+    "core_left_edges": ("core", "left"),
+    "core_right_edges": ("core", "right"),
+    "left_right_edges": ("left", "right"),
+}
+_SLOT = {"assign": ("pair",), "assign_left": ("left",), "assign_right": ("right",)}
 
 
-def _check_block_edges(edges: Sequence[Edge], size: int, label: str) -> None:
-    seen = set()
-    for u, v in edges:
-        if u == v:
-            raise GraphError(f"{label}: self-loop ({u}, {v})")
-        if not (0 <= u < size and 0 <= v < size):
-            raise GraphError(f"{label}: edge ({u}, {v}) out of range for block of size {size}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise GraphError(f"{label}: duplicate edge ({u}, {v})")
-        seen.add(key)
+def _layout(family: int, delta: int, l: int) -> Dict[str, range]:
+    """Each block's ids in ``make_gamma``'s vertex order; the independent
+    block, ``"block"``, comes last."""
+    shift, names, _ = _LAYOUT[family]
+    spans, start = {}, 0
+    for name in (*names, "block"):
+        size = delta + shift if name == "core" else l if name == "block" else 2
+        spans[name] = range(start, start + size)
+        start += size
+    return spans
 
 
-def _cross_edges(pairs: Sequence[Edge], size: int, a0: int, b0: int, label: str) -> List[Edge]:
-    """Edges from a block of ``size`` vertices at ``a0`` to a two-vertex
-    block at ``b0``, given as (local id, local id) pairs."""
-    if len(set(pairs)) != len(pairs):
-        raise GraphError(f"{label} cross edges list an edge twice")
-    for x, y in pairs:
-        if not (0 <= x < size and y in (0, 1)):
-            raise GraphError(f"{label} cross edge ({x}, {y}) out of range")
-    return [(a0 + x, b0 + y) for x, y in pairs]
+def _roles(role: Dict[str, Tuple[str, ...]], spans) -> Iterator[Tuple[str, List[range]]]:
+    """Each field of a role table whose blocks are all in ``spans``, with
+    those blocks' entries."""
+    for name, blocks in role.items():
+        if all(b in spans for b in blocks):
+            yield name, [spans[b] for b in blocks]
 
 
-# The GammaSpec fields each family reads beyond family, delta, l and core_edges.
+# The GammaSpec fields each family reads beyond family, delta, l and
+# core_edges, in field order: the role fields of its blocks, then its own.
 _FAMILY_FIELDS = {
-    1: (),
-    2: ("core_pair_edges", "assign"),
-    3: ("left_pair_edges", "right_pair_edges", "core_left_edges", "core_right_edges",
-        "left_right_edges", "assign_left", "assign_right"),
-    4: ("bridge", "removed"),
-    5: ("attach",),
+    family: tuple(
+        name for role in (_INNER, _CROSS, _SLOT) for name, _ in _roles(role, dict.fromkeys(blocks))
+        if name != "core_edges"
+    ) + own
+    for family, (_, blocks, own) in _LAYOUT.items()
 }
 
 
@@ -170,7 +191,7 @@ def _check_shape(spec: GammaSpec) -> int:
     """Validate the family index, delta, l and the fields the family
     reads; return the vertex count."""
     fam, delta, l = spec.family, spec.delta, spec.l
-    if fam not in (1, 2, 3, 4, 5):
+    if fam not in _LAYOUT:
         raise GraphError(f"family index must be 1..5, got {fam}")
     if delta < FAMILY_MIN_DELTA:
         raise GraphError(f"family graphs require delta >= {FAMILY_MIN_DELTA}, got {delta}")
@@ -189,75 +210,51 @@ def _gamma_edges(spec: GammaSpec) -> List[Edge]:
     """The edges of ``make_gamma(spec)``, unnormalized; no vertex cap."""
     _check_shape(spec)
     fam, delta, l = spec.family, spec.delta, spec.l
-    core = _core_size(fam, delta)
-    _check_block_edges(spec.core_edges, core, "core block")
-    edges: List[Edge] = list(spec.core_edges)
-
-    if fam == 1:
-        base = core
-        edges += [(c, base + i) for c in range(core) for i in range(l)]
-    elif fam == 2:
-        p0, p1 = core, core + 1
-        base = core + 2
-        edges.append((p0, p1))
-        edges += _cross_edges(spec.core_pair_edges, core, 0, core, "core-pair")
-        if len(spec.assign) != l:
-            raise GraphError(
-                f"pair assignment must cover all {l} independent vertices, got {len(spec.assign)}"
-            )
-        for i, slot in enumerate(spec.assign):
+    spans = _layout(fam, delta, l)
+    core, block = spans["core"], spans["block"]
+    edges: List[Edge] = []
+    for name, (a,) in _roles(_INNER, spans):
+        pairs = getattr(spec, name)
+        for u, v in pairs:
+            if u == v or not (0 <= u < len(a) and 0 <= v < len(a)):
+                raise GraphError(f"{name}: edge ({u}, {v}) is a self-loop or out of range 0..{len(a) - 1}")
+        if len({normalize_edge(u, v) for u, v in pairs}) != len(pairs):
+            raise GraphError(f"{name} lists an edge twice")
+        edges += [(a.start + u, a.start + v) for u, v in pairs]
+    for name, (a, b) in _roles(_CROSS, spans):
+        pairs = getattr(spec, name)
+        for x, y in pairs:
+            if not (0 <= x < len(a) and 0 <= y < len(b)):
+                raise GraphError(f"{name}: cross edge ({x}, {y}) out of range")
+        if len(set(pairs)) != len(pairs):
+            raise GraphError(f"{name} lists an edge twice")
+        edges += [(a.start + x, b.start + y) for x, y in pairs]
+    for name, (a,) in _roles(_SLOT, spans):
+        slots = getattr(spec, name)
+        if len(slots) != l:
+            raise GraphError(f"{name} must cover all {l} independent vertices, got {len(slots)}")
+        for i, slot in enumerate(slots):
             if slot not in (0, 1):
-                raise GraphError(f"pair assignment slot {slot} invalid for vertex {i}")
-            edges.append((base + i, core + slot))
-        edges += [(c, base + i) for c in range(core) for i in range(l)]
-    elif fam == 3:
-        _check_block_edges(spec.left_pair_edges, 2, "left side block")
-        _check_block_edges(spec.right_pair_edges, 2, "right side block")
-        left0, core0, right0 = 0, 2, 2 + core
-        base = 4 + core
-        edges = []
-        edges += [(left0 + u, left0 + v) for u, v in spec.left_pair_edges]
-        edges += [(core0 + u, core0 + v) for u, v in spec.core_edges]
-        edges += [(right0 + u, right0 + v) for u, v in spec.right_pair_edges]
-        edges += _cross_edges(spec.core_left_edges, core, core0, left0, "core-left")
-        edges += _cross_edges(spec.core_right_edges, core, core0, right0, "core-right")
-        edges += _cross_edges(spec.left_right_edges, 2, left0, right0, "left-right")
-        if len(spec.assign_left) != l or len(spec.assign_right) != l:
-            raise GraphError("side-block assignments must cover all independent vertices")
-        for i in range(l):
-            sl, sr = spec.assign_left[i], spec.assign_right[i]
-            if sl not in (0, 1) or sr not in (0, 1):
-                raise GraphError(f"side-block assignment invalid for vertex {i}")
-            edges.append((base + i, left0 + sl))
-            edges.append((base + i, right0 + sr))
-        edges += [(core0 + c, base + i) for c in range(core) for i in range(l)]
-    elif fam == 4:
-        base = core
+                raise GraphError(f"{name}: slot {slot} invalid for independent vertex {i}")
+            edges.append((block.start + i, a.start + slot))
+    if "pair" in spans:
+        edges.append((spans["pair"].start, spans["pair"].start + 1))
+    skip = set()
+    if fam == 4:
         u1, u2 = spec.bridge
         if not (0 <= u1 < l and 0 <= u2 < l and u1 != u2):
             raise GraphError(f"bridge endpoints {spec.bridge} must be two distinct block vertices")
-        per_slot = {0: 0, 1: 0}
-        removed_pairs = set()
-        for c, slot in spec.removed:
-            if not (0 <= c < core and slot in (0, 1)):
-                raise GraphError(f"removed edge ({c}, {slot}) out of range")
-            if (c, slot) in removed_pairs:
-                raise GraphError(f"removed edge ({c}, {slot}) listed twice")
-            removed_pairs.add((c, slot))
-            per_slot[slot] += 1
-        if max(per_slot.values()) > 1:
+        removed = set(spec.removed)
+        if len(removed) != len(spec.removed):
+            raise GraphError("removed lists a core edge twice")
+        if not all(c in core and slot in (0, 1) for c, slot in removed):
+            raise GraphError(f"removed edges {spec.removed} out of range")
+        if len({slot for _, slot in removed}) != len(removed):
             raise GraphError("at most one core edge may be removed at each bridge endpoint")
-        bridge_vertex = {0: base + u1, 1: base + u2}
-        edges.append((bridge_vertex[0], bridge_vertex[1]))
-        skip = {(c, bridge_vertex[slot]) for c, slot in removed_pairs}
-        edges += [
-            (c, base + i)
-            for c in range(core)
-            for i in range(l)
-            if (c, base + i) not in skip
-        ]
-    else:  # family 5
-        base = core
+        bridge = (block.start + u1, block.start + u2)
+        edges.append(bridge)
+        skip = {(c, bridge[slot]) for c, slot in removed}
+    if fam == 5:
         if len(spec.attach) != l:
             raise GraphError(
                 f"attachment lists must cover all {l} independent vertices, got {len(spec.attach)}"
@@ -266,20 +263,21 @@ def _gamma_edges(spec: GammaSpec) -> List[Edge]:
             uniq = sorted(set(targets))
             if len(uniq) != len(targets):
                 raise GraphError(f"attachment list for vertex {i} has duplicates")
-            if not all(0 <= c < core for c in uniq):
+            if not all(c in core for c in uniq):
                 raise GraphError(f"attachment list for vertex {i} out of range")
             if not delta <= len(uniq) <= delta + 1:
                 raise GraphError(
                     f"independent vertex {i} must attach to {delta} or {delta + 1} "
                     f"core vertices, got {len(uniq)}"
                 )
-            edges += [(c, base + i) for c in uniq]
+            edges += [(c, block.start + i) for c in uniq]
+        return edges
+    edges += [(c, i) for c in core for i in block if (c, i) not in skip]
     return edges
 
 
 def gamma_vertex_count(family: int, delta: int, l: int) -> int:
-    extra = 2 if family == 2 else 4 if family == 3 else 0
-    return _core_size(family, delta) + extra + l
+    return _layout(family, delta, l)["block"].stop
 
 
 def minimal_block_size(family: int, delta: int) -> int:
@@ -289,59 +287,36 @@ def minimal_block_size(family: int, delta: int) -> int:
 # ---------------------------------------------------------------------------
 # randomized instances
 
-
-def _random_block(rng: random.Random, size: int) -> Tuple[Edge, ...]:
-    return tuple(
-        (u, v) for u in range(size) for v in range(u + 1, size) if rng.random() < 0.5
-    )
+_CROSS_DENSITY = {2: 0.5, 3: 0.3}  # chance of each possible cross edge in a draw
 
 
 def _draw_spec(rng: random.Random, family: int, delta: int, l: int) -> GammaSpec:
-    core = _core_size(family, delta)
-    core_edges = _random_block(rng, core)
-    if family == 1:
-        return GammaSpec(1, delta, l, core_edges)
-    if family == 2:
-        cross = tuple(
-            (c, s) for c in range(core) for s in (0, 1) if rng.random() < 0.5
+    """A spec with every field the family reads drawn from rng, in role
+    order, then the fields no role covers."""
+    spans = _layout(family, delta, l)
+    drawn = {
+        name: tuple(e for e in combinations(range(len(a)), 2) if rng.random() < 0.5)
+        for name, (a,) in _roles(_INNER, spans)
+    }
+    for name, (a, b) in _roles(_CROSS, spans):
+        drawn[name] = tuple(
+            (x, y) for x in range(len(a)) for y in range(len(b))
+            if rng.random() < _CROSS_DENSITY[family]
         )
-        assign = tuple(rng.randrange(2) for _ in range(l))
-        return GammaSpec(2, delta, l, core_edges, core_pair_edges=cross, assign=assign)
-    if family == 3:
-        left = tuple([(0, 1)]) if rng.random() < 0.5 else ()
-        right = tuple([(0, 1)]) if rng.random() < 0.5 else ()
-        cl = tuple((c, s) for c in range(core) for s in (0, 1) if rng.random() < 0.3)
-        cr = tuple((c, s) for c in range(core) for s in (0, 1) if rng.random() < 0.3)
-        lr = tuple((a, b) for a in (0, 1) for b in (0, 1) if rng.random() < 0.3)
-        al = tuple(rng.randrange(2) for _ in range(l))
-        ar = tuple(rng.randrange(2) for _ in range(l))
-        return GammaSpec(
-            3,
-            delta,
-            l,
-            core_edges,
-            left_pair_edges=left,
-            right_pair_edges=right,
-            core_left_edges=cl,
-            core_right_edges=cr,
-            left_right_edges=lr,
-            assign_left=al,
-            assign_right=ar,
-        )
+    for name, _ in _roles(_SLOT, spans):
+        drawn[name] = tuple(rng.randrange(2) for _ in range(l))
+    core = len(spans["core"])
     if family == 4:
-        u1, u2 = sorted(rng.sample(range(l), 2))
-        removed = []
-        for slot in (0, 1):
-            if rng.random() < 0.5:
-                removed.append((rng.randrange(core), slot))
-        return GammaSpec(
-            4, delta, l, core_edges, bridge=(u1, u2), removed=tuple(removed)
+        drawn["bridge"] = tuple(sorted(rng.sample(range(l), 2)))
+        drawn["removed"] = tuple(
+            (rng.randrange(core), slot) for slot in (0, 1) if rng.random() < 0.5
         )
-    attach = []
-    for _ in range(l):
-        size = delta if rng.random() < 0.5 else delta + 1
-        attach.append(tuple(sorted(rng.sample(range(core), size))))
-    return GammaSpec(5, delta, l, core_edges, attach=tuple(attach))
+    elif family == 5:
+        drawn["attach"] = tuple(
+            tuple(sorted(rng.sample(range(core), delta if rng.random() < 0.5 else delta + 1)))
+            for _ in range(l)
+        )
+    return GammaSpec(family, delta, l, **drawn)
 
 
 def random_gamma(
@@ -397,6 +372,7 @@ def _side_layouts(g: Graph, delta: int, k: int):
     """
     n, adj = g.n, g.adj_masks
     l = n - delta - k
+    blocks = _LAYOUT[k + 1][1]  # family k + 1's layout
     pairs = () if k == 0 else g.edges if k == 1 else list(combinations(range(n), 2))
     masks = [(1 << a) | (1 << b) for a, b in pairs]
     # the vertices outside each pair with exactly one neighbour in it
@@ -419,10 +395,8 @@ def _side_layouts(g: Graph, delta: int, k: int):
             if core.bit_count() != delta - k:
                 continue
             block = [u for u in range(n) if not (taken | core) >> u & 1]
-            if k == 2:
-                yield [*chosen[0], *bits_of(core), *chosen[1], *block]
-            else:
-                yield [*bits_of(core), *(v for pair in chosen for v in pair), *block]
+            parts = dict(zip((b for b in blocks if b != "core"), chosen), core=bits_of(core))
+            yield [v for b in blocks for v in parts[b]] + block
 
 
 def _bridge_layouts(g: Graph, delta: int):
@@ -477,44 +451,29 @@ def _fit(g: Graph, family: int, delta: int, layout: Sequence[int]) -> Optional[R
         inverse[v] = i
     h = relabel(g, inverse)
     adj = h.adj_masks
-    size = _core_size(family, delta)
-    core = range(2, 2 + size) if family == 3 else range(size)
-    left, pair, right = range(0, 2), range(size, size + 2), range(size + 2, size + 4)
-    block = range(gamma_vertex_count(family, delta, 0), g.n)
+    spans = _layout(family, delta, g.n - gamma_vertex_count(family, delta, 0))
+    core, block = spans["core"], spans["block"]
 
     def inner(a):
         return tuple((u - a.start, v - a.start) for u, v in h.edges if u in a and v in a)
 
-    def cross(a, b):
-        return tuple((x - a.start, y - b.start) for x in a for y in b if adj[x] >> y & 1)
-
-    def slots(side):
-        return tuple(0 if adj[u] >> side.start & 1 else 1 for u in block)
-
-    extra = {}
-    if family == 2:
-        extra = dict(core_pair_edges=cross(core, pair), assign=slots(pair))
-    elif family == 3:
-        extra = dict(
-            left_pair_edges=inner(left),
-            right_pair_edges=inner(right),
-            core_left_edges=cross(core, left),
-            core_right_edges=cross(core, right),
-            left_right_edges=cross(left, right),
-            assign_left=slots(left),
-            assign_right=slots(right),
-        )
-    elif family == 4:
+    read = {name: inner(a) for name, (a,) in _roles(_INNER, spans)}
+    for name, (a, b) in _roles(_CROSS, spans):
+        read[name] = tuple((x - a.start, y - b.start) for x in a for y in b if adj[x] >> y & 1)
+    for name, (a,) in _roles(_SLOT, spans):
+        read[name] = tuple(0 if adj[u] >> a.start & 1 else 1 for u in block)
+    if family == 4:
         bridges = inner(block)
         if len(bridges) != 1:
             return None
-        extra = dict(bridge=bridges[0], removed=tuple(
+        read["bridge"] = bridges[0]
+        read["removed"] = tuple(
             (c, slot) for c in core for slot, u in enumerate(bridges[0])
             if not adj[block.start + u] >> c & 1
-        ))
+        )
     elif family == 5:
-        extra = dict(attach=tuple(tuple(c for c in core if adj[u] >> c & 1) for u in block))
-    spec = GammaSpec(family, delta, len(block), inner(core), **extra)
+        read["attach"] = tuple(tuple(c for c in core if adj[u] >> c & 1) for u in block)
+    spec = GammaSpec(family, delta, len(block), **read)
     try:
         edges = {normalize_edge(u, v) for u, v in _gamma_edges(spec)}
     except GraphError:

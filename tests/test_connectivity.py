@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graphs
 from diagnoscope.connectivity import (
     _kappa_value,
     internally_disjoint_paths,
@@ -211,14 +212,6 @@ def seeded_random_graphs(count, n_min, n_max, seed):
 ATLAS = [build_graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
 
 
-@st.composite
-def graphs(draw, min_n=1, max_n=7):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    return build_graph(n, edges)
-
-
 two_triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
 bridged_triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5), (2, 3)])
 
@@ -255,12 +248,12 @@ class TestVertexConnectivity:
         with pytest.raises(GraphError):
             vertex_connectivity(build_graph(0, []))
 
-    @given(graphs())
+    @given(graphs(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_matches_brute_force(self, g):
         assert vertex_connectivity(g).kappa == brute_kappa(g)
 
-    @given(graphs(min_n=2, max_n=7))
+    @given(graphs(2, 7))
     @settings(max_examples=40, deadline=None)
     def test_witness_is_lex_min_cut(self, g):
         report = vertex_connectivity(g)
@@ -271,7 +264,7 @@ class TestVertexConnectivity:
         rest = delete_vertices(g, report.witness_cut)
         assert rest.n == 1 or not is_connected(rest)
 
-    @given(graphs())
+    @given(graphs(1, 7))
     @settings(max_examples=60, deadline=None)
     def test_kappa_at_most_min_degree(self, g):
         assert vertex_connectivity(g).kappa <= g.min_degree
@@ -364,7 +357,7 @@ class TestDisjointPaths:
                         family = internally_disjoint_paths(g, u, v)
                         assert (family.count, family.paths) == reference_disjoint_paths(g, u, v)
 
-    @given(graphs(min_n=2), st.data())
+    @given(graphs(2, 7), st.data())
     @settings(max_examples=60, deadline=None)
     def test_paths_realize_count_and_are_disjoint(self, g, data):
         u = data.draw(st.integers(min_value=0, max_value=g.n - 1))
@@ -381,7 +374,7 @@ class TestDisjointPaths:
             assert not (interior & interior_seen)
             interior_seen |= interior
 
-    @given(graphs(min_n=2), st.data())
+    @given(graphs(2, 7), st.data())
     @settings(max_examples=40, deadline=None)
     def test_menger_value_for_nonadjacent_pairs(self, g, data):
         non_adjacent = [
@@ -395,7 +388,7 @@ class TestDisjointPaths:
         u, v = data.draw(st.sampled_from(non_adjacent))
         assert internally_disjoint_paths(g, u, v).count == brute_separating_cut(g, u, v)
 
-    @given(graphs(min_n=2))
+    @given(graphs(2, 7))
     @settings(max_examples=40, deadline=None)
     def test_kappa_is_min_over_nonadjacent_pairs(self, g):
         non_adjacent = [
@@ -414,7 +407,7 @@ class TestDisjointPaths:
 
 
 class TestWhitneyAndEdgeDeletion:
-    @given(graphs(min_n=3))
+    @given(graphs(3, 7))
     @settings(max_examples=40, deadline=None)
     def test_two_connected_graphs_have_two_disjoint_paths_everywhere(self, g):
         if vertex_connectivity(g).kappa < 2:
@@ -471,7 +464,7 @@ class TestMaxCommonNeighbors:
         with pytest.raises(GraphError):
             max_common_neighbors(complete(1))
 
-    @given(graphs(min_n=2))
+    @given(graphs(2, 7))
     @settings(max_examples=40)
     def test_value_matches_direct_recount(self, g):
         report = max_common_neighbors(g)

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs
+from conftest import all_graphs, graphs
 from diagnoscope.diagnosis import (
     DiagModel,
     _before,
@@ -119,14 +119,6 @@ def reference_first_witness(g, t, model):
     return None
 
 
-@st.composite
-def graphs(draw, min_n=1, max_n=6):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    return build_graph(n, edges)
-
-
 def empty_graph(n):
     return build_graph(n, [])
 
@@ -185,7 +177,7 @@ class TestMmPredicate:
         with pytest.raises(GraphError):
             distinguishable_mm(cycle(4), {1}, {1})
 
-    @given(graphs(min_n=2), st.data())
+    @given(graphs(2, 6), st.data())
     @settings(max_examples=80)
     def test_mm_distinguishable_implies_pmc_distinguishable(self, g, data):
         f1 = data.draw(st.sets(st.integers(0, g.n - 1), max_size=g.n))
@@ -232,7 +224,7 @@ class TestIsTDiagnosable:
             else:
                 assert not distinguishable_mm(cycle(5), w.f1, w.f2).distinguishable
 
-    @given(graphs(), st.integers(min_value=0, max_value=3), st.sampled_from([PMC, MM]))
+    @given(graphs(1, 6), st.integers(min_value=0, max_value=3), st.sampled_from([PMC, MM]))
     @settings(max_examples=120, deadline=None)
     def test_engine_matches_reference(self, g, t, model):
         engine = is_t_diagnosable(g, t, model)
@@ -349,13 +341,13 @@ class TestIsTDiagnosable:
     def test_golden_witnesses(self, g, t, model, f1, f2):
         assert _find_indistinguishable(g.adj_masks, t, model) == (g.vertex_mask(f1), g.vertex_mask(f2))
 
-    @given(graphs(), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
+    @given(graphs(1, 6), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
     def test_downward_monotonicity(self, g, t, model):
         if not is_t_diagnosable(g, t, model).diagnosable:
             assert not is_t_diagnosable(g, t + 1, model).diagnosable
 
-    @given(graphs(min_n=2), st.integers(min_value=0, max_value=2), st.data())
+    @given(graphs(2, 6), st.integers(min_value=0, max_value=2), st.data())
     @settings(max_examples=50, deadline=None)
     def test_edge_monotonicity(self, g, t, data):
         if g.m == 0:
@@ -451,7 +443,7 @@ class TestDiagnosability:
     def test_two_isolated_vertices(self):
         assert diagnosability(empty_graph(2), PMC) == 0
 
-    @given(graphs(), st.sampled_from([PMC, MM]))
+    @given(graphs(1, 6), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
     def test_cap_is_respected_and_unforced(self, g, model):
         t = diagnosability(g, model)
@@ -462,12 +454,12 @@ class TestDiagnosability:
         assert not is_t_diagnosable(g, g.min_degree + 1, model).diagnosable
         assert not is_t_diagnosable(g, (g.n - 1) // 2 + 1, model).diagnosable
 
-    @given(graphs())
+    @given(graphs(1, 6))
     @settings(max_examples=60, deadline=None)
     def test_model_ordering(self, g):
         assert diagnosability(g, MM) <= diagnosability(g, PMC)
 
-    @given(graphs(min_n=2), st.randoms(use_true_random=False))
+    @given(graphs(2, 6), st.randoms(use_true_random=False))
     @settings(max_examples=40, deadline=None)
     def test_isomorphism_invariance(self, g, rng):
         perm = list(range(g.n))

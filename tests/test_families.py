@@ -11,6 +11,7 @@ from diagnoscope.connectivity import max_common_neighbors, vertex_connectivity
 from diagnoscope.diagnosis import DiagModel, diagnosability
 from diagnoscope.families import (
     FAMILY_MIN_DELTA,
+    _FAMILY_FIELDS,
     GammaSpec,
     RecognitionResult,
     RecognizedDecomposition,
@@ -345,6 +346,61 @@ def reference_recognize(g):
     return RecognitionResult(index is not None, index, witness)
 
 
+# Frozen copy of the seeded spec draw before the block-layout table drove
+# it: one branch per family, each drawing its fields in a hand-written
+# order.
+
+
+def reference_draw_spec(rng: random.Random, family: int, delta: int, l: int) -> GammaSpec:
+    core = {1: delta, 2: delta - 1, 3: delta - 2, 4: delta, 5: delta + 1}[family]
+    core_edges = tuple(
+        (u, v) for u in range(core) for v in range(u + 1, core) if rng.random() < 0.5
+    )
+    if family == 1:
+        return GammaSpec(1, delta, l, core_edges)
+    if family == 2:
+        cross = tuple(
+            (c, s) for c in range(core) for s in (0, 1) if rng.random() < 0.5
+        )
+        assign = tuple(rng.randrange(2) for _ in range(l))
+        return GammaSpec(2, delta, l, core_edges, core_pair_edges=cross, assign=assign)
+    if family == 3:
+        left = tuple([(0, 1)]) if rng.random() < 0.5 else ()
+        right = tuple([(0, 1)]) if rng.random() < 0.5 else ()
+        cl = tuple((c, s) for c in range(core) for s in (0, 1) if rng.random() < 0.3)
+        cr = tuple((c, s) for c in range(core) for s in (0, 1) if rng.random() < 0.3)
+        lr = tuple((a, b) for a in (0, 1) for b in (0, 1) if rng.random() < 0.3)
+        al = tuple(rng.randrange(2) for _ in range(l))
+        ar = tuple(rng.randrange(2) for _ in range(l))
+        return GammaSpec(
+            3,
+            delta,
+            l,
+            core_edges,
+            left_pair_edges=left,
+            right_pair_edges=right,
+            core_left_edges=cl,
+            core_right_edges=cr,
+            left_right_edges=lr,
+            assign_left=al,
+            assign_right=ar,
+        )
+    if family == 4:
+        u1, u2 = sorted(rng.sample(range(l), 2))
+        removed = []
+        for slot in (0, 1):
+            if rng.random() < 0.5:
+                removed.append((rng.randrange(core), slot))
+        return GammaSpec(
+            4, delta, l, core_edges, bridge=(u1, u2), removed=tuple(removed)
+        )
+    attach = []
+    for _ in range(l):
+        size = delta if rng.random() < 0.5 else delta + 1
+        attach.append(tuple(sorted(rng.sample(range(core), size))))
+    return GammaSpec(5, delta, l, core_edges, attach=tuple(attach))
+
+
 def differential_graphs():
     """Family draws, wheels up to 30 vertices, atlas graphs on at least 6
     vertices and seeded random graphs on 7-18 vertices."""
@@ -436,6 +492,17 @@ class TestMakeGamma:
         with pytest.raises(GraphError, match="cover all"):
             make_gamma(GammaSpec(2, 3, 4, core_edges=((0, 1),), assign=(0, 1)))
 
+    def test_family_fields(self):
+        # derived from the layout table; the JSON spec reader relies on it
+        assert _FAMILY_FIELDS == {
+            1: (),
+            2: ("core_pair_edges", "assign"),
+            3: ("left_pair_edges", "right_pair_edges", "core_left_edges", "core_right_edges",
+                "left_right_edges", "assign_left", "assign_right"),
+            4: ("bridge", "removed"),
+            5: ("attach",),
+        }
+
     @pytest.mark.parametrize("family", [1, 2, 3, 4, 5])
     def test_vertex_count_formula(self, family):
         l = minimal_block_size(family, 3)
@@ -471,6 +538,19 @@ class TestRandomGamma:
         _, g = random_gamma(family, 4, seed=31)
         assert g.min_degree == 4
         assert max_common_neighbors(g).value >= 4  # delta, by the stronger bound
+
+
+    @pytest.mark.parametrize("family", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("delta", [3, 4])
+    def test_draw_matches_reference(self, family, delta):
+        # pins the seeded specs and the RNG calls behind them, so every
+        # seeded instance and corpus graph keeps its bytes
+        low = minimal_block_size(family, delta)
+        for l in (low, low + 1, low + 2):
+            for seed in range(50):
+                ours, frozen = random.Random(seed), random.Random(seed)
+                assert _draw_spec(ours, family, delta, l) == reference_draw_spec(frozen, family, delta, l)
+                assert ours.getstate() == frozen.getstate()
 
 
 class TestRecognizer:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import graphs
 from diagnoscope.families import _FAMILY_FIELDS, GammaSpec, complete, make_gamma, random_gamma
 from diagnoscope.formats import (
     FormatError,
@@ -19,14 +20,6 @@ from diagnoscope.formats import (
 )
 from diagnoscope.graphs import CapExceededError, build_graph
 from oracles import gamma_spec_to_json
-
-
-@st.composite
-def graphs(draw, max_n=9):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    return build_graph(n, edges)
 
 
 class TestEdgeList:
@@ -67,12 +60,12 @@ class TestEdgeList:
         with pytest.raises(CapExceededError):
             parse_edge_list("100 0\n")
 
-    @given(graphs())
+    @given(graphs(0, 9))
     @settings(max_examples=50)
     def test_roundtrip(self, g):
         assert parse_edge_list(emit_edge_list(g)) == g
 
-    @given(graphs())
+    @given(graphs(0, 9))
     @settings(max_examples=50)
     def test_edge_list_to_graph6_chain_preserves_labeling(self, g):
         chained = emit_edge_list(parse_graph6(emit_graph6(parse_edge_list(emit_edge_list(g)))))
@@ -132,12 +125,12 @@ class TestGraph6:
         with pytest.raises(FormatError, match="truncated"):
             parse_graph6(line[:-1])
 
-    @given(graphs())
+    @given(graphs(0, 9))
     @settings(max_examples=60)
     def test_roundtrip(self, g):
         assert parse_graph6(emit_graph6(g)) == g
 
-    @given(graphs())
+    @given(graphs(0, 9))
     @settings(max_examples=60)
     def test_matches_networkx_reference(self, g):
         mine = emit_graph6(g)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs
+from conftest import all_graphs, graphs
 from diagnoscope.families import GammaSpec, complete, cycle, hypercube, make_gamma, petersen
 from diagnoscope.graphs import (
     CapExceededError,
@@ -21,14 +21,6 @@ from oracles import induced_subgraph
 
 def empty_graph(n):
     return build_graph(n, [])
-
-
-@st.composite
-def graphs(draw, max_n=8):
-    n = draw(st.integers(min_value=0, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    return build_graph(n, edges)
 
 
 class TestBuildGraph:
@@ -90,7 +82,7 @@ class TestDeleteEdges:
         with pytest.raises(GraphError, match="not an edge"):
             delete_edges(cycle(4), [(0, 2)])
 
-    @given(graphs(), st.data())
+    @given(graphs(0, 8), st.data())
     @settings(max_examples=50)
     def test_delete_then_readd(self, g, data):
         if g.m == 0:
@@ -116,7 +108,7 @@ class TestInducedSubgraph:
         sub, _ = induced_subgraph(g, range(5))
         assert sub == g
 
-    @given(graphs(), st.data())
+    @given(graphs(0, 8), st.data())
     @settings(max_examples=50)
     def test_adjacency_preserved(self, g, data):
         keep = sorted({v for v in range(g.n) if data.draw(st.booleans())})
@@ -154,7 +146,7 @@ class TestDegreeProfile:
 
 
 class TestRelabel:
-    @given(graphs(max_n=6), st.randoms(use_true_random=False))
+    @given(graphs(0, 6), st.randoms(use_true_random=False))
     @settings(max_examples=40)
     def test_roundtrip(self, g, rng):
         perm = list(range(g.n))

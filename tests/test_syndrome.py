@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs
+from conftest import all_graphs, graphs
 from diagnoscope.diagnosis import DiagModel, is_t_diagnosable
 from diagnoscope.families import complete, cycle, hypercube
 from diagnoscope.graphs import build_graph
@@ -59,14 +59,6 @@ def random_syndrome(g, model, rng):
 
 def empty_graph(n):
     return build_graph(n, [])
-
-
-@st.composite
-def graphs(draw, min_n=1, max_n=5):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    return build_graph(n, edges)
 
 
 class TestEntries:
@@ -157,7 +149,7 @@ class TestDecode:
         with pytest.raises(SyndromeError, match="0 or 1"):
             decode(g, bad_bit, 1, PMC)
 
-    @given(graphs(min_n=1), st.data(), st.sampled_from([PMC, MM]))
+    @given(graphs(1, 5), st.data(), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
     def test_injected_faults_always_among_candidates(self, g, data, model):
         faults = data.draw(st.sets(st.integers(0, g.n - 1), max_size=min(3, g.n)))
@@ -326,14 +318,14 @@ class TestDiagnosabilityLink:
                         g.edges, model, t,
                     )
 
-    @given(graphs(min_n=1, max_n=6), st.integers(0, 3), st.sampled_from([PMC, MM]))
+    @given(graphs(1, 6), st.integers(0, 3), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
     def test_pairwise_compatibility_matches_predicate(self, g, t, model):
         assert unique_decoding_everywhere(g, t, model) == is_t_diagnosable(
             g, t, model
         ).diagnosable
 
-    @given(graphs(min_n=2, max_n=6), st.sampled_from([PMC, MM]))
+    @given(graphs(2, 6), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
     def test_witness_pair_yields_confusing_syndrome(self, g, model):
         for t in range(1, 4):

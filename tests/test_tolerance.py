@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs
+from conftest import all_graphs, graphs
 from diagnoscope.diagnosis import DiagModel, _diagnosability_cached, diagnosability, is_t_diagnosable
 from diagnoscope.families import (
     circulant,
@@ -166,14 +166,6 @@ def symmetric_graphs():
     yield petersen()
 
 
-@st.composite
-def graphs(draw, min_n=1, max_n=6):
-    n = draw(st.integers(min_value=min_n, max_value=max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    edges = [e for e in pairs if draw(st.booleans())]
-    return build_graph(n, edges)
-
-
 gamma1_small = GammaSpec(1, 3, 4, core_edges=((0, 1), (0, 2), (1, 2)))
 
 
@@ -220,14 +212,14 @@ class TestAgainstDefinition:
                     == edge_tolerable_by_definition(g, h, model)
                 ), (g.edges, h, model)
 
-    @given(graphs(min_n=2), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
+    @given(graphs(2, 6), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)
     def test_matches_size_h_sweep(self, g, h, model):
         if h > g.min_degree:
             return
         assert edge_tolerable_diagnosability(g, h, model).value == sweep_oracle(g, h, model)
 
-    @given(graphs(min_n=2), st.integers(min_value=0, max_value=2))
+    @given(graphs(2, 6), st.integers(min_value=0, max_value=2))
     @settings(max_examples=60, deadline=None)
     def test_folded_pmc_equals_scenario_sweep(self, g, h):
         if h > g.min_degree:
@@ -312,8 +304,9 @@ class TestOrbitSweep:
             (petersen(), 3, 9),
             (complete_bipartite(4, 4), 3, 4),
             (hypercube(5), 2, 8),
+            (hypercube(5), 3, 50),
         ],
-        ids=["q4-h2", "q4-h3", "petersen-h3", "k44-h3", "q5-h2"],
+        ids=["q4-h2", "q4-h3", "petersen-h3", "k44-h3", "q5-h2", "q5-h3"],
     )
     def test_one_scenario_per_orbit(self, g, h, orbits):
         assert len(list(_orbit_scenarios(g, h))) == orbits
@@ -388,7 +381,7 @@ class TestWorstScenario:
         mm = edge_tolerable_diagnosability(hypercube(3), 1, MM)
         assert (mm.value, mm.worst_scenario) == (2, ((0, 1),))
 
-    @given(graphs(min_n=2), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
+    @given(graphs(2, 6), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=50, deadline=None)
     def test_scenario_attains_value(self, g, h, model):
         if h > g.min_degree:
@@ -398,7 +391,7 @@ class TestWorstScenario:
         assert len(result.worst_scenario) == min(h, g.m)
         assert diagnosability(delete_edges(g, result.worst_scenario), model) == result.value
 
-    @given(graphs(min_n=2), st.integers(min_value=1, max_value=2))
+    @given(graphs(2, 6), st.integers(min_value=1, max_value=2))
     @settings(max_examples=40, deadline=None)
     def test_mm_scenario_is_lex_min_minimizer(self, g, h):
         if h > g.min_degree:
@@ -412,7 +405,7 @@ class TestWorstScenario:
 
 
 class TestProperties:
-    @given(graphs(min_n=2), st.sampled_from([PMC, MM]))
+    @given(graphs(2, 6), st.sampled_from([PMC, MM]))
     @settings(max_examples=40, deadline=None)
     def test_monotone_in_budget(self, g, model):
         values = [
@@ -421,7 +414,7 @@ class TestProperties:
         ]
         assert all(a >= b for a, b in zip(values, values[1:]))
 
-    @given(graphs(min_n=2), st.sampled_from([PMC, MM]))
+    @given(graphs(2, 6), st.sampled_from([PMC, MM]))
     @settings(max_examples=40, deadline=None)
     def test_min_degree_upper_bound(self, g, model):
         delta = g.min_degree
@@ -429,7 +422,7 @@ class TestProperties:
             assert edge_tolerable_diagnosability(g, h, model).value <= delta - h
         assert edge_tolerable_diagnosability(g, delta, model).value == 0
 
-    @given(graphs(min_n=2), st.integers(min_value=0, max_value=2))
+    @given(graphs(2, 6), st.integers(min_value=0, max_value=2))
     @settings(max_examples=40, deadline=None)
     def test_model_ordering(self, g, h):
         assert (
@@ -500,7 +493,7 @@ class TestBounds:
             for h in range(entry.graph.min_degree + 1):
                 theoretical_bounds(entry.graph, h, PMC)
 
-    @given(graphs(min_n=2), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
+    @given(graphs(2, 6), st.integers(min_value=0, max_value=2), st.sampled_from([PMC, MM]))
     @settings(max_examples=50, deadline=None)
     def test_exact_bound_agrees_with_brute_force(self, g, h, model):
         report = theoretical_bounds(g, h, model)
