@@ -3,8 +3,9 @@
 The tolerable diagnosability at edge budget h is the minimum
 diagnosability over all graphs obtained by deleting at most h edges.
 Deleting edges never creates a distinguishing structure, so the minimum
-is attained at scenarios of size exactly min(h, |E|); the scenario sweep
-enumerates those.
+is attained at scenarios of size exactly h; the scenario sweep
+enumerates those.  A budget above the minimum degree isolates a vertex
+and is decided without them, and h <= delta <= |E| below it.
 
 Under PMC the per-scenario loop can be folded away exactly: a candidate
 pair becomes indistinguishable after deleting F_e iff F_e covers every
@@ -25,7 +26,8 @@ of e in F1 | F2, and is indistinguishable in G, or gains an end x of e
 outside F1 | F2 in both sets; x is then neither in the symmetric
 difference nor outside the union, so no PMC test and no MM* comparator
 through e tells the larger pair apart in G.  So t(G) <= t(G - e) + 1,
-and the value at budget h is t_{h-1} or t_{h-1} - 1.
+and the value at budget h is t_{h-1} or t_{h-1} - 1; the MM* sweep
+decides which with at most two refutation scans.
 
 The paper's theorems are stated once, as the rows of ``THEOREMS``: a
 rule name, the ``verify`` claim that checks it, its model, its
@@ -142,8 +144,8 @@ def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
     """Exact PMC value at budget h plus a canonical minimizing scenario.
 
     The scenario is the witness edge set of the first pair attaining the
-    minimum, padded with the smallest non-member edges up to size
-    min(h, |E|).  Deleting a superset of the witness edges keeps the pair
+    minimum, padded with the smallest non-member edges up to size h.
+    Deleting a superset of the witness edges keeps the pair
     indistinguishable, and no scenario beats the folded minimum, so the
     padded scenario attains the value exactly.
     """
@@ -154,11 +156,10 @@ def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
             best_r = r
     value = thresholds[best_r] - 1
     base = list(scenarios[best_r])
-    size = min(h, g.m)
-    if len(base) < size:
+    if len(base) < h:
         chosen = set(base)
         for e in g.edges:
-            if len(base) == size:
+            if len(base) == h:
                 break
             if e not in chosen:
                 base.append(e)
@@ -168,21 +169,22 @@ def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
 
 def _orbit_scenarios(g: Graph, size: int):
     """The first size-``size`` edge set of each automorphism orbit, in
-    ``combinations(g.edges, size)`` order; each yielded bitmask over edge
-    indices marks its orbit, closed under the generators, as seen."""
-    gens = automorphism_generators(g) if 0 < size < g.m else ()  # else one scenario
-    if not gens:
-        yield from combinations(g.edges, size)
-        return
-    index = {e: i for i, e in enumerate(g.edges)}
-    moves = [[index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in gens]
+    ``combinations(g.edges, size)`` order.  The first combination leads
+    its orbit whatever the group, so the generators are computed only
+    when a second scenario is asked for; from then on each yielded
+    bitmask over edge indices marks its orbit, closed under the
+    generators, as seen.  An asymmetric graph yields every scenario."""
+    moves = None  # per generator, the image of each edge index
     seen = set()
     for combo in combinations(range(g.m), size):
         mask = sum(1 << i for i in combo)
         if mask in seen:
             continue
         yield tuple(g.edges[i] for i in combo)
-        stack = [mask]
+        if moves is None:
+            index = {e: i for i, e in enumerate(g.edges)}
+            moves = [[index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in automorphism_generators(g)]
+        stack = [mask] if moves else []
         while stack:
             x = stack.pop()
             if x not in seen:
@@ -194,43 +196,30 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel) -> Tuple[int, Tuple[E
     """Minimum diagnosability over size-``size`` scenarios and the
     lexicographically first scenario attaining it.
 
-    Every scenario of an orbit has the same value, so only each orbit's
-    lexicographically first member is swept.  The first minimizing
-    scenario overall is the first member of its own orbit, so a scan in
-    lexicographic order that replaces its result only on a strictly
-    smaller value returns the same pair as a sweep over every scenario.
-    By the one-edge bound no scenario goes below t_{size-1} - 1, so the
-    scan stops there, and the first scenario's value climbs from there.
-    The bound also makes each drop of the running minimum exactly one:
-    a scenario S other than the first misses some edge e of the first
-    one below max S, and S - max S + e, or the first member of its
-    orbit, comes earlier in the scan with a value at most
-    t(G - (S - max S)) <= t(G - S) + 1.  Each scenario is refuted on a
-    copy of the adjacency masks.
+    By the one-edge bound the minimum is target or target - 1, where
+    target = t_{size-1}, and no scenario goes below target - 1.  So a
+    first scan refutes each scenario at target: the first one refuted
+    has value target - 1.  If none is, the minimum is target, and a
+    second scan returns the first scenario refuted at target + 1.  At
+    target 0 only the second scan runs, as no value is below 0.  Every
+    scenario of an orbit has the same value, and the first minimizing
+    scenario overall is the first member of its own orbit, so both
+    scans visit only orbit representatives, in lexicographic order, and
+    return the same pair as a scan over every scenario.  Each scenario
+    is refuted on a copy of the adjacency masks.
     """
     if size == 0:
         return diagnosability(g, model), ()
-    floor = max(_tolerance_cached(g, size - 1, model).value - 1, 0)
-    best_val: Optional[int] = None
-    best_scenario: Tuple[Edge, ...] = ()
-    for scenario in _orbit_scenarios(g, size):
-        adj = list(g.adj_masks)
-        for u, v in scenario:
-            adj[u] ^= 1 << v
-            adj[v] ^= 1 << u
-        if best_val is None:
-            best_val, cap = floor, min(min(a.bit_count() for a in adj), (g.n - 1) // 2)
-            while best_val < cap and _find_indistinguishable(adj, best_val + 1, model) is None:
-                best_val += 1
-        elif _find_indistinguishable(adj, best_val, model) is None:
-            continue  # at least as large as the current minimum
-        else:
-            best_val -= 1  # an earlier scenario is at most one above this one
-        best_scenario = scenario
-        if best_val == floor:
-            break
-    assert best_val is not None
-    return best_val, best_scenario
+    target = _tolerance_cached(g, size - 1, model).value
+    for t in range(max(target, 1), target + 2):
+        for scenario in _orbit_scenarios(g, size):
+            adj = list(g.adj_masks)
+            for u, v in scenario:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            if _find_indistinguishable(adj, t, model) is not None:
+                return t - 1, scenario
+    raise AssertionError("some scenario is at most t_{size-1}")
 
 
 def edge_tolerable_diagnosability(g: Graph, h: int, model: DiagModel) -> ToleranceResult:
@@ -238,8 +227,7 @@ def edge_tolerable_diagnosability(g: Graph, h: int, model: DiagModel) -> Toleran
 
     A budget above the minimum degree isolates a vertex, so the value is 0
     by theorem without enumeration; otherwise the result is exhaustive and
-    carries the lexicographically smallest minimizing scenario of size
-    min(h, |E|).
+    carries the lexicographically smallest minimizing scenario of size h.
     """
     if h < 0:
         raise GraphError(f"edge budget must be nonnegative, got {h}")
@@ -253,11 +241,10 @@ def _tolerance_cached(g: Graph, h: int, model: DiagModel) -> ToleranceResult:
     delta = g.min_degree
     if h > delta:
         return ToleranceResult(h, model, 0, None, METHOD_THEOREM)
-    size = min(h, g.m)
     if model is DiagModel.PMC:
         value, scenario = _pmc_tolerance(g, h)
     else:
-        value, scenario = _scenario_sweep(g, size, model)
+        value, scenario = _scenario_sweep(g, h, model)
     return ToleranceResult(h, model, value, tuple(scenario), METHOD_BRUTE)
 
 

@@ -233,7 +233,7 @@ def _tolerance(entry, facts, model, h, budget) -> Optional[int]:
     g = entry.graph
     if g.n > budget.max_n:
         return None
-    if model is DiagModel.MMSTAR and h <= g.min_degree and comb(g.m, min(h, g.m)) > budget.max_scenarios:
+    if model is DiagModel.MMSTAR and h <= g.min_degree and comb(g.m, h) > budget.max_scenarios:
         return None
     return edge_tolerable_diagnosability(g, h, model).value
 

@@ -25,7 +25,7 @@ from diagnoscope.families import (
     wheel,
     GammaSpec,
 )
-from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges
+from diagnoscope.graphs import GraphError, automorphism_generators, bits_of, build_graph, delete_edges
 from diagnoscope import tolerance
 from diagnoscope.tolerance import (
     METHOD_BRUTE,
@@ -153,6 +153,12 @@ def reference_sweep(g, size, model):
     return best_val, best_scenario
 
 
+def clear_caches():
+    tolerance._tolerance_cached.cache_clear()
+    _pmc_break_table.cache_clear()
+    _diagnosability_cached.cache_clear()
+
+
 def symmetric_graphs():
     for n in range(6, 11):
         steps = range(1, n // 2 + 1)
@@ -222,12 +228,11 @@ class TestAgainstDefinition:
     @given(graphs(2, 6), st.integers(min_value=0, max_value=2))
     @settings(max_examples=60, deadline=None)
     def test_folded_pmc_equals_scenario_sweep(self, g, h):
+        # the frozen sweep, since the production sweep starts from the fold's own t_{h-1}
         if h > g.min_degree:
             return
-        from diagnoscope.tolerance import _scenario_sweep
-
         folded = edge_tolerable_diagnosability(g, h, PMC).value
-        swept, _ = _scenario_sweep(g, min(h, g.m), PMC)
+        swept, _ = reference_sweep(g, h, PMC)
         assert folded == swept
 
 
@@ -328,11 +333,6 @@ class TestOrbitSweep:
         assert [edge_tolerable_diagnosability(g, h, MM).value for h in range(4)] == [2, 2, 1, 0]
 
     def test_cold_call_equals_ascending_run(self):
-        def clear():
-            tolerance._tolerance_cached.cache_clear()
-            _pmc_break_table.cache_clear()
-            _diagnosability_cached.cache_clear()
-
         rng = random.Random("cold-sweep")
         corpus = [e.graph for e in default_corpus() if e.name in ("gamma3-c", "hypercube-4", "petersen")]
         while len(corpus) < 13:
@@ -341,11 +341,30 @@ class TestOrbitSweep:
             if g.min_degree >= 3:
                 corpus.append(g)
         for g in corpus:
-            clear()
+            clear_caches()
             cold = edge_tolerable_diagnosability(g, 3, MM)
-            clear()
+            clear_caches()
             ascending = [edge_tolerable_diagnosability(g, h, MM) for h in range(4)]
             assert cold == ascending[-1], g.edges
+
+    def test_generators_only_on_demand(self, monkeypatch):
+        # the first scenario leads its orbit, so a level it decides needs no group
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return automorphism_generators(g)
+
+        monkeypatch.setattr(tolerance, "automorphism_generators", counting)
+        clear_caches()
+        for g, h_max in ((hypercube(5), 4), (hypercube(6), 3)):
+            for h in range(h_max + 1):
+                edge_tolerable_diagnosability(g, h, MM)
+        assert calls == []
+        g = complete_bipartite(4, 4)  # the value does not drop, so the first scan sweeps every orbit
+        for h in (1, 2):
+            assert _scenario_sweep(g, h, MM) == reference_sweep(g, h, MM)
+        assert calls
 
     def test_q5_mm_frontier(self):
         # recorded from a sweep over every orbit, which takes about 36 s at h = 4
