@@ -18,7 +18,8 @@ the folded table is tested against, and is the production path for MM*.
 
 An automorphism sigma of G makes G - F and G - sigma(F) isomorphic, so
 the sweep visits only the lexicographically first scenario of each
-orbit; asymmetric graphs sweep every scenario.
+orbit; an asymmetric graph's sweep visits every scenario, and refutes
+those the subset rule below leaves open.
 
 Deleting one edge e lowers diagnosability by at most one, under both
 models.  A pair (F1, F2) indistinguishable in G - e either has both ends
@@ -27,7 +28,11 @@ outside F1 | F2 in both sets; x is then neither in the symmetric
 difference nor outside the union, so no PMC test and no MM* comparator
 through e tells the larger pair apart in G.  So t(G) <= t(G - e) + 1,
 and the value at budget h is t_{h-1} or t_{h-1} - 1; the MM* sweep
-decides which with at most two refutation scans.
+decides which with at most two refutation scans.  Applied edge by edge,
+the bound gives t(G - S') <= t(G - S) + |S - S'| for every S' inside a
+scenario S.  So once any S', the empty set included, is known to be
+(t + |S - S'|)-diagnosable, S is t-diagnosable and the sweep skips its
+refutation at t (the subset rule).
 
 The paper's theorems are stated once, as the rows of ``THEOREMS``: a
 rule name, the ``verify`` claim that checks it, its model, its
@@ -168,11 +173,11 @@ def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
 
 
 def _orbit_scenarios(g: Graph, size: int):
-    """The first size-``size`` edge set of each automorphism orbit, in
-    ``combinations(g.edges, size)`` order.  The first combination leads
-    its orbit whatever the group, so the generators are computed only
-    when a second scenario is asked for; from then on each yielded
-    bitmask over edge indices marks its orbit, closed under the
+    """(edge-index bitmask, edge set) for the first size-``size`` edge set
+    of each automorphism orbit, in ``combinations(g.edges, size)`` order.
+    The first combination leads its orbit whatever the group, so the
+    generators are computed only when a second scenario is asked for;
+    from then on each yielded mask marks its orbit, closed under the
     generators, as seen.  An asymmetric graph yields every scenario."""
     moves = None  # per generator, the image of each edge index
     seen = set()
@@ -180,7 +185,7 @@ def _orbit_scenarios(g: Graph, size: int):
         mask = sum(1 << i for i in combo)
         if mask in seen:
             continue
-        yield tuple(g.edges[i] for i in combo)
+        yield mask, tuple(g.edges[i] for i in combo)
         if moves is None:
             index = {e: i for i, e in enumerate(g.edges)}
             moves = [[index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in automorphism_generators(g)]
@@ -190,6 +195,14 @@ def _orbit_scenarios(g: Graph, size: int):
             if x not in seen:
                 seen.add(x)
                 stack += [sum(1 << move[i] for i in bits_of(x)) for move in moves]
+
+
+# The sweep's record for the last graph and model swept: (g, model) ->
+# {edge-index mask: the largest t at which the engine found no witness in
+# G minus that scenario}, for each scenario the engine decided, starting
+# from the empty scenario at t(G).  Skipped scenarios are never recorded,
+# so a record grows only with the engine's work.
+_UNREFUTED = {}
 
 
 def _scenario_sweep(g: Graph, size: int, model: DiagModel) -> Tuple[int, Tuple[Edge, ...]]:
@@ -206,19 +219,33 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel) -> Tuple[int, Tuple[E
     scenario overall is the first member of its own orbit, so both
     scans visit only orbit representatives, in lexicographic order, and
     return the same pair as a scan over every scenario.  Each scenario
-    is refuted on a copy of the adjacency masks.
+    is refuted on a copy of the adjacency masks, unless the subset rule
+    (module docstring) already proves it t-diagnosable from the record
+    ``_UNREFUTED``; such a scenario is never refuted, so skipping it
+    changes no result.
     """
     if size == 0:
         return diagnosability(g, model), ()
     target = _tolerance_cached(g, size - 1, model).value
+    record = _UNREFUTED.get((g, model))
+    if record is None:
+        _UNREFUTED.clear()
+        record = _UNREFUTED[g, model] = {0: diagnosability(g, model)}
     for t in range(max(target, 1), target + 2):
-        for scenario in _orbit_scenarios(g, size):
-            adj = list(g.adj_masks)
-            for u, v in scenario:
-                adj[u] ^= 1 << v
-                adj[v] ^= 1 << u
-            if _find_indistinguishable(adj, t, model) is not None:
-                return t - 1, scenario
+        for mask, scenario in _orbit_scenarios(g, size):
+            sub = mask
+            while sub:  # every proper subset S' of the scenario, the empty one last
+                sub = (sub - 1) & mask
+                if record.get(sub, -1) >= t + size - sub.bit_count():
+                    break  # S' is (t + |S - S'|)-diagnosable, so the scenario is t-diagnosable
+            else:
+                adj = list(g.adj_masks)
+                for u, v in scenario:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                if _find_indistinguishable(adj, t, model) is not None:
+                    return t - 1, scenario
+                record[mask] = max(t, record.get(mask, 0))
     raise AssertionError("some scenario is at most t_{size-1}")
 
 

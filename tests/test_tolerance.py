@@ -12,7 +12,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, graphs
-from diagnoscope.diagnosis import DiagModel, _diagnosability_cached, diagnosability, is_t_diagnosable
+from diagnoscope.diagnosis import (
+    DiagModel,
+    _diagnosability_cached,
+    _find_indistinguishable,
+    diagnosability,
+    is_t_diagnosable,
+)
 from diagnoscope.families import (
     circulant,
     complete,
@@ -22,6 +28,7 @@ from diagnoscope.families import (
     make_gamma,
     petersen,
     prism,
+    random_t_connected,
     wheel,
     GammaSpec,
 )
@@ -155,6 +162,7 @@ def reference_sweep(g, size, model):
 
 def clear_caches():
     tolerance._tolerance_cached.cache_clear()
+    tolerance._UNREFUTED.clear()
     _pmc_break_table.cache_clear()
     _diagnosability_cached.cache_clear()
 
@@ -365,6 +373,26 @@ class TestOrbitSweep:
         for h in (1, 2):
             assert _scenario_sweep(g, h, MM) == reference_sweep(g, h, MM)
         assert calls
+
+    def test_subset_rule_skips_refutations(self, monkeypatch):
+        # no automorphism, and the first minimizer is late in each scan: a
+        # refutation per scenario made 19,172 engine calls at h = 0..2
+        calls = []
+
+        def counting(adj, t, model):
+            calls.append(t)
+            return _find_indistinguishable(adj, t, model)
+
+        monkeypatch.setattr(tolerance, "_find_indistinguishable", counting)
+        clear_caches()
+        g = random_t_connected(40, 5, 1)
+        results = [edge_tolerable_diagnosability(g, h, MM) for h in range(3)]
+        assert [(r.value, r.worst_scenario) for r in results] == [
+            (5, ()),
+            (4, ((9, 35),)),
+            (3, ((9, 35), (23, 35))),
+        ]
+        assert len(calls) <= 250
 
     def test_q5_mm_frontier(self):
         # recorded from a sweep over every orbit, which takes about 36 s at h = 4
