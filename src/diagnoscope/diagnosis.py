@@ -24,12 +24,14 @@ become a balanced split of D.  So each D has a few minimal unions
 ("closures"), and the search drops D once none fits in 2t vertices,
 counting twice each vertex below D's largest that D skipped: the search
 never adds it to D again, so it is in both fault sets of every pair
-reached from D.  On highly connected graphs that leaves a handful of
-small D.  The search also yields the canonical witness: each (closure,
-D) it visits is a candidate pair, and it keeps the first in witness
-order (``_before``: smallest |U|, then lexicographic U, then ascending
-D), the pair a scan of every U in order would find first.  Tests
-cross-check it against such a scan and against the direct pair scan.
+reached from D.  The folded PMC table drops D on the same doubled
+count, less two vertices for each edge a scenario may delete.  On
+highly connected graphs that leaves a handful of small D.  The search
+also yields the canonical witness: each (closure, D) it visits is a
+candidate pair, and it keeps the first in witness order (``_before``:
+smallest |U|, then lexicographic U, then ascending D), the pair a scan
+of every U in order would find first.  Tests cross-check it against
+such a scan and against the direct pair scan.
 
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.

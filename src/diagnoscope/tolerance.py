@@ -99,9 +99,16 @@ def _pmc_break_table(g: Graph):
     U = N[D] - Out for some Out inside Gamma(D) = N(D) - D, at cost
     r = sum of the edges from each Out vertex to D.  So for each D that
     ``_search_differences`` visits, every Out of cost at most delta is
-    tried (deleting more isolates a vertex).  Any pair grown from D has
-    threshold >= (|N[D]| - r) / 2, so D is dropped once |N[D]| exceeds
-    2 * thresholds[r] + r for every r.
+    tried (deleting more isolates a vertex).  A pair (U', D') grown from D
+    at cost r' has U' containing N[D] - Out', with at most r' vertices of
+    Out' in N[D], so its threshold |U'| - floor(|D'| / 2) is at least
+    (|N[D]| - r') / 2.  D' avoids L = {v < max D} - D, so U' & L is in
+    both fault sets, and the threshold |U' - D'| + ceil(|D'| / 2) >=
+    (|U'| + |U' & L|) / 2 is also at least
+    (|N[D]| + |N[D] & L|) / 2 - r'.  D is dropped once, for every r, one
+    of the two bounds exceeds thresholds[r]; both are strict, so no pair
+    that ties a threshold, and might come first in witness order, is
+    lost.
 
     Returns (thresholds, scenarios): thresholds[r] is the minimum breaking
     threshold over pairs whose outside-to-D edge set has size r <= delta,
@@ -114,13 +121,14 @@ def _pmc_break_table(g: Graph):
     infinite = n + 2
     best = [infinite] * (delta + 1)
     witness: list = [None] * (delta + 1)
-    limit = n  # |N[D]| <= n, so nothing is cut before the first pairs
 
     def visit(d_mask: int, closed: int) -> bool:
-        nonlocal limit
-        if closed.bit_count() > limit:
+        size = closed.bit_count()
+        below = ~d_mask & (1 << d_mask.bit_length() - 1) - 1
+        doubled = size + (closed & below).bit_count()
+        if all(size - r > 2 * b or doubled - 2 * r > 2 * b for r, b in enumerate(best)):
             return False
-        base = closed.bit_count() - (d_mask.bit_count() >> 1)
+        base = size - (d_mask.bit_count() >> 1)
         outs = [(0, 0, 0)]  # (Out, |Out|, edges from Out to D)
         for x in bits_of(closed ^ d_mask):
             e = (adj[x] & d_mask).bit_count()
@@ -134,7 +142,6 @@ def _pmc_break_table(g: Graph):
                 continue
             best[r] = threshold
             witness[r] = (u_mask, d_mask)
-        limit = max(2 * b + r for r, b in enumerate(best))
         return True
 
     _search_differences(adj, visit)

@@ -16,6 +16,7 @@ from diagnoscope.diagnosis import (
     DiagModel,
     _diagnosability_cached,
     _find_indistinguishable,
+    _search_differences,
     diagnosability,
     is_t_diagnosable,
 )
@@ -268,6 +269,53 @@ class TestFoldedTable:
     def test_matches_reference_on_verify_corpus(self):
         for entry in default_corpus():
             assert _pmc_break_table(entry.graph) == reference_break_table(entry.graph), entry.name
+
+    def test_matches_reference_where_doubled_count_prunes(self):
+        # dense and symmetric graphs, where skipped vertices below max D
+        # drop most D that the plain |N[D]| bound keeps
+        gs = [complete_bipartite(a, b) for a in range(1, 6) for b in range(a, 6)]
+        gs += [complete(n) for n in range(1, 9)]
+        gs += [prism(k) for k in range(3, 7)] + [wheel(k) for k in range(3, 9)]
+        gs += [hypercube(3), hypercube(4)]
+        gs += [random_t_connected(n, t, seed) for n in range(8, 13) for t in range(2, 5) for seed in range(1, 5)]
+        for g in gs:
+            assert _pmc_break_table(g) == reference_break_table(g), g.edges
+
+    def test_doubled_count_prunes_dense_graphs(self, monkeypatch):
+        # the plain |N[D]| bound visited every D of K8,8 (65,535) and 5,488 of Q5
+        visits = []
+
+        def counting(adj, visit):
+            def counted(d_mask, closed):
+                visits.append(d_mask)
+                return visit(d_mask, closed)
+
+            _search_differences(adj, counted)
+
+        monkeypatch.setattr(tolerance, "_search_differences", counting)
+        _pmc_break_table.cache_clear()
+
+        def star(center, leaves):
+            return tuple((min(center, v), max(center, v)) for v in leaves)
+
+        k88 = (
+            (8, 8, 7, 6, 5, 4, 3, 2, 1),
+            tuple(star(8, range(8 - r, 8)) for r in range(7)) + (star(0, range(9, 16)), star(0, range(8, 16))),
+        )
+        assert _pmc_break_table(complete_bipartite(8, 8)) == k88
+        assert len(visits) <= 4000
+        visits.clear()
+        q5 = ((6, 5, 4, 3, 2, 1), tuple(star(0, (1 << i for i in range(5 - r, 5))) for r in range(6)))
+        assert _pmc_break_table(hypercube(5)) == q5
+        assert len(visits) <= 850
+
+    @pytest.mark.parametrize("h, value", [(0, 9), (1, 9), (2, 8)])
+    def test_complete_bipartite_frontier(self, h, value):
+        g = complete_bipartite(10, 10)
+        result = edge_tolerable_diagnosability(g, h, PMC)
+        assert result.value == value
+        assert len(result.worst_scenario) == h
+        assert diagnosability(delete_edges(g, result.worst_scenario), PMC) == value
 
     @pytest.mark.parametrize("dim", [5, 6])
     @pytest.mark.parametrize("h", [0, 1, 2])
