@@ -257,8 +257,14 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel):
     return (f1, f2) if f1 < f2 else (f2, f1)
 
 
+def _check_model(model: DiagModel) -> None:
+    if not isinstance(model, DiagModel):  # the engine tests ``model is``: 'mm' would get PMC rules
+        raise GraphError(f"model must be a DiagModel, got {model!r}")
+
+
 def is_t_diagnosable(g: Graph, t: int, model: DiagModel) -> DiagnosisDecision:
     """Decide t-diagnosability; on failure return a canonical witness pair."""
+    _check_model(model)
     if t < 0:
         raise GraphError(f"fault budget must be nonnegative, got {t}")
     found = _find_indistinguishable(g.adj_masks, t, model)
@@ -292,6 +298,7 @@ def _diagnosability_cached(g: Graph, model: DiagModel) -> int:
 
 def diagnosability(g: Graph, model: DiagModel) -> int:
     """Largest t for which the graph is t-diagnosable under the model."""
+    _check_model(model)
     if g.n == 0:
         raise GraphError("diagnosability is undefined for the empty graph")
     return _diagnosability_cached(g, model)

@@ -34,6 +34,14 @@ scenario S.  So once any S', the empty set included, is known to be
 (t + |S - S'|)-diagnosable, S is t-diagnosable and the sweep skips its
 refutation at t (the subset rule).
 
+Both rules read earlier levels, so each (graph, model) keeps one profile,
+``_tolerance_cached(g, model)``: the results decided so far, by budget,
+and the sweep record, which maps each scenario the engine did not
+refute, as an edge-index mask, the empty one first, to the t it was
+decided at.  A level is appended only once decided.  A profile is
+mutable process state, so unlike ``diagnosis`` it is not safe for
+concurrent use.
+
 The paper's theorems are stated once, as the rows of ``THEOREMS``: a
 rule name, the ``verify`` claim that checks it, its model, its
 hypotheses and the value it asserts.  A hypothesis is an atom that maps
@@ -52,7 +60,7 @@ from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
-from .diagnosis import DiagModel, _before, _find_indistinguishable, _search_differences, diagnosability
+from .diagnosis import DiagModel, _before, _check_model, _find_indistinguishable, _search_differences, diagnosability
 from .diagnosis import is_t_diagnosable  # noqa: F401  (bench/selftest.py checks the tracer patches this binding)
 from .families import RecognitionResult, common_neighbor_shortcut, recognize_exceptional
 from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, normalize_edge
@@ -204,40 +212,20 @@ def _orbit_scenarios(g: Graph, size: int):
                 stack += [sum(1 << move[i] for i in bits_of(x)) for move in moves]
 
 
-# The sweep's record for the last graph and model swept: (g, model) ->
-# {edge-index mask: the largest t at which the engine found no witness in
-# G minus that scenario}, for each scenario the engine decided, starting
-# from the empty scenario at t(G).  Skipped scenarios are never recorded,
-# so a record grows only with the engine's work.
-_UNREFUTED = {}
+def _scenario_sweep(g: Graph, size: int, model: DiagModel, target: int, record: dict) -> Tuple[int, Tuple[Edge, ...]]:
+    """Value and lexicographically first minimizing scenario at budget
+    ``size`` >= 1, given target = t_{size-1} and the profile's ``record``.
 
-
-def _scenario_sweep(g: Graph, size: int, model: DiagModel) -> Tuple[int, Tuple[Edge, ...]]:
-    """Minimum diagnosability over size-``size`` scenarios and the
-    lexicographically first scenario attaining it.
-
-    By the one-edge bound the minimum is target or target - 1, where
-    target = t_{size-1}, and no scenario goes below target - 1.  So a
-    first scan refutes each scenario at target: the first one refuted
-    has value target - 1.  If none is, the minimum is target, and a
-    second scan returns the first scenario refuted at target + 1.  At
-    target 0 only the second scan runs, as no value is below 0.  Every
-    scenario of an orbit has the same value, and the first minimizing
-    scenario overall is the first member of its own orbit, so both
-    scans visit only orbit representatives, in lexicographic order, and
-    return the same pair as a scan over every scenario.  Each scenario
-    is refuted on a copy of the adjacency masks, unless the subset rule
-    (module docstring) already proves it t-diagnosable from the record
-    ``_UNREFUTED``; such a scenario is never refuted, so skipping it
-    changes no result.
+    A first scan refutes each scenario at target; the first one refuted
+    has value target - 1.  If none is, a second scan returns the first
+    scenario refuted at target + 1, whose value is target (at target 0
+    only this scan runs).  Every scenario of an orbit has the same value,
+    and the first minimizer is the first member of its own orbit, so both
+    scans visit only orbit representatives, in lexicographic order.  A
+    scenario the subset rule proves t-diagnosable from ``record`` is
+    never refuted; every other one is refuted on a copy of the adjacency
+    masks, and added to ``record`` if the engine finds no witness.
     """
-    if size == 0:
-        return diagnosability(g, model), ()
-    target = _tolerance_cached(g, size - 1, model).value
-    record = _UNREFUTED.get((g, model))
-    if record is None:
-        _UNREFUTED.clear()
-        record = _UNREFUTED[g, model] = {0: diagnosability(g, model)}
     for t in range(max(target, 1), target + 2):
         for mask, scenario in _orbit_scenarios(g, size):
             sub = mask
@@ -252,34 +240,37 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel) -> Tuple[int, Tuple[E
                     adj[v] ^= 1 << u
                 if _find_indistinguishable(adj, t, model) is not None:
                     return t - 1, scenario
-                record[mask] = max(t, record.get(mask, 0))
+                record[mask] = t
     raise AssertionError("some scenario is at most t_{size-1}")
 
 
 def edge_tolerable_diagnosability(g: Graph, h: int, model: DiagModel) -> ToleranceResult:
-    """Minimum diagnosability over all deletions of at most h edges.
-
-    A budget above the minimum degree isolates a vertex, so the value is 0
-    by theorem without enumeration; otherwise the result is exhaustive and
-    carries the lexicographically smallest minimizing scenario of size h.
-    """
+    """Minimum diagnosability over all deletions of at most h edges, with the
+    lexicographically smallest minimizing scenario of size h; 0 by theorem
+    for a budget above the minimum degree, which isolates a vertex."""
+    _check_model(model)
     if h < 0:
         raise GraphError(f"edge budget must be nonnegative, got {h}")
     if g.n == 0:
         raise GraphError("tolerable diagnosability is undefined for the empty graph")
-    return _tolerance_cached(g, h, model)
+    if h > g.min_degree:
+        return ToleranceResult(h, model, 0, None, METHOD_THEOREM)
+    levels, record = _tolerance_cached(g, model)
+    while len(levels) <= h:
+        size, scenario = len(levels), ()
+        if model is DiagModel.PMC:
+            value, scenario = _pmc_tolerance(g, size)
+        elif size:
+            value, scenario = _scenario_sweep(g, size, model, levels[-1].value, record)
+        else:
+            value = record[0] = diagnosability(g, model)
+        levels.append(ToleranceResult(size, model, value, scenario, METHOD_BRUTE))
+    return levels[h]
 
 
 @lru_cache(maxsize=4096)
-def _tolerance_cached(g: Graph, h: int, model: DiagModel) -> ToleranceResult:
-    delta = g.min_degree
-    if h > delta:
-        return ToleranceResult(h, model, 0, None, METHOD_THEOREM)
-    if model is DiagModel.PMC:
-        value, scenario = _pmc_tolerance(g, h)
-    else:
-        value, scenario = _scenario_sweep(g, h, model)
-    return ToleranceResult(h, model, value, tuple(scenario), METHOD_BRUTE)
+def _tolerance_cached(g: Graph, model: DiagModel) -> Tuple[List[ToleranceResult], dict]:
+    return [], {}  # the profile of (g, model), extended by edge_tolerable_diagnosability
 
 
 class Facts:
@@ -444,6 +435,7 @@ def theoretical_bounds(g: Graph, h: int, model: DiagModel, *, facts: Optional[Fa
     instantiated at t = kappa(G), the strongest provable choice.  A caller
     evaluating several budgets passes one ``facts`` for the graph.
     """
+    _check_model(model)
     if h < 0:
         raise GraphError(f"edge budget must be nonnegative, got {h}")
     if g.n == 0:

@@ -163,9 +163,19 @@ def reference_sweep(g, size, model):
 
 def clear_caches():
     tolerance._tolerance_cached.cache_clear()
-    tolerance._UNREFUTED.clear()
     _pmc_break_table.cache_clear()
     _diagnosability_cached.cache_clear()
+
+
+def ascending_sweep(g, size, model):
+    """The scenario sweep's (value, scenario) at ``size``, run level by level
+    from t(G) with its own record, as a profile runs it; under PMC too, whose
+    production values come from the fold."""
+    pair = (diagnosability(g, model), ())
+    record = {0: pair[0]}
+    for level in range(1, size + 1):
+        pair = _scenario_sweep(g, level, model, pair[0], record)
+    return pair
 
 
 def symmetric_graphs():
@@ -207,6 +217,20 @@ class TestValues:
     def test_negative_budget(self):
         with pytest.raises(GraphError):
             edge_tolerable_diagnosability(cycle(4), -1, PMC)
+
+    def test_model_must_be_a_diag_model(self):
+        # the engine tests ``model is MMSTAR``, so a string would silently get PMC values
+        g = complete_bipartite(3, 4)
+        calls = [
+            lambda m: is_t_diagnosable(g, 2, m),
+            lambda m: diagnosability(g, m),
+            lambda m: edge_tolerable_diagnosability(g, 1, m),
+            lambda m: theoretical_bounds(g, 1, m),
+        ]
+        for call in calls:
+            for model in ("mm", "pmc", None):
+                with pytest.raises(GraphError, match=repr(model)):
+                    call(model)
 
 
 class TestAgainstDefinition:
@@ -333,11 +357,10 @@ class TestOrbitSweep:
 
     def check(self, g, h_max, max_scenarios=None):
         for h in range(0, min(g.min_degree, h_max) + 1):
-            size = min(h, g.m)
-            if max_scenarios is not None and comb(g.m, size) > max_scenarios:
+            if max_scenarios is not None and comb(g.m, h) > max_scenarios:
                 continue
             for model in (PMC, MM):
-                assert _scenario_sweep(g, size, model) == reference_sweep(g, size, model), (
+                assert ascending_sweep(g, h, model) == reference_sweep(g, h, model), (
                     g.edges,
                     h,
                     model,
@@ -419,7 +442,7 @@ class TestOrbitSweep:
         assert calls == []
         g = complete_bipartite(4, 4)  # the value does not drop, so the first scan sweeps every orbit
         for h in (1, 2):
-            assert _scenario_sweep(g, h, MM) == reference_sweep(g, h, MM)
+            assert ascending_sweep(g, h, MM) == reference_sweep(g, h, MM)
         assert calls
 
     def test_subset_rule_skips_refutations(self, monkeypatch):
@@ -442,6 +465,27 @@ class TestOrbitSweep:
         ]
         assert len(calls) <= 250
 
+    def test_profile_survives_another_graph(self, monkeypatch):
+        # each (graph, model) keeps its own record, so sweeping Petersen in
+        # between costs the last level nothing: one shared record made
+        # 19,067 engine calls there, a plain ascending run makes 87
+        calls = []
+
+        def counting(adj, t, model):
+            calls.append(t)
+            return _find_indistinguishable(adj, t, model)
+
+        monkeypatch.setattr(tolerance, "_find_indistinguishable", counting)
+        clear_caches()
+        g = random_t_connected(40, 5, 1)
+        for h in (0, 1):
+            edge_tolerable_diagnosability(g, h, MM)
+        edge_tolerable_diagnosability(petersen(), 1, MM)
+        calls.clear()
+        result = edge_tolerable_diagnosability(g, 2, MM)
+        assert (result.value, result.worst_scenario) == (3, ((9, 35), (23, 35)))
+        assert len(calls) <= 100
+
     def test_q5_mm_frontier(self):
         # recorded from a sweep over every orbit, which takes about 36 s at h = 4
         g = hypercube(5)
@@ -453,7 +497,7 @@ class TestOrbitSweep:
             4: (1, ((0, 1), (0, 2), (0, 4), (0, 8))),
         }
         for h, pair in expected.items():
-            assert _scenario_sweep(g, h, MM) == pair
+            assert ascending_sweep(g, h, MM) == pair
 
     def test_q6_mm_frontier(self):
         # recorded from a sweep over every orbit, which takes about 43 s at h = 3
@@ -465,7 +509,7 @@ class TestOrbitSweep:
             3: (3, ((0, 1), (0, 2), (0, 4))),
         }
         for h, pair in expected.items():
-            assert _scenario_sweep(g, h, MM) == pair
+            assert ascending_sweep(g, h, MM) == pair
 
 
 class TestWorstScenario:
