@@ -20,18 +20,20 @@ searches over D, not U (``_search_differences``; the folded PMC table in
 ``tolerance`` runs the same search).  Under PMC a pair is
 indistinguishable iff N[D] is inside U; under MM* each vertex x of
 N(D) - D must be in U or have N(x) inside U, and conditions (2)/(3)
-become a balanced split of D.  So each D has a few minimal unions
-("closures"), and the search drops D once none fits in 2t vertices,
-counting twice each vertex below D's largest that D skipped: the search
-never adds it to D again, so it is in both fault sets of every pair
-reached from D.  The folded PMC table drops D on the same doubled
-count, less two vertices for each edge a scenario may delete.  On
-highly connected graphs that leaves a handful of small D.  The search
-also yields the canonical witness: each (closure, D) it visits is a
-candidate pair, and it keeps the first in witness order (``_before``:
-smallest |U|, then lexicographic U, then ascending D), the pair a scan
-of every U in order would find first.  Tests cross-check it against
-such a scan and against the direct pair scan.
+become a balanced split of D.  By (2)/(3) an outside vertex has at most
+one neighbor in each half of D, so an x with three neighbors in D is in
+U, and in the union of every pair grown from D.  So each D has a few
+minimal unions ("closures"), and the search drops D once none fits in
+2t vertices, counting twice each vertex below D's largest that D
+skipped: the search never adds it to D again, so it is in both fault
+sets of every pair reached from D.  The folded PMC table drops D on
+the same doubled count, less two vertices for each edge a scenario may
+delete.  On highly connected graphs that leaves a handful of small D.
+The search also yields the canonical witness: each (closure, D) it
+visits is a candidate pair, and it keeps the first in witness order
+(``_before``: smallest |U|, then lexicographic U, then ascending D), the
+pair a scan of every U in order would find first.  Tests cross-check it
+against such a scan and against the direct pair scan.
 
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.
@@ -162,12 +164,22 @@ def _closures(
     join U; the closures are
     D | (Gamma(D) - Out) | N(Out) over independent sets Out.  An
     undecided vertex is never adjacent to an outside one (that neighbor
-    would already be in U), so independence needs no check.  Both limits
-    only grow with U, so a partial union past either one is dropped with
-    every closure that contains it.
+    would already be in U), so independence needs no check.  A vertex
+    with three neighbors in D starts in U: outside, it would compare two
+    of them that share a half of D, or of any D' grown from D, so no
+    witness reached from D has it in Out.  Both limits only grow with U, so a
+    partial union past either one is dropped with every closure that
+    contains it.
     """
     found = []
-    stack = [(d_mask, closed ^ d_mask) if mm else (closed, 0)]
+    u_mask = d_mask
+    if mm and d_mask.bit_count() > 2:
+        once = twice = 0
+        for v in bits_of(d_mask):  # u_mask gains the vertices seen a third time
+            u_mask |= twice & adj[v]
+            twice |= once & adj[v]
+            once |= adj[v]
+    stack = [(u_mask, closed ^ d_mask) if mm else (closed, 0)]
     while stack:
         u_mask, rest = stack.pop()
         size = u_mask.bit_count()
@@ -213,10 +225,10 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel):
     (U', D') it reaches from D has D' disjoint from L, and a vertex of L
     in U' is in both fault sets.  U' contains some closure U of D (under
     PMC U' contains N[D]; under MM* each vertex of Gamma(D) outside U' has
-    all its neighbors in U'), so |F1| + |F2| = |U'| + |U' - D'| >=
-    |U| + |U & L|: a closure past 2t has no witness beyond it.  At D
-    itself |U| + |U & L| <= 2|U| - |D| = |F1| + |F2|, so no witness at D
-    is dropped.
+    all its neighbors in U' and at most two in D), so |F1| + |F2| =
+    |U'| + |U' - D'| >= |U| + |U & L|: a closure past 2t has no witness
+    beyond it.  At D itself |U| + |U & L| <= 2|U| - |D| = |F1| + |F2|, so
+    no witness at D is dropped.
     """
     n = len(adj)
     if t <= 0 or n == 0:

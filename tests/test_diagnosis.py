@@ -16,9 +16,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, graphs
+from diagnoscope import diagnosis
 from diagnoscope.diagnosis import (
     DiagModel,
     _before,
+    _closures,
     _find_indistinguishable,
     _mm_split,
     _search_differences,
@@ -36,6 +38,7 @@ from diagnoscope.families import (
     make_gamma,
     petersen,
     random_gamma,
+    random_t_connected,
     wheel,
 )
 from diagnoscope.graphs import GraphError, bits_of, build_graph, delete_edges, relabel
@@ -294,6 +297,47 @@ class TestIsTDiagnosable:
                         reference_first_witness(g, t, model)
                     ), (g.edges, t, model)
 
+    def test_first_witness_matches_references_on_dense_graphs(self):
+        # dense graphs are where a vertex with three neighbors in D starts
+        # in every MM* closure; at t = cap the search must refute every D
+        # and at cap + 1 find the first witness
+        rng = random.Random("dense-first-witness")
+        gs = [complete_bipartite(a, b) for a in range(1, 7) for b in range(a, 7)]
+        for _ in range(60):
+            n = rng.randrange(6, 13)
+            p = rng.uniform(0.6, 0.95)
+            gs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]))
+        for g in gs:
+            cap = diagnosability_cap(g)
+            for t in (cap, cap + 1):
+                found = _find_indistinguishable(g.adj_masks, t, MM)
+                assert found == reference_first_witness(g, t, MM), (g.edges, t)
+                if g.n <= 9:
+                    assert (found is None) == reference_is_t_diagnosable(g, t, MM), (g.edges, t)
+
+    def test_three_neighbors_in_d_prune_dense_searches(self, monkeypatch):
+        # D-sets the MM* search visits; before a vertex with three
+        # neighbors in D started in every closure: 89,695 on K9,9 and 1,823
+        # on random_t_connected(16, 9, 3). Q5 at t = 3 never has |D| > 2
+        visits = []
+
+        def counting(adj, visit):
+            def counted(d_mask, closed):
+                visits.append(d_mask)
+                return visit(d_mask, closed)
+
+            _search_differences(adj, counted)
+
+        monkeypatch.setattr(diagnosis, "_search_differences", counting)
+        for g, t, most in [
+            (complete_bipartite(9, 9), 7, 18_398),
+            (random_t_connected(16, 9, 3), 7, 169),
+            (hypercube(5), 3, 63),
+        ]:
+            visits.clear()
+            assert _find_indistinguishable(g.adj_masks, t, MM) is None
+            assert len(visits) <= most, g.edges
+
     def test_k9_9_mm_diagnosability(self):
         # no witness at t = 7; the one at t = 8 is in test_golden_witnesses.
         # Both measured on the engine that pruned only on |U| > 2t
@@ -422,6 +466,49 @@ class TestSearchDifferences:
                 return any(g.vertex_mask(vertices[:k]) in pruned for k in range(1, len(vertices)))
 
             assert seen == [d for d in self.lexicographic(g.n) if not extends_pruned(d)], g.edges
+
+
+class TestClosures:
+    @staticmethod
+    def reference_mm_closures(g, d_mask):
+        """D | (Gamma(D) - Out) | N(Out) over every independent Out inside
+        Gamma(D) that holds no vertex with three neighbors in D."""
+        adj = g.adj_masks
+        gamma = d_mask
+        for v in bits_of(d_mask):
+            gamma |= adj[v]
+        gamma ^= d_mask
+        free = sum(1 << x for x in bits_of(gamma) if (adj[x] & d_mask).bit_count() < 3)
+        found = set()
+        out = 0
+        while True:  # every submask of free
+            if all(not adj[x] & out for x in bits_of(out)):
+                u_mask = d_mask | gamma & ~out
+                for x in bits_of(out):
+                    u_mask |= adj[x]
+                found.add(u_mask)
+            out = (out - free) & free
+            if not out:
+                return found
+
+    def test_mm_closures_keep_every_vertex_with_three_neighbors_in_d(self):
+        rng = random.Random("mm-closures")
+        gs = list(enumerator_graphs())
+        for _ in range(30):
+            n = rng.randrange(6, 9)
+            gs.append(build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < 0.7]))
+        for g in gs:
+            adj = g.adj_masks
+            for d_mask in range(1, 1 << g.n):
+                closed = d_mask
+                for v in bits_of(d_mask):
+                    closed |= adj[v]
+                closures = _closures(adj, d_mask, closed, 0, 2 * g.n, g.n, True)
+                for u_mask in closures:
+                    outside = g.full_mask ^ u_mask
+                    assert all((adj[x] & d_mask).bit_count() <= 2 for x in bits_of(outside)), (g.edges, d_mask)
+                assert len(set(closures)) == len(closures)
+                assert set(closures) == self.reference_mm_closures(g, d_mask), (g.edges, d_mask)
 
 
 class TestDiagnosability:
