@@ -81,7 +81,6 @@ def _mm_split(adj: Tuple[int, ...], outside: int, d_mask: int, bound: int):
     """
     verts = list(bits_of(d_mask))
     k = len(verts)
-    index = {v: i for i, v in enumerate(verts)}
     conflict: List[List[int]] = [[] for _ in range(k)]
     for i in range(k):
         for j in range(i + 1, k):

@@ -16,11 +16,6 @@ neighbor of D between the union and the deleted edges, yields the value
 table for every budget at once.  The scenario sweep remains the oracle
 the folded table is tested against, and is the production path for MM*.
 
-An automorphism sigma of G makes G - F and G - sigma(F) isomorphic, so
-the sweep visits only the lexicographically first scenario of each
-orbit; an asymmetric graph's sweep visits every scenario, and refutes
-those the subset rule below leaves open.
-
 Deleting one edge e lowers diagnosability by at most one, under both
 models.  A pair (F1, F2) indistinguishable in G - e either has both ends
 of e in F1 | F2, and is indistinguishable in G, or gains an end x of e
@@ -28,17 +23,26 @@ outside F1 | F2 in both sets; x is then neither in the symmetric
 difference nor outside the union, so no PMC test and no MM* comparator
 through e tells the larger pair apart in G.  So t(G) <= t(G - e) + 1,
 and the value at budget h is t_{h-1} or t_{h-1} - 1; the MM* sweep
-decides which with at most two refutation scans.  Applied edge by edge,
-the bound gives t(G - S') <= t(G - S) + |S - S'| for every S' inside a
-scenario S.  So once any S', the empty set included, is known to be
-(t + |S - S'|)-diagnosable, S is t-diagnosable and the sweep skips its
-refutation at t (the subset rule).
+decides which with at most two refutation scans, at t >= t_{h-1}.
+Applied edge by edge, the bound gives t(G - S') <= t(G - S) + |S - S'|
+for every S' inside a scenario S.  So once some nonempty S' is known to
+be (t + |S - S'|)-diagnosable, S is t-diagnosable and the sweep does not
+refute it at t (the subset rule).  The empty S' never applies: it
+needs t(G) >= t + h, while t >= t_{h-1} >= t(G) - (h - 1) gives
+t + h > t(G).
+
+An automorphism sigma of G makes G - S and G - sigma(S) isomorphic, so
+when the engine finds S t-diagnosable the sweep records sigma(S) too,
+for every sigma.  A scenario of an orbit already swept is then dropped
+by the subset rule with S' = S, and an asymmetric graph's sweep refutes
+every scenario the rule leaves open.
 
 Both rules read earlier levels, so each (graph, model) keeps one profile,
-``_tolerance_cached(g, model)``: the results decided so far, by budget,
-and the sweep record, which maps each scenario the engine did not
-refute, as an edge-index mask, the empty one first, to the t it was
-decided at.  A level is appended only once decided.  A profile is
+``_tolerance_cached(g, model)``: the results decided so far, by budget;
+the sweep record, which maps each scenario shown t-diagnosable, as an
+edge-index mask, to that t, and is closed under automorphisms; and the
+group, the generators' edge-index images, computed when the first orbit
+is recorded.  A level is appended only once decided.  A profile is
 mutable process state, so unlike ``diagnosis`` it is not safe for
 concurrent use.
 
@@ -56,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import combinations
 from typing import Callable, List, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
@@ -187,60 +190,61 @@ def _pmc_tolerance(g: Graph, h: int) -> Tuple[int, Tuple[Edge, ...]]:
     return value, tuple(sorted(base))
 
 
-def _orbit_scenarios(g: Graph, size: int):
-    """(edge-index bitmask, edge set) for the first size-``size`` edge set
-    of each automorphism orbit, in ``combinations(g.edges, size)`` order.
-    The first combination leads its orbit whatever the group, so the
-    generators are computed only when a second scenario is asked for;
-    from then on each yielded mask marks its orbit, closed under the
-    generators, as seen.  An asymmetric graph yields every scenario."""
-    moves = None  # per generator, the image of each edge index
-    seen = set()
-    for combo in combinations(range(g.m), size):
-        mask = sum(1 << i for i in combo)
-        if mask in seen:
-            continue
-        yield mask, tuple(g.edges[i] for i in combo)
-        if moves is None:
-            index = {e: i for i, e in enumerate(g.edges)}
-            moves = [[index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in automorphism_generators(g)]
-        stack = [mask] if moves else []
-        while stack:
-            x = stack.pop()
-            if x not in seen:
-                seen.add(x)
-                stack += [sum(1 << move[i] for i in bits_of(x)) for move in moves]
-
-
-def _scenario_sweep(g: Graph, size: int, model: DiagModel, target: int, record: dict) -> Tuple[int, Tuple[Edge, ...]]:
+def _scenario_sweep(g: Graph, size: int, model: DiagModel, target: int, record: dict, group: list):
     """Value and lexicographically first minimizing scenario at budget
-    ``size`` >= 1, given target = t_{size-1} and the profile's ``record``.
+    ``size`` >= 1, given target = t_{size-1} and the profile's ``record``
+    and ``group``.
 
-    A first scan refutes each scenario at target; the first one refuted
-    has value target - 1.  If none is, a second scan returns the first
+    A first scan refutes scenarios at target; the first one refuted has
+    value target - 1.  If none is, a second scan returns the first
     scenario refuted at target + 1, whose value is target (at target 0
-    only this scan runs).  Every scenario of an orbit has the same value,
-    and the first minimizer is the first member of its own orbit, so both
-    scans visit only orbit representatives, in lexicographic order.  A
-    scenario the subset rule proves t-diagnosable from ``record`` is
-    never refuted; every other one is refuted on a copy of the adjacency
-    masks, and added to ``record`` if the engine finds no witness.
+    only this scan runs).  A scan walks sorted edge-index prefixes depth
+    first, so its leaves come in ``combinations`` order.  A popped prefix
+    is dropped, with every scenario above it, when it holds a recorded S'
+    that is (t + size - |S'|)-diagnosable; only the S' holding its newest
+    edge are tested, the others were at its shorter prefixes.  A leaf left
+    is refuted on a copy of the adjacency masks; if the engine finds no
+    witness, its orbit is recorded at t, so a later leaf of that orbit is
+    dropped as its own S'.  ``group`` is empty until the first orbit is
+    recorded, then holds one list: per generator, the image of each edge
+    index.
     """
+    m = g.m
     for t in range(max(target, 1), target + 2):
-        for mask, scenario in _orbit_scenarios(g, size):
-            sub = mask
-            while sub:  # every proper subset S' of the scenario, the empty one last
-                sub = (sub - 1) & mask
-                if record.get(sub, -1) >= t + size - sub.bit_count():
-                    break  # S' is (t + |S - S'|)-diagnosable, so the scenario is t-diagnosable
+        stack = [1 << e for e in range(m - size, -1, -1)]
+        while stack:
+            mask = stack.pop()
+            top = mask.bit_length() - 1
+            rest = sub = mask ^ 1 << top
+            while record.get(sub | 1 << top, -1) < t + size - 1 - sub.bit_count():
+                if not sub:
+                    break
+                sub = (sub - 1) & rest
             else:
-                adj = list(g.adj_masks)
-                for u, v in scenario:
-                    adj[u] ^= 1 << v
-                    adj[v] ^= 1 << u
-                if _find_indistinguishable(adj, t, model) is not None:
-                    return t - 1, scenario
-                record[mask] = t
+                continue  # every scenario above the prefix holds S' = sub + top
+            depth = mask.bit_count()
+            if depth < size:
+                stack += [mask | 1 << e for e in range(m - size + depth, top, -1)]
+                continue
+            scenario = tuple(g.edges[i] for i in bits_of(mask))
+            adj = list(g.adj_masks)
+            for u, v in scenario:
+                adj[u] ^= 1 << v
+                adj[v] ^= 1 << u
+            if _find_indistinguishable(adj, t, model) is not None:
+                return t - 1, scenario
+            if not group:
+                index = {e: i for i, e in enumerate(g.edges)}
+                gens = automorphism_generators(g)
+                group.append([[index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in gens])
+            record[mask] = t
+            orbit = [mask]
+            for x in orbit:
+                for move in group[0]:
+                    y = sum(1 << move[i] for i in bits_of(x))
+                    if record.get(y, -1) < t:
+                        record[y] = t
+                        orbit.append(y)
     raise AssertionError("some scenario is at most t_{size-1}")
 
 
@@ -255,22 +259,22 @@ def edge_tolerable_diagnosability(g: Graph, h: int, model: DiagModel) -> Toleran
         raise GraphError("tolerable diagnosability is undefined for the empty graph")
     if h > g.min_degree:
         return ToleranceResult(h, model, 0, None, METHOD_THEOREM)
-    levels, record = _tolerance_cached(g, model)
+    levels, record, group = _tolerance_cached(g, model)
     while len(levels) <= h:
         size, scenario = len(levels), ()
         if model is DiagModel.PMC:
             value, scenario = _pmc_tolerance(g, size)
         elif size:
-            value, scenario = _scenario_sweep(g, size, model, levels[-1].value, record)
+            value, scenario = _scenario_sweep(g, size, model, levels[-1].value, record, group)
         else:
-            value = record[0] = diagnosability(g, model)
+            value = diagnosability(g, model)
         levels.append(ToleranceResult(size, model, value, scenario, METHOD_BRUTE))
     return levels[h]
 
 
 @lru_cache(maxsize=4096)
-def _tolerance_cached(g: Graph, model: DiagModel) -> Tuple[List[ToleranceResult], dict]:
-    return [], {}  # the profile of (g, model), extended by edge_tolerable_diagnosability
+def _tolerance_cached(g: Graph, model: DiagModel) -> Tuple[List[ToleranceResult], dict, list]:
+    return [], {}, []  # the profile of (g, model), extended by edge_tolerable_diagnosability
 
 
 class Facts:

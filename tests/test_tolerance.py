@@ -39,7 +39,6 @@ from diagnoscope.tolerance import (
     METHOD_BRUTE,
     METHOD_THEOREM,
     _pmc_break_table,
-    _orbit_scenarios,
     _scenario_sweep,
     Facts,
     edge_tolerable_diagnosability,
@@ -167,14 +166,26 @@ def clear_caches():
     _diagnosability_cached.cache_clear()
 
 
+def count_refutations(monkeypatch):
+    """Route the sweep's engine calls through a counter; returns the list
+    of thresholds it was called at."""
+    calls = []
+
+    def counting(adj, t, model):
+        calls.append(t)
+        return _find_indistinguishable(adj, t, model)
+
+    monkeypatch.setattr(tolerance, "_find_indistinguishable", counting)
+    return calls
+
+
 def ascending_sweep(g, size, model):
     """The scenario sweep's (value, scenario) at ``size``, run level by level
     from t(G) with its own record, as a profile runs it; under PMC too, whose
     production values come from the fold."""
-    pair = (diagnosability(g, model), ())
-    record = {0: pair[0]}
+    pair, record, group = (diagnosability(g, model), ()), {}, []
     for level in range(1, size + 1):
-        pair = _scenario_sweep(g, level, model, pair[0], record)
+        pair = _scenario_sweep(g, level, model, pair[0], record, group)
     return pair
 
 
@@ -392,8 +403,18 @@ class TestOrbitSweep:
         ],
         ids=["q4-h2", "q4-h3", "petersen-h3", "k44-h3", "q5-h2", "q5-h3"],
     )
-    def test_one_scenario_per_orbit(self, g, h, orbits):
-        assert len(list(_orbit_scenarios(g, h))) == orbits
+    def test_one_scenario_per_orbit(self, g, h, orbits, monkeypatch):
+        # an engine that never finds a witness, from an empty record at
+        # target 0 (one scan at t = 1): the walk refutes the first member of
+        # each orbit and records the whole orbit, so every scenario ends up
+        # recorded
+        calls = []
+        monkeypatch.setattr(tolerance, "_find_indistinguishable", lambda adj, t, model: calls.append(t))
+        record = {}
+        with pytest.raises(AssertionError):
+            _scenario_sweep(g, h, MM, 0, record, [])
+        assert len(calls) == orbits
+        assert set(record) == {sum(1 << i for i in c) for c in combinations(range(g.m), h)}
 
     def test_random_graphs(self):
         # the frozen sweep refutes every scenario, about 1 ms each; the cap
@@ -464,6 +485,48 @@ class TestOrbitSweep:
             (3, ((9, 35), (23, 35))),
         ]
         assert len(calls) <= 250
+
+    @pytest.mark.parametrize(
+        "n, seed, pinned",
+        [
+            (40, 1, ((9, 35), (23, 35), (35, 36), (35, 37))),
+            (64, 8, ((10, 49), (24, 49), (25, 49), (27, 49))),
+        ],
+        ids=["n40-seed1", "n64-seed8"],
+    )
+    def test_asymmetric_frontier(self, n, seed, pinned, monkeypatch):
+        # no automorphism: a sweep that visits every scenario before the
+        # first minimizer gives these pairs in 7 and 14 s at h <= 3 and in
+        # about 10 and 29 minutes at h <= 4; the prefix walk drops whole blocks
+        calls = count_refutations(monkeypatch)
+        clear_caches()
+        g = random_t_connected(n, 5, seed)
+        results = [edge_tolerable_diagnosability(g, h, MM) for h in range(5)]
+        assert [(r.value, r.worst_scenario) for r in results] == [(5 - h, pinned[:h]) for h in range(5)]
+        assert len(calls) <= 250
+
+    def test_verify_corpus_refutations(self, monkeypatch):
+        # the walk refutes what the orbit-by-orbit sweep refuted and no more
+        calls = count_refutations(monkeypatch)
+        clear_caches()
+        for entry in default_corpus():
+            for h in range(4):
+                edge_tolerable_diagnosability(entry.graph, h, MM)
+        assert len(calls) <= 788
+
+    def test_generators_once_per_profile(self, monkeypatch):
+        calls = []
+
+        def counting(g):
+            calls.append(g)
+            return automorphism_generators(g)
+
+        monkeypatch.setattr(tolerance, "automorphism_generators", counting)
+        clear_caches()
+        g = complete_bipartite(4, 4)  # every level sweeps more than one orbit
+        for h in (1, 2, 3):
+            edge_tolerable_diagnosability(g, h, MM)
+        assert calls == [g]
 
     def test_profile_survives_another_graph(self, monkeypatch):
         # each (graph, model) keeps its own record, so sweeping Petersen in
