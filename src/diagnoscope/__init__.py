@@ -63,8 +63,6 @@ from .syndrome import (
     ALL_ONE,
     ALL_ZERO,
     AdversaryPolicy,
-    MmSyndrome,
-    PmcSyndrome,
     SyndromeError,
     decode,
     generate_syndrome,

@@ -162,10 +162,9 @@ def _cmd_analyze(args) -> int:
     g, fmt = _load_nonempty(args)
     name = args.name or (args.input if args.input != "-" else "stdin")
     facts = Facts(g)
-    h_max = args.h_max if args.h_max is not None else 1
     results = []
     for model in list(DiagModel) if args.model == "both" else [DiagModel(args.model)]:
-        for h in range(0, h_max + 1):
+        for h in range(0, args.h_max + 1):
             bounds = theoretical_bounds(g, h, model, facts=facts)
             entry = {"model": model.value, "h": h}
             if args.method != "brute" and bounds.exact is not None:
@@ -221,12 +220,13 @@ def _cmd_syndrome(args) -> int:
     syndrome = generate_syndrome(g, faults, model, policy)
     budget = args.t if args.t is not None else len(faults)
     candidates = decode(g, syndrome, budget, model)
+    fmt = "%s " * (2 if model is DiagModel.PMC else 3) + "%s"  # the entry's vertex ids, then its bit
     payload = {
         "model": model.value,
         "faults": faults,
         "policy": args.policy,
         "t": budget,
-        "syndrome": syndrome.to_lines(),
+        "syndrome": [fmt % (*entry, bit) for entry, bit in sorted(syndrome.items())],
         "candidates": [sorted(c) for c in candidates],
         "unique": len(candidates) == 1,
     }
@@ -302,7 +302,7 @@ def build_parser() -> _Parser:
     p_an = sub.add_parser("analyze", help="full diagnosability report as JSON")
     _add_input(p_an)
     p_an.add_argument("--model", choices=("pmc", "mm", "both"), default="both")
-    p_an.add_argument("--h-max", type=_nonnegative, default=None, dest="h_max",
+    p_an.add_argument("--h-max", type=_nonnegative, default=1, dest="h_max",
                       help="edge budgets 0..K (default 1)")
     p_an.add_argument("--method", choices=("brute", "bounds", "auto"), default="auto")
     p_an.add_argument("--jobs", type=_positive, default=1, help="ignored (the sweep runs in one process)")

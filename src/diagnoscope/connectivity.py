@@ -269,12 +269,11 @@ def _kappa_value(g: Graph) -> int:
 
     Conventions: kappa of a complete graph on n vertices is n-1 (including
     kappa(K1) = 0; its pair list is empty, so kappa = delta) and kappa of a
-    disconnected graph is 0.
+    disconnected graph is 0: the first vertex of the pair list is paired
+    with every vertex outside its component, and that pair has flow 0.
     """
     if g.n == 0:
         raise GraphError("connectivity is undefined for the empty graph")
-    if not is_connected(g):
-        return 0
     adj = g.adj_masks
     best = g.min_degree
     for a, b in _pairs(adj, g.full_mask):
@@ -325,9 +324,8 @@ def vertex_connectivity(g: Graph) -> ConnectivityReport:
     """
     kappa = _kappa_value(g)
     delta = g.min_degree
-    if kappa in (0, g.n - 1):  # disconnected, or complete
-        return ConnectivityReport(kappa, delta, kappa == delta, frozenset())
-    return ConnectivityReport(kappa, delta, kappa == delta, frozenset(_witness_cut(g, kappa)))
+    cut = () if kappa == g.n - 1 else _witness_cut(g, kappa)  # a complete graph has no separator
+    return ConnectivityReport(kappa, delta, kappa == delta, frozenset(cut))
 
 
 def max_common_neighbors(g: Graph) -> CommonNeighbors:

@@ -1,10 +1,13 @@
 """Operational test semantics: syndrome generation and decoding.
 
-A syndrome holds one outcome bit per entry.  An entry is a unit w
-followed by the neighbors its test covers, ascending: one under PMC (w
-tests each neighbor) and two under MM* (w compares each pair of its
-neighbors).  A fault-free w reports 1 exactly when one of those
-neighbors is faulty; a faulty w reports an arbitrary bit.
+A syndrome is a plain dict with one outcome bit per entry.  An entry is
+a tuple: a unit w followed by the neighbors its test covers, ascending:
+one under PMC (w tests each neighbor) and two under MM* (w compares each
+pair of its neighbors).  The dict does not name its model; every
+function that reads one takes the model as an argument, and a dict whose
+keys are not the model's entries on the graph is rejected.  A fault-free
+w reports 1 exactly when one of those neighbors is faulty; a faulty w
+reports an arbitrary bit.
 
 "Arbitrary" is made concrete by an adversary policy: fixed all-zero or
 all-one answers, or a seeded random completion.
@@ -22,9 +25,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional, Tuple
 
-from .diagnosis import DiagModel
+from .diagnosis import DiagModel, _check_model
 from .graphs import Graph, GraphError, bits_of
 
 
@@ -54,47 +57,14 @@ def seeded_random(seed: int) -> AdversaryPolicy:
     return AdversaryPolicy("seeded_random", seed)
 
 
-class _Syndrome:
-    """Outcome bit per test entry; an entry line lists the entry's vertex
-    ids and then the bit."""
-
-    model_name = ""
-    entry_len = 0
-
-    def __init__(self, outcomes: Dict[Tuple[int, ...], int]):
-        self.outcomes = dict(outcomes)
-
-    def __eq__(self, other):
-        return isinstance(other, type(self)) and self.outcomes == other.outcomes
-
-    def __repr__(self):
-        return f"{type(self).__name__}({len(self.outcomes)} entries)"
-
-    def to_lines(self) -> List[str]:
-        fmt = " ".join(["%s"] * (self.entry_len + 1))
-        return [fmt % (*entry, bit) for entry, bit in sorted(self.outcomes.items())]
-
-
-class PmcSyndrome(_Syndrome):
-    model_name = "pmc"
-    entry_len = 2
-
-
-class MmSyndrome(_Syndrome):
-    model_name = "mm"
-    entry_len = 3
-
-
-_SYNDROMES = {DiagModel.PMC: PmcSyndrome, DiagModel.MMSTAR: MmSyndrome}
-
-
 def entries(g: Graph, model) -> List[Tuple[int, ...]]:
     """Every entry of the model on g, sorted."""
+    _check_model(model)
     nbrs = [[] for _ in range(g.n)]
     for u, v in g.edges:  # sorted, so each list comes out ascending
         nbrs[u].append(v)
         nbrs[v].append(u)
-    k = _SYNDROMES[model].entry_len - 1
+    k = 1 if model is DiagModel.PMC else 2
     return [(w,) + tested for w in range(g.n) for tested in combinations(nbrs[w], k)]
 
 
@@ -110,27 +80,27 @@ def generate_syndrome(g: Graph, faults: Iterable[int], model, policy: AdversaryP
             outcomes[e] = rng.getrandbits(1) if rng else fixed
         else:  # e[1] is e[-1] under PMC
             outcomes[e] = (fault_mask >> e[1] | fault_mask >> e[-1]) & 1
-    return _SYNDROMES[model](outcomes)
+    return outcomes
 
 
 def _validate_shape(g: Graph, syndrome, model):
-    cls = _SYNDROMES[model]
-    if not isinstance(syndrome, cls):
-        raise SyndromeError(f"expected a {cls.__name__} for the {cls.model_name} model")
-    # as many keys as the graph has entries, each one an entry
-    adj, n, keys = g.adj_masks, g.n, syndrome.outcomes
+    _check_model(model)
+    if not isinstance(syndrome, dict):
+        raise SyndromeError(f"syndrome must be a dict, got {type(syndrome).__name__}")
+    # as many keys as the graph has entries, each one an entry of the model
+    adj, n, keys = g.adj_masks, g.n, syndrome
     try:
-        if cls is PmcSyndrome:
+        if model is DiagModel.PMC:
             valid = len(keys) == 2 * g.m and all(0 <= u < n and v >= 0 and adj[u] >> v & 1 for u, v in keys)
         else:
             valid = len(keys) == sum(d * (d - 1) // 2 for d in g.degrees) and all(
                 0 <= w < n and 0 <= u < v and adj[w] >> u & adj[w] >> v & 1 for w, u, v in keys
             )
-    except (TypeError, ValueError):  # a key that is not a tuple of ints of the right length
+    except (TypeError, ValueError):  # a key that is not a tuple of ints of the model's width
         valid = False
     if not valid:
         raise SyndromeError("syndrome entries do not match the graph's test structure")
-    for entry, bit in syndrome.outcomes.items():
+    for entry, bit in syndrome.items():
         if bit not in (0, 1):
             raise SyndromeError(f"syndrome outcome for {entry} must be 0 or 1, got {bit}")
 
@@ -147,11 +117,11 @@ def _options(g: Graph, syndrome, t: int, mm: bool) -> List[List[int]]:
     adj = g.adj_masks
     if not mm:
         ones = [0] * g.n
-        for (u, v), bit in syndrome.outcomes.items():
+        for (u, v), bit in syndrome.items():
             ones[u] |= bit << v
         return [[x] if x.bit_count() <= t else [] for x in ones]
     zeros = [dict.fromkeys(bits_of(nbrs), 0) for nbrs in adj]
-    for (w, u, v), bit in syndrome.outcomes.items():
+    for (w, u, v), bit in syndrome.items():
         if not bit:
             zeros[w][u] |= 1 << v
             zeros[w][v] |= 1 << u

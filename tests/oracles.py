@@ -15,14 +15,7 @@ from typing import Dict, Iterable, Optional, Tuple
 from diagnoscope.diagnosis import DiagModel, diagnosability_cap, is_t_diagnosable
 from diagnoscope.families import GammaSpec, RecognizedDecomposition, make_gamma
 from diagnoscope.graphs import Graph, GraphError, bits_of, delete_edges, relabel
-from diagnoscope.syndrome import (
-    ALL_ZERO,
-    MmSyndrome,
-    PmcSyndrome,
-    _validate_shape,
-    entries,
-    generate_syndrome,
-)
+from diagnoscope.syndrome import ALL_ZERO, _validate_shape, entries, generate_syndrome
 
 
 # ---------------------------------------------------------------------------
@@ -111,12 +104,12 @@ def every_syndrome(g: Graph, faults: Iterable[int], model):
     completion of the entries its members control (2^k of them)."""
     faults = set(faults)
     base = generate_syndrome(g, faults, model, ALL_ZERO)
-    controlled = [entry for entry in sorted(base.outcomes) if entry[0] in faults]
+    controlled = [entry for entry in sorted(base) if entry[0] in faults]
     for pattern in range(1 << len(controlled)):
-        outcomes = dict(base.outcomes)
+        outcomes = dict(base)
         for i, entry in enumerate(controlled):
             outcomes[entry] = (pattern >> i) & 1
-        yield type(base)(outcomes)
+        yield outcomes
 
 
 def fault_free_report(entry, model, faults) -> int:
@@ -141,7 +134,7 @@ def consistent_with(g: Graph, syndrome, faults: Iterable[int], model) -> bool:
     """
     _validate_shape(g, syndrome, model)
     faults = set(faults)
-    for entry, bit in syndrome.outcomes.items():
+    for entry, bit in syndrome.items():
         if entry[0] not in faults and bit != fault_free_report(entry, model, faults):
             return False
     return True
@@ -183,7 +176,7 @@ def confusing_syndrome(g: Graph, f1: Iterable[int], f2: Iterable[int], model):
             outcomes[entry] = fault_free_report(entry, model, f2)
         else:
             outcomes[entry] = 0
-    return (PmcSyndrome if model is DiagModel.PMC else MmSyndrome)(outcomes)
+    return outcomes
 
 
 def unique_decoding_everywhere(g, t, model):

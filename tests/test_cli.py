@@ -454,6 +454,13 @@ class TestOtherCommands:
         assert payload["unique"] is True
         assert len(payload["syndrome"]) == 24
 
+    def test_syndrome_lines_list_entry_then_bit(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 2\n0 1\n1 2\n"))
+        code, out, _ = run_cli(capsys, "syndrome", "-", "--faults", "1", "--model", "pmc", "--policy", "zero")
+        assert code == 0
+        lines = json.loads(out)["syndrome"]
+        assert lines == sorted(lines) == ["0 1 1", "1 0 0", "1 2 0", "2 1 1"]
+
     def test_paths_pair(self, capsys, tmp_path):
         path = tmp_path / "q3.g6"
         path.write_text(emit_graph6(hypercube(3)) + "\n")

@@ -8,14 +8,12 @@ from hypothesis import strategies as st
 
 from conftest import all_graphs, graphs
 from diagnoscope.diagnosis import DiagModel, is_t_diagnosable
-from diagnoscope.families import complete, cycle, hypercube
-from diagnoscope.graphs import build_graph
+from diagnoscope.families import complete, cycle, hypercube, petersen
+from diagnoscope.graphs import GraphError, build_graph
 from diagnoscope.syndrome import (
     ALL_ONE,
     ALL_ZERO,
     AdversaryPolicy,
-    MmSyndrome,
-    PmcSyndrome,
     SyndromeError,
     decode,
     entries,
@@ -37,7 +35,7 @@ MM = DiagModel.MMSTAR
 def reference_decode(g, syndrome, t, model):
     """The subset-enumeration decoder, frozen as the reference for
     ``decode`` (shape validation is left to ``decode``)."""
-    outcomes = list(syndrome.outcomes.items())
+    outcomes = list(syndrome.items())
     found = []
     for size in range(0, min(t, g.n) + 1):
         for combo in combinations(range(g.n), size):
@@ -53,8 +51,7 @@ def reference_decode(g, syndrome, t, model):
 
 
 def random_syndrome(g, model, rng):
-    cls = PmcSyndrome if model is PMC else MmSyndrome
-    return cls({e: rng.getrandbits(1) for e in entries(g, model)})
+    return {e: rng.getrandbits(1) for e in entries(g, model)}
 
 
 def empty_graph(n):
@@ -85,19 +82,17 @@ class TestGeneration:
     def test_no_faults_all_zero(self):
         for model, policy in ((PMC, ALL_ONE), (MM, ALL_ONE)):
             syn = generate_syndrome(hypercube(3), [], model, policy)
-            assert set(syn.outcomes.values()) == {0}
+            assert set(syn.values()) == {0}
 
     def test_path_center_fault(self):
         g = build_graph(3, [(0, 1), (1, 2)])
         syn = generate_syndrome(g, [1], PMC, ALL_ZERO)
-        assert syn.outcomes == {(0, 1): 1, (2, 1): 1, (1, 0): 0, (1, 2): 0}
-        lines = syn.to_lines()
-        assert lines == sorted(lines) == ["0 1 1", "1 0 0", "1 2 0", "2 1 1"]
+        assert syn == {(0, 1): 1, (2, 1): 1, (1, 0): 0, (1, 2): 0}
 
     def test_star_center_fault_mm_all_one(self):
         g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
         syn = generate_syndrome(g, [0], MM, ALL_ONE)
-        assert syn.outcomes == {(0, 1, 2): 1, (0, 1, 3): 1, (0, 2, 3): 1}
+        assert syn == {(0, 1, 2): 1, (0, 1, 3): 1, (0, 2, 3): 1}
 
     def test_seeded_is_deterministic(self):
         g = cycle(5)
@@ -110,7 +105,7 @@ class TestGeneration:
         stream = list(every_syndrome(g, [1], PMC))
         # the faulty center controls its two outgoing tests
         assert len(stream) == 4
-        assert len({tuple(sorted(s.outcomes.items())) for s in stream}) == 4
+        assert len({tuple(sorted(s.items())) for s in stream}) == 4
 
     def test_policy_validation(self):
         with pytest.raises(SyndromeError):
@@ -142,10 +137,10 @@ class TestDecode:
         syn = generate_syndrome(g, [], PMC, ALL_ZERO)
         with pytest.raises(SyndromeError):
             decode(g, syn, 1, MM)
-        broken = PmcSyndrome({(0, 1): 1})
+        broken = {(0, 1): 1}
         with pytest.raises(SyndromeError, match="entries"):
             decode(g, broken, 1, PMC)
-        bad_bit = PmcSyndrome({k: 2 for k in syn.outcomes})
+        bad_bit = {k: 2 for k in syn}
         with pytest.raises(SyndromeError, match="0 or 1"):
             decode(g, bad_bit, 1, PMC)
 
@@ -166,16 +161,11 @@ class TestShapeValidation:
 
     MISMATCH = re.escape("syndrome entries do not match the graph's test structure")
 
-    @staticmethod
-    def syndrome(model, keys):
-        cls = PmcSyndrome if model is PMC else MmSyndrome
-        return cls(dict.fromkeys(keys, 0))
-
     @pytest.mark.parametrize("model", [PMC, MM])
     def test_missing_entry(self, model):
         g = cycle(5)
         syn = generate_syndrome(g, [1], model, ALL_ONE)
-        del syn.outcomes[min(syn.outcomes)]
+        del syn[min(syn)]
         with pytest.raises(SyndromeError, match=self.MISMATCH):
             decode(g, syn, 1, model)
         with pytest.raises(SyndromeError, match=self.MISMATCH):
@@ -185,7 +175,7 @@ class TestShapeValidation:
     def test_extra_entry(self, model, extra):
         g = cycle(5)
         syn = generate_syndrome(g, [], model, ALL_ZERO)
-        syn.outcomes[extra] = 0
+        syn[extra] = 0
         with pytest.raises(SyndromeError, match=self.MISMATCH):
             decode(g, syn, 1, model)
 
@@ -198,19 +188,36 @@ class TestShapeValidation:
         # same entry count, one key replaced by a key that is not an entry
         g = cycle(5)
         syn = generate_syndrome(g, [], model, ALL_ZERO)
-        del syn.outcomes[max(syn.outcomes)]
-        syn.outcomes[stray] = 0
+        del syn[max(syn)]
+        syn[stray] = 0
         with pytest.raises(SyndromeError, match=self.MISMATCH):
             decode(g, syn, 1, model)
 
     @pytest.mark.parametrize("model, other", [(PMC, MM), (MM, PMC)])
-    def test_wrong_syndrome_class(self, model, other):
+    def test_wrong_model(self, model, other):
+        # 3-regular: both models have 3n entries, so only the key width rejects
+        for g in (complete(4), petersen()):
+            syn = generate_syndrome(g, [], other, ALL_ZERO)
+            assert len(syn) == len(entries(g, model))
+            with pytest.raises(SyndromeError, match=self.MISMATCH):
+                decode(g, syn, 1, model)
+            with pytest.raises(SyndromeError, match=self.MISMATCH):
+                consistent_with(g, syn, [], model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    @pytest.mark.parametrize("syndrome", [None, [], [((0, 1), 0)], "0 1 0"])
+    def test_not_a_dict(self, model, syndrome):
+        with pytest.raises(SyndromeError, match="must be a dict"):
+            decode(cycle(5), syndrome, 1, model)
+
+    @pytest.mark.parametrize("model", ["pmc", "mm", None])
+    def test_model_must_be_a_diag_model(self, model):
+        # the dict does not name its model, so a stray model must not pick one
         g = cycle(5)
-        syn = generate_syndrome(g, [], other, ALL_ZERO)
-        cls = PmcSyndrome if model is PMC else MmSyndrome
-        message = re.escape(f"expected a {cls.__name__} for the {cls.model_name} model")
-        with pytest.raises(SyndromeError, match=message):
-            decode(g, syn, 1, model)
+        with pytest.raises(GraphError, match="must be a DiagModel"):
+            generate_syndrome(g, [], model, ALL_ZERO)
+        with pytest.raises(GraphError, match="must be a DiagModel"):
+            decode(g, generate_syndrome(g, [], PMC, ALL_ZERO), 1, model)
 
     @pytest.mark.parametrize("model", [PMC, MM])
     def test_agrees_with_entry_set_comparison(self, model):
@@ -225,7 +232,7 @@ class TestShapeValidation:
                 variants += [full + [k] for k in keys]
                 variants += [full[1:] + [k] for k in keys]
                 for variant in variants:
-                    syn = self.syndrome(model, variant)
+                    syn = dict.fromkeys(variant, 0)
                     if set(variant) == set(full):
                         decode(g, syn, 1, model)
                     else:
@@ -245,7 +252,7 @@ class TestDecodeMatchesReference:
         for syn in syndromes:
             for t in range(min(g.n, 4) + 1):
                 assert decode(g, syn, t, model) == reference_decode(g, syn, t, model), (
-                    g.n, g.edges, model, t, sorted(syn.outcomes.items()),
+                    g.n, g.edges, model, t, sorted(syn.items()),
                 )
 
     @pytest.mark.parametrize("model", [PMC, MM])
