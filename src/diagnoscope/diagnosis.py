@@ -35,6 +35,23 @@ visits is a candidate pair, and it keeps the first in witness order
 pair a scan of every U in order would find first.  Tests cross-check it
 against such a scan and against the direct pair scan.
 
+Twins, vertices u and v with N(u) - v = N(v) - u (true twins have equal
+closed neighborhoods, false twins equal open ones), are interchangeable:
+swapping two of them is an automorphism that maps each pair to one of
+the same sizes.  So the first pair in witness order holds a prefix of
+each twin class, in vertex order, in U, and inside that a prefix in D;
+otherwise swapping a missing twin with a larger present one gives an
+earlier pair.  The search therefore keeps a D only when it holds the
+next-smaller twin of each of its vertices (``_search_differences``),
+with twins taken in the graph it searches: ``Graph.twins``, computed
+once per graph, or ``graphs.twin_masks`` of G - S for a scenario of the
+sweep.  Every sorted prefix of such a D is again one, so the canonical
+witness and both doubled-count bounds are unchanged.  The folded PMC table keeps in U a prefix of each class
+inside Gamma(D) the same way.  The MM* closures keep every choice: for
+twins x < max D < y outside D, keeping x in U counts it twice in the
+bound, but the swapped closure does not count y twice, so dropping a
+closure by symmetry could wrongly drop D.
+
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.
 """
@@ -46,7 +63,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, List, Optional, Tuple
 
-from .graphs import Graph, GraphError, bits_of
+from .graphs import Graph, GraphError, bits_of, twin_masks
 
 
 class DiagModel(enum.Enum):
@@ -133,21 +150,26 @@ def _mm_split(adj: Tuple[int, ...], outside: int, d_mask: int, bound: int):
     return part1, d_mask ^ part1
 
 
-def _search_differences(adj: Tuple[int, ...], visit: Callable[[int, int], bool]) -> None:
-    """Call ``visit(D, N[D])`` on nonempty vertex sets D, depth first.
+def _search_differences(adj: Tuple[int, ...], twins: Tuple[int, ...], visit: Callable[[int, int], bool]) -> None:
+    """Call ``visit(D, N[D])`` on the nonempty vertex sets D that hold a
+    prefix of every twin class, depth first; ``twins`` is
+    ``twin_masks(adj)``.
 
     Each D is extended by each vertex above its largest one, smallest
     first, so D comes in lexicographic order of its sorted vertex tuple:
-    {0}, {0, 1}, {0, 1, 2}, ..., {0, 2}, ...  A D whose ``visit`` returns
-    false is not extended.  Dropping D on a size bound is safe, since
-    N[D] and the closures only grow with D: a closure of a larger D
-    contains one of D.  N[D] is carried on the stack, never rebuilt.
+    {0}, {0, 1}, {0, 1, 2}, ..., {0, 2}, ...  A D is skipped, with
+    everything above it, when its newest vertex has a next-smaller twin
+    outside D; every sorted prefix of a D that is kept is kept too.  A D
+    whose ``visit`` returns false is not extended.  Dropping D on a size
+    bound is safe, since N[D] and the closures only grow with D: a closure
+    of a larger D contains one of D.  N[D] is carried on the stack, never
+    rebuilt.
     """
     n = len(adj)
     stack = [(1 << v, adj[v] | 1 << v, v) for v in range(n - 1, -1, -1)]
     while stack:
         d_mask, closed, top = stack.pop()
-        if visit(d_mask, closed):
+        if (not twins[top] or twins[top] & d_mask) and visit(d_mask, closed):
             stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1)]
 
 
@@ -207,9 +229,10 @@ def _before(u: int, d: int, u_old: int, d_old: int) -> bool:
     return bool(u & diff & -diff) if diff else d < d_old
 
 
-def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel):
+def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twins: Optional[Tuple[int, ...]] = None):
     """First indistinguishable pair with both sizes <= t in the graph with
-    adjacency masks ``adj``, or None.
+    adjacency masks ``adj``, or None.  ``twins`` is ``twin_masks(adj)``,
+    computed here unless given (a Graph carries its own).
 
     "First" is ``_before`` on (U, D) = (F1 | F2, F1 ^ F2).  Any witness
     (U, D) contains a closure of D that is itself a witness with the same
@@ -259,7 +282,7 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel):
             best, bound = (u_mask, d_mask, half), usize
         return bool(closures)
 
-    _search_differences(adj, visit)
+    _search_differences(adj, twin_masks(adj) if twins is None else twins, visit)
     if best is None:
         return None
     u_mask, d_mask, half = best
@@ -278,7 +301,7 @@ def is_t_diagnosable(g: Graph, t: int, model: DiagModel) -> DiagnosisDecision:
     _check_model(model)
     if t < 0:
         raise GraphError(f"fault budget must be nonnegative, got {t}")
-    found = _find_indistinguishable(g.adj_masks, t, model)
+    found = _find_indistinguishable(g.adj_masks, t, model, g.twins)
     if found is None:
         return DiagnosisDecision(True, None)
     f1, f2 = found

@@ -66,9 +66,10 @@ class Graph:
         edge_set: frozenset of the same pairs, for membership tests.
         adj_masks: per-vertex neighbor bitmask (bit v of adj_masks[u] is
             set iff {u, v} is an edge).
+        twins: ``twin_masks(adj_masks)``, computed once per graph.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "adj_masks", "_hash")
+    __slots__ = ("n", "edges", "edge_set", "adj_masks", "twins", "_hash")
 
     def __init__(self, n: int, edges: Sequence[Edge]):
         # Callers must pass normalized, deduplicated, validated edges;
@@ -81,6 +82,7 @@ class Graph:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.adj_masks = tuple(masks)
+        self.twins = twin_masks(self.adj_masks)
         self._hash = hash((n, self.edge_set))
 
     # -- basic queries -------------------------------------------------
@@ -151,6 +153,29 @@ def bits_of(mask: int):
         low = mask & -mask
         yield low.bit_length() - 1
         mask ^= low
+
+
+def twin_masks(adj: Sequence[int]) -> Tuple[int, ...]:
+    """Each vertex's next-smaller twin as a one-bit mask, 0 if it has none.
+
+    Twins are vertices u and v with N(u) - v = N(v) - u: true twins have
+    equal closed neighborhoods, false twins equal open ones.  No vertex
+    has both kinds (a true twin of u is adjacent to every false twin of
+    u, which is then adjacent to u), and an open neighborhood never
+    equals a closed one (u in N(v) = N[w] would put u in N(u)), so one
+    dict keyed by both finds each vertex's class.
+    """
+    n = len(adj)
+    if len(set(adj)) == n and len({a | 1 << v for v, a in enumerate(adj)}) == n:
+        return (0,) * n
+    last = {}
+    smaller = [0] * n
+    for v, a in enumerate(adj):
+        for key in (a, a | 1 << v):
+            if key in last:
+                smaller[v] = 1 << last[key]
+            last[key] = v
+    return tuple(smaller)
 
 
 def build_graph(n: int, edge_list: Iterable[Tuple[int, int]]) -> Graph:

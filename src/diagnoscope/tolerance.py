@@ -119,7 +119,11 @@ def _pmc_break_table(g: Graph):
     (|N[D]| + |N[D] & L|) / 2 - r'.  D is dropped once, for every r, one
     of the two bounds exceeds thresholds[r]; both are strict, so no pair
     that ties a threshold, and might come first in witness order, is
-    lost.
+    lost.  The search visits only the D that hold a prefix of each twin
+    class, and Out takes the largest twins of a class inside Gamma(D):
+    twins outside D cost the same edges to D, and keeping the smaller one
+    in U gives the lexicographically smaller U, so the first pair at each
+    cost is still reached (the twin rule, ``diagnosis`` module docstring).
 
     Returns (thresholds, scenarios): thresholds[r] is the minimum breaking
     threshold over pairs whose outside-to-D edge set has size r <= delta,
@@ -132,6 +136,10 @@ def _pmc_break_table(g: Graph):
     infinite = n + 2
     best = [infinite] * (delta + 1)
     witness: list = [None] * (delta + 1)
+    larger = [0] * n  # each vertex's next-larger twin
+    for v, twin in enumerate(g.twins):
+        if twin:
+            larger[twin.bit_length() - 1] = 1 << v
 
     def visit(d_mask: int, closed: int) -> bool:
         size = closed.bit_count()
@@ -141,9 +149,13 @@ def _pmc_break_table(g: Graph):
             return False
         base = size - (d_mask.bit_count() >> 1)
         outs = [(0, 0, 0)]  # (Out, |Out|, edges from Out to D)
-        for x in bits_of(closed ^ d_mask):
+        rest = closed ^ d_mask
+        while rest:  # from the top, so each x finds its next-larger twin decided
+            x = rest.bit_length() - 1
+            rest ^= 1 << x
             e = (adj[x] & d_mask).bit_count()
-            outs += [(o | 1 << x, k + 1, r + e) for o, k, r in outs if r + e <= delta]
+            need = larger[x]
+            outs += [(o | 1 << x, k + 1, r + e) for o, k, r in outs if r + e <= delta and o & need == need]
         for out, k, r in outs:
             threshold = base - k
             if threshold > best[r]:
@@ -155,7 +167,7 @@ def _pmc_break_table(g: Graph):
             witness[r] = (u_mask, d_mask)
         return True
 
-    _search_differences(adj, visit)
+    _search_differences(adj, g.twins, visit)
     scenarios = tuple(
         tuple(sorted(normalize_edge(v, w) for v in bits_of(d_mask) for w in bits_of(adj[v] & ~u_mask)))
         for u_mask, d_mask in witness

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, graphs
+from conftest import all_graphs, graphs, twin_graphs
 from diagnoscope import diagnosis
 from diagnoscope.diagnosis import (
     DiagModel,
@@ -321,12 +321,12 @@ class TestIsTDiagnosable:
         # on random_t_connected(16, 9, 3). Q5 at t = 3 never has |D| > 2
         visits = []
 
-        def counting(adj, visit):
+        def counting(adj, twins, visit):
             def counted(d_mask, closed):
                 visits.append(d_mask)
                 return visit(d_mask, closed)
 
-            _search_differences(adj, counted)
+            _search_differences(adj, twins, counted)
 
         monkeypatch.setattr(diagnosis, "_search_differences", counting)
         for g, t, most in [
@@ -441,19 +441,32 @@ class TestSearchDifferences:
     @staticmethod
     def search(g, keep):
         seen = []
-        _search_differences(g.adj_masks, lambda d, closed: seen.append((d, closed)) or keep(d))
+        _search_differences(g.adj_masks, g.twins, lambda d, closed: seen.append((d, closed)) or keep(d))
         return seen
 
     @staticmethod
-    def lexicographic(n):
-        return sorted(range(1, 1 << n), key=lambda d: tuple(bits_of(d)))
+    def twin_prefixes(g):
+        """Every nonempty D in lexicographic order of its sorted vertices
+        that holds a prefix of every twin class: with each vertex, D holds
+        its smaller twins (u and v are twins when N(u) - v = N(v) - u)."""
+        n = g.n
+        smaller = [
+            g.vertex_mask(u for u in range(v) if g.neighbors(u) - {v} == g.neighbors(v) - {u}) for v in range(n)
+        ]
+        every = sorted(range(1, 1 << n), key=lambda d: tuple(bits_of(d)))
+        return [d for d in every if all(smaller[v] & d == smaller[v] for v in bits_of(d))]
 
-    def test_visits_every_set_once_in_lexicographic_order(self):
+    def test_visits_every_twin_prefix_once_in_lexicographic_order(self):
+        twin_free = 0
         for g in enumerator_graphs():
             seen = self.search(g, lambda d: True)
-            assert [d for d, _ in seen] == self.lexicographic(g.n), g.edges
+            expected = self.twin_prefixes(g)
+            assert [d for d, _ in seen] == expected, g.edges
+            if len(expected) == (1 << g.n) - 1:  # a twin-free graph yields every set
+                twin_free += 1
             for d, closed in seen:
                 assert closed == d | g.vertex_mask(w for v in bits_of(d) for w in g.neighbors(v))
+        assert twin_free >= 40
 
     def test_pruned_set_is_not_extended(self):
         rng = random.Random("search-differences-prune")
@@ -465,7 +478,40 @@ class TestSearchDifferences:
                 vertices = list(bits_of(d))
                 return any(g.vertex_mask(vertices[:k]) in pruned for k in range(1, len(vertices)))
 
-            assert seen == [d for d in self.lexicographic(g.n) if not extends_pruned(d)], g.edges
+            assert seen == [d for d in self.twin_prefixes(g) if not extends_pruned(d)], g.edges
+
+
+class TestTwinClasses:
+    """The D-search takes each twin class as a prefix; the witness must
+    still be the one the union-first scan finds, and the decision the
+    direct pair scan's."""
+
+    def test_first_witness_matches_references(self):
+        for name, g in twin_graphs():
+            cap = diagnosability_cap(g)
+            for t in range(max(cap - 1, 0), cap + 2):
+                for model in (PMC, MM):
+                    found = _find_indistinguishable(g.adj_masks, t, model)
+                    assert found == reference_first_witness(g, t, model), (name, t, model)
+                    if g.n <= 9:
+                        assert (found is None) == reference_is_t_diagnosable(g, t, model), (name, t, model)
+
+    def test_twin_classes_prune_complete_bipartite_search(self, monkeypatch):
+        # D-sets the MM* search visits in diagnosability(K12,12), which
+        # decides t = 1..11; 620,065 before twins entered D as a prefix
+        visits = []
+
+        def counting(adj, twins, visit):
+            def counted(d_mask, closed):
+                visits.append(d_mask)
+                return visit(d_mask, closed)
+
+            _search_differences(adj, twins, counted)
+
+        monkeypatch.setattr(diagnosis, "_search_differences", counting)
+        diagnosis._diagnosability_cached.cache_clear()
+        assert diagnosability(complete_bipartite(12, 12), MM) == 10
+        assert len(visits) <= 122
 
 
 class TestClosures:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, graphs
+from conftest import all_graphs, graphs, twin_graphs
 from diagnoscope.diagnosis import (
     DiagModel,
     _diagnosability_cached,
@@ -320,12 +320,12 @@ class TestFoldedTable:
         # the plain |N[D]| bound visited every D of K8,8 (65,535) and 5,488 of Q5
         visits = []
 
-        def counting(adj, visit):
+        def counting(adj, twins, visit):
             def counted(d_mask, closed):
                 visits.append(d_mask)
                 return visit(d_mask, closed)
 
-            _search_differences(adj, counted)
+            _search_differences(adj, twins, counted)
 
         monkeypatch.setattr(tolerance, "_search_differences", counting)
         _pmc_break_table.cache_clear()
@@ -344,6 +344,27 @@ class TestFoldedTable:
         assert _pmc_break_table(hypercube(5)) == q5
         assert len(visits) <= 850
 
+    @pytest.mark.parametrize("g, thresholds, most", [
+        (complete(16), (8, *range(15, 0, -1)), 16),
+        (complete_bipartite(16, 16), (16, *range(16, 0, -1)), 80),
+    ])
+    def test_twin_classes_prune_dense_graphs(self, g, thresholds, most, monkeypatch):
+        # D-sets the fold visits once twins enter D, and Out, as a prefix
+        # of their class; every D of K16 (65,535) and 1,142,571 of K16,16 before
+        visits = []
+
+        def counting(adj, twins, visit):
+            def counted(d_mask, closed):
+                visits.append(d_mask)
+                return visit(d_mask, closed)
+
+            _search_differences(adj, twins, counted)
+
+        monkeypatch.setattr(tolerance, "_search_differences", counting)
+        _pmc_break_table.cache_clear()
+        assert _pmc_break_table(g)[0] == thresholds
+        assert len(visits) <= most
+
     @pytest.mark.parametrize("h, value", [(0, 9), (1, 9), (2, 8)])
     def test_complete_bipartite_frontier(self, h, value):
         g = complete_bipartite(10, 10)
@@ -360,6 +381,25 @@ class TestFoldedTable:
         assert result.value == dim - h
         assert len(result.worst_scenario) == h
         assert diagnosability(delete_edges(g, result.worst_scenario), PMC) == dim - h
+
+
+class TestTwinClasses:
+    """Twin-rich graphs, where the D-search and the fold's Out lists take
+    each twin class as a prefix, against the frozen references."""
+
+    def test_break_table_matches_reference(self):
+        for name, g in twin_graphs():
+            assert _pmc_break_table(g) == reference_break_table(g), name
+
+    def test_tolerance_matches_definition(self):
+        for name, g in twin_graphs():
+            if g.n > 6:
+                continue
+            for h in range(3):
+                for model in (PMC, MM):
+                    assert edge_tolerable_diagnosability(g, h, model).value == (
+                        edge_tolerable_by_definition(g, h, model)
+                    ), (name, h, model)
 
 
 class TestOrbitSweep:
