@@ -160,6 +160,8 @@ def _family_json(result: RecognitionResult) -> dict:
 
 def _cmd_analyze(args) -> int:
     g, fmt = _load_nonempty(args)
+    if args.h_max > max(g.m, 1):  # one row per budget, and no budget deletes more than m edges
+        raise UsageError(f"--h-max {args.h_max} exceeds the edge count m = {g.m}")
     name = args.name or (args.input if args.input != "-" else "stdin")
     facts = Facts(g)
     results = []
@@ -220,7 +222,7 @@ def _cmd_syndrome(args) -> int:
     syndrome = generate_syndrome(g, faults, model, policy)
     budget = args.t if args.t is not None else len(faults)
     candidates = decode(g, syndrome, budget, model)
-    fmt = "%s " * (2 if model is DiagModel.PMC else 3) + "%s"  # the entry's vertex ids, then its bit
+    fmt = "%s " * len(next(iter(syndrome), ())) + "%s"  # an entry's vertex ids, then its bit
     payload = {
         "model": model.value,
         "faults": faults,
@@ -245,6 +247,8 @@ def _cmd_verify(args) -> int:
             raise UsageError(
                 f"unknown claims: {', '.join(unknown)}; available: {', '.join(ALL_CLAIMS)}"
             )
+        if len(set(claims)) < len(claims):
+            raise UsageError(f"repeated claim in {args.claims!r}")
     budget = Budget(
         max_n=args.max_n,
         max_scenarios=args.max_scenarios,

@@ -256,9 +256,7 @@ def internally_disjoint_paths(g: Graph, u: int, v: int) -> DisjointPaths:
     """
     if u == v:
         raise GraphError("internally disjoint paths require two distinct vertices")
-    for x in (u, v):
-        if not 0 <= x < g.n:
-            raise GraphError(f"vertex {x} out of range for graph on {g.n} vertices")
+    g.vertex_mask((u, v))  # raises GraphError for an id out of range
     flow = _Flow(g.adj_masks, u, v)
     count = flow.push(g.n)
     return DisjointPaths(count, tuple(flow.paths()))

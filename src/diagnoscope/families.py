@@ -478,7 +478,7 @@ def _fit(g: Graph, family: int, delta: int, layout: Sequence[int]) -> Optional[R
         edges = {normalize_edge(u, v) for u, v in _gamma_edges(spec)}
     except GraphError:
         return None
-    if edges != h.edge_set:
+    if edges != set(h.edges):
         return None
     return RecognizedDecomposition(spec, tuple(layout))
 

@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields
 from typing import Optional
 
 from .families import _FAMILY_FIELDS, GammaSpec
-from .graphs import Graph, GraphError, build_graph, check_vertex_count
+from .graphs import Graph, GraphError, build_graph, check_vertex_count, normalize_edge
 from .tolerance import BoundReport
 
 
@@ -74,7 +74,7 @@ def parse_edge_list(text: str) -> Graph:
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"edge ({u}, {v}) out of range 0..{n - 1}", line=lineno)
         listed += 1
-        key = (min(u, v), max(u, v))
+        key = normalize_edge(u, v)
         if key in edges:
             warnings.warn(f"duplicate edge ({u}, {v}) on line {lineno}; deduplicated")
             continue
@@ -171,9 +171,9 @@ def emit_graph6(g: Graph) -> str:
     else:
         raise GraphError("graph6 encoding supports at most 258047 vertices here")
     bits = []
-    for j in range(1, n):
+    for j, mask in enumerate(g.adj_masks):
         for i in range(j):
-            bits.append(1 if (i, j) in g.edge_set else 0)
+            bits.append(mask >> i & 1)
     while len(bits) % 6:
         bits.append(0)
     chars = []

@@ -4,8 +4,8 @@ Vertices are dense integer ids ``0..n-1``, and vertex subsets are plain
 Python ints used as bitmasks; ``Graph.adj_masks`` exposes the adjacency
 in the same encoding so that exhaustive-search engines can run on pure
 integer set algebra.  Graphs are immutable after construction: every
-operation returns a new value, which makes them safe to share across
-concurrent workers.  ``build_graph`` enforces the vertex cap, ``vertex_cap()``.
+operation returns a new value, so a graph is safe to share and to use as
+a cache key.  ``build_graph`` enforces the vertex cap, ``vertex_cap()``.
 """
 
 from __future__ import annotations
@@ -62,28 +62,28 @@ class Graph:
 
     Attributes:
         n: vertex count; vertices are ids 0..n-1.
-        edges: sorted tuple of normalized (u, v) pairs with u < v.
-        edge_set: frozenset of the same pairs, for membership tests.
+        edges: sorted tuple of normalized (u, v) pairs with u < v; an
+            edge's index is its position here.
         adj_masks: per-vertex neighbor bitmask (bit v of adj_masks[u] is
-            set iff {u, v} is an edge).
+            set iff {u, v} is an edge); every edge query, equality and the
+            hash read it.
         twins: ``twin_masks(adj_masks)``, computed once per graph.
     """
 
-    __slots__ = ("n", "edges", "edge_set", "adj_masks", "twins", "_hash")
+    __slots__ = ("n", "edges", "adj_masks", "twins", "_hash")
 
     def __init__(self, n: int, edges: Sequence[Edge]):
         # Callers must pass normalized, deduplicated, validated edges;
         # use build_graph for raw input.
         self.n = n
         self.edges = tuple(sorted(edges))
-        self.edge_set = frozenset(self.edges)
         masks = [0] * n
         for u, v in self.edges:
             masks[u] |= 1 << v
             masks[v] |= 1 << u
         self.adj_masks = tuple(masks)
         self.twins = twin_masks(self.adj_masks)
-        self._hash = hash((n, self.edge_set))
+        self._hash = hash(self.adj_masks)
 
     # -- basic queries -------------------------------------------------
 
@@ -116,7 +116,7 @@ class Graph:
         return min(degs) == max(degs)
 
     def has_edge(self, u: int, v: int) -> bool:
-        return normalize_edge(u, v) in self.edge_set
+        return 0 <= u < self.n and 0 <= v < self.n and bool(self.adj_masks[u] >> v & 1)
 
     def neighbors(self, v: int) -> frozenset:
         return frozenset(bits_of(self.adj_masks[v]))
@@ -135,16 +135,13 @@ class Graph:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Graph):
             return NotImplemented
-        return self.n == other.n and self.edge_set == other.edge_set
+        return self.adj_masks == other.adj_masks
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return f"Graph(n={self.n}, m={self.m})"
-
-    def __reduce__(self):
-        return (Graph, (self.n, self.edges))
 
 
 def bits_of(mask: int):
@@ -203,10 +200,9 @@ def delete_edges(g: Graph, fault_edges: Iterable[Tuple[int, int]]) -> Graph:
     """Same vertex set with the given edges removed; non-edges are an error."""
     drop = set()
     for u, v in fault_edges:
-        e = normalize_edge(u, v)
-        if e not in g.edge_set:
+        if not g.has_edge(u, v):
             raise GraphError(f"cannot delete ({u}, {v}): not an edge of the graph")
-        drop.add(e)
+        drop.add(normalize_edge(u, v))
     return Graph(g.n, [e for e in g.edges if e not in drop])
 
 

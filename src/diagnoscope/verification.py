@@ -213,7 +213,7 @@ def _row(entry, claim, model, h, hypotheses, oracle, expected, relation, verdict
     recipe = ()
     if verdict == FAIL:
         recipe = _recipe(entry, model, h)
-        if model is not None and h is not None and h <= entry.graph.min_degree:
+        if model is not None and h is not None:
             # attach the witnessing scenario so the row replays standalone
             result = edge_tolerable_diagnosability(entry.graph, h, model)
             if result.worst_scenario is not None:
@@ -369,6 +369,8 @@ def run_suite(
     for claim in claim_list:
         if claim not in ALL_CLAIMS:
             raise ValueError(f"unknown claim {claim!r}")
+    if len(set(claim_list)) < len(claim_list):
+        raise ValueError(f"repeated claim in {claim_list!r}")
     budget = budget or Budget()
     rows: List[ClaimRow] = []
     observations: List[FamilyObservation] = []

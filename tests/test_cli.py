@@ -240,6 +240,32 @@ class TestAnalyze:
             {"rule": "family_exclusion", "condition": "graph is outside the exceptional family", "holds": True}
         ]
 
+    def test_h_max_above_edge_count_exit_1_at_once(self, capsys, tmp_path):
+        path = tmp_path / "pet.g6"
+        path.write_text(emit_graph6(petersen()) + "\n")
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "analyze", str(path), "--h-max", "3000000", "--model", "pmc")
+        assert (code, out) == (1, "")
+        assert err == "error: --h-max 3000000 exceeds the edge count m = 15\n"
+        assert time.perf_counter() - start < 1.0
+
+    def test_h_max_equal_to_edge_count(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(complete(4))))
+        code, out, _ = run_cli(capsys, "analyze", "-", "--h-max", "6")
+        assert code == 0
+        rows = json.loads(out)["results"]
+        assert [(r["model"], r["h"]) for r in rows] == [(m, h) for m in ("pmc", "mm") for h in range(7)]
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(complete(4))))
+        assert run_cli(capsys, "analyze", "-", "--h-max", "7")[0] == 1
+
+    def test_edgeless_graph_takes_budget_one(self, capsys, monkeypatch):
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 0\n"))
+        code, out, _ = run_cli(capsys, "analyze", "-", "--model", "pmc")
+        assert code == 0
+        assert [r["h"] for r in json.loads(out)["results"]] == [0, 1]
+        monkeypatch.setattr("sys.stdin", io.StringIO("3 0\n"))
+        assert run_cli(capsys, "analyze", "-", "--h-max", "2")[0] == 1
+
     def test_edge_list_stdin(self, capsys, monkeypatch):
         monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(complete(4))))
         code, out, _ = run_cli(capsys, "analyze", "-", "--h-max", "0", "--model", "pmc")
@@ -510,6 +536,11 @@ class TestOtherCommands:
         code, _, err = run_cli(capsys, "verify", "--claims", "nope")
         assert code == 1
         assert "unknown claims" in err
+
+    def test_verify_repeated_claim_exit_1(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--claims", "family_irregularity, family_irregularity")
+        assert (code, out) == (1, "")
+        assert err == "error: repeated claim in 'family_irregularity, family_irregularity'\n"
 
     @pytest.mark.parametrize("claims", [",", " , ", ""])
     def test_verify_claims_naming_no_claim_exit_1(self, capsys, claims):

@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from math import factorial
 
@@ -68,7 +70,7 @@ class TestBuildGraph:
 class TestDeleteEdges:
     def test_triangle_to_path(self):
         g = delete_edges(complete(3), [(0, 1)])
-        assert g.edge_set == {(0, 2), (1, 2)}
+        assert set(g.edges) == {(0, 2), (1, 2)}
 
     def test_identity(self):
         g = cycle(4)
@@ -167,6 +169,25 @@ def test_graph_value_semantics():
     assert a == b
     assert hash(a) == hash(b)
     assert a != build_graph(4, [(0, 1)])
+
+
+def test_has_edge():
+    g = build_graph(3, [(0, 1), (1, 2)])
+    assert g.has_edge(0, 1) and g.has_edge(1, 0) and g.has_edge(2, 1)
+    assert not g.has_edge(0, 2) and not g.has_edge(1, 1)
+    for u, v in ((-1, 0), (0, -1), (-1, -2), (0, 3), (3, 0), (2, 99), (-5, 99)):
+        assert not g.has_edge(u, v)
+
+
+@pytest.mark.parametrize(
+    "g", [complete(4), petersen(), build_graph(5, [(0, 1), (0, 2), (3, 4)]), build_graph(0, [])]
+)
+def test_graph_survives_pickle_and_deepcopy(g):
+    # protocols 0 and 1 cannot pickle a slotted class; 2 and up, the default, can
+    copies = [pickle.loads(pickle.dumps(g, p)) for p in range(2, pickle.HIGHEST_PROTOCOL + 1)]
+    for other in copies + [copy.deepcopy(g)]:
+        assert other == g and hash(other) == hash(g)
+        assert other.adj_masks == g.adj_masks and other.twins == g.twins and other.edges == g.edges
 
 
 def group_order(g, gens):

@@ -127,6 +127,10 @@ class TestSuite:
         with pytest.raises(ValueError, match="unknown claim"):
             run_suite(corpus=SMALL_CORPUS[:1], claims=["no_such_claim"])
 
+    def test_repeated_claim_raises(self):
+        with pytest.raises(ValueError, match="repeated claim"):
+            run_suite(corpus=SMALL_CORPUS[:1], claims=[CLAIM_FAM_IRREGULAR, CLAIM_FAM_IRREGULAR])
+
     def test_budget_blocks_heavy_rows(self):
         budget = Budget(max_scenarios=1)
         report = run_suite(
@@ -191,6 +195,14 @@ class TestFailurePath:
         g = parse_graph6(graph6)
         model = DiagModel.PMC if row.model == "pmc" else DiagModel.MMSTAR
         assert edge_tolerable_diagnosability(g, row.h, model).value == row.oracle
+
+    @pytest.mark.parametrize("h, scenario", [(1, True), (3, True), (4, False)])
+    def test_fail_recipe_names_a_worst_scenario_up_to_delta(self, h, scenario):
+        # above delta = 3 the value is 0 by theorem, with no scenario to replay
+        row = _row(SMALL_CORPUS[0], "pmc_exact_value", DiagModel.PMC, h, (), 0, 1, "==", FAIL)
+        recipe = dict(row.recipe)
+        assert (recipe["graph"], recipe["h"]) == ("hypercube-3", str(h))
+        assert ("worst_scenario" in recipe) is scenario
 
 
 class TestVerifyChecksWhatAnalyzeApplies:
