@@ -213,12 +213,7 @@ def _cmd_syndrome(args) -> int:
     g, _ = load_graph(args.input)
     faults = args.faults
     model = DiagModel(args.model)
-    if args.policy == "zero":
-        policy = ALL_ZERO
-    elif args.policy == "one":
-        policy = ALL_ONE
-    else:
-        policy = seeded_random(args.seed)
+    policy = ALL_ZERO if args.policy == "zero" else ALL_ONE if args.policy == "one" else seeded_random(args.seed)
     syndrome = generate_syndrome(g, faults, model, policy)
     budget = args.t if args.t is not None else len(faults)
     candidates = decode(g, syndrome, budget, model)
@@ -228,7 +223,7 @@ def _cmd_syndrome(args) -> int:
         "faults": faults,
         "policy": args.policy,
         "t": budget,
-        "syndrome": [fmt % (*entry, bit) for entry, bit in sorted(syndrome.items())],
+        "syndrome": [fmt % (*entry, bit) for entry, bit in syndrome.items()],
         "candidates": [sorted(c) for c in candidates],
         "unique": len(candidates) == 1,
     }
@@ -249,6 +244,8 @@ def _cmd_verify(args) -> int:
             )
         if len(set(claims)) < len(claims):
             raise UsageError(f"repeated claim in {args.claims!r}")
+    if args.trials > args.max_scenarios:  # each trial is one edge-deletion scenario per graph
+        raise UsageError(f"--trials {args.trials} exceeds --max-scenarios {args.max_scenarios}")
     budget = Budget(
         max_n=args.max_n,
         max_scenarios=args.max_scenarios,

@@ -14,7 +14,7 @@ from dataclasses import MISSING, fields
 from typing import Optional
 
 from .families import _FAMILY_FIELDS, GammaSpec
-from .graphs import Graph, GraphError, build_graph, check_vertex_count, normalize_edge
+from .graphs import Graph, GraphError, check_vertex_count, normalize_edge
 from .tolerance import BoundReport
 
 
@@ -85,7 +85,8 @@ def parse_edge_list(text: str) -> Graph:
         raise FormatError(
             f"header declared {declared} edges but {listed} were listed", line=header
         )
-    return build_graph(n, edges)
+    check_vertex_count(n)
+    return Graph(n, edges)
 
 
 def emit_edge_list(g: Graph) -> str:
@@ -146,17 +147,10 @@ def parse_graph6(text: str) -> Graph:
         val = b - 63
         for shift in range(5, -1, -1):
             bits.append((val >> shift) & 1)
-    for extra in bits[nbits:]:
-        if extra:
-            raise FormatError("nonzero padding bits", offset=pos + nbytes - 1)
-    edges = []
-    k = 0
-    for j in range(1, n):
-        for i in range(j):
-            if bits[k]:
-                edges.append((i, j))
-            k += 1
-    return build_graph(n, edges)
+    if any(bits[nbits:]):
+        raise FormatError("nonzero padding bits", offset=pos + nbytes - 1)
+    pairs = ((i, j) for j in range(1, n) for i in range(j))  # the upper triangle, column by column
+    return Graph(n, [e for e, bit in zip(pairs, bits) if bit])
 
 
 def emit_graph6(g: Graph) -> str:

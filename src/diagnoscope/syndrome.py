@@ -17,7 +17,8 @@ produced the syndrome under some adversary completion.  A fault set fits
 exactly when every vertex outside it sees its neighborhood as its own
 entries report, so a depth-first search fixes each vertex in turn as
 faulty or as fault-free together with the faulty part of its
-neighborhood that its entries allow.
+neighborhood that its entries allow (``_options``: a PMC tester's ones,
+or what an MM* comparator's zeros, one clique, leave out).
 """
 
 from __future__ import annotations
@@ -100,6 +101,11 @@ def _validate_shape(g: Graph, syndrome, model):
         valid = False
     if not valid:
         raise SyndromeError("syndrome entries do not match the graph's test structure")
+    try:
+        if set(syndrome.values()) <= {0, 1}:
+            return
+    except TypeError:  # an unhashable bit, named by the scan below
+        pass
     for entry, bit in syndrome.items():
         if bit not in (0, 1):
             raise SyndromeError(f"syndrome outcome for {entry} must be 0 or 1, got {bit}")
@@ -109,10 +115,12 @@ def _options(g: Graph, syndrome, t: int, mm: bool) -> List[List[int]]:
     """Per vertex w, every X = F & N(w) with |X| <= t that w's entries
     allow if w is fault-free (none: w must be faulty).
 
-    PMC tests read X off directly.  Under MM*, with zeros[w][u] the v
-    whose (w; u, v) reads 0, w needs zeros[w][u] = N(w) - X - u for u
-    outside X and nothing for u in X: one 0 at u pins X, and with no 0
-    at most one neighbor is outside X.
+    PMC tests read X off directly.  Under MM*, a fault-free w reads 0 on
+    (w; u, v) exactly when u and v are both outside X, so its zeros are
+    all the pairs of one clique N(w) - X.  If w has c > 0 zeros, touching
+    the k neighbors in touched[w], X is N(w) - touched[w] and is allowed
+    iff 2c = k(k - 1).  With no zero, at most one neighbor is outside X:
+    the candidates are N(w), then N(w) - y for each y ascending.
     """
     adj = g.adj_masks
     if not mm:
@@ -120,21 +128,20 @@ def _options(g: Graph, syndrome, t: int, mm: bool) -> List[List[int]]:
         for (u, v), bit in syndrome.items():
             ones[u] |= bit << v
         return [[x] if x.bit_count() <= t else [] for x in ones]
-    zeros = [dict.fromkeys(bits_of(nbrs), 0) for nbrs in adj]
+    count = [0] * g.n
+    touched = [0] * g.n
     for (w, u, v), bit in syndrome.items():
         if not bit:
-            zeros[w][u] |= 1 << v
-            zeros[w][v] |= 1 << u
+            count[w] += 1
+            touched[w] |= 1 << u | 1 << v
     opts = []
-    for w, nbrs in enumerate(adj):
-        pinned = next((u for u, z in zeros[w].items() if z), None)
-        if pinned is None:
-            cands = [nbrs] + [nbrs ^ 1 << y for y in bits_of(nbrs)]
+    for nbrs, c, r in zip(adj, count, touched):
+        if c:
+            k = r.bit_count()
+            cands = [nbrs ^ r] if 2 * c == k * (k - 1) else []
         else:
-            cands = [nbrs ^ 1 << pinned ^ zeros[w][pinned]]
-        opts.append([x for x in cands if x.bit_count() <= t and all(
-            z == (0 if x >> u & 1 else (nbrs ^ x) & ~(1 << u)) for u, z in zeros[w].items()
-        )])
+            cands = [nbrs] + [nbrs ^ 1 << y for y in bits_of(nbrs)]
+        opts.append([x for x in cands if x.bit_count() <= t])
     return opts
 
 

@@ -542,6 +542,20 @@ class TestOtherCommands:
         assert (code, out) == (1, "")
         assert err == "error: repeated claim in 'family_irregularity, family_irregularity'\n"
 
+    @pytest.mark.parametrize(
+        "argv, limit", [(["--trials", "3000000"], 8192), (["--trials", "9", "--max-scenarios", "8"], 8)]
+    )
+    def test_verify_trials_above_scenario_budget_exit_1_at_once(self, capsys, argv, limit):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert (code, out) == (1, "")
+        assert err == f"error: --trials {argv[1]} exceeds --max-scenarios {limit}\n"
+        assert time.perf_counter() - start < 1.0
+
+    def test_verify_trials_equal_to_scenario_budget(self, capsys):
+        argv = ("verify", "--claims", "connectivity_under_edge_deletion", "--format", "json", "--trials", "2")
+        assert run_cli(capsys, *argv, "--max-scenarios", "2")[:2] == run_cli(capsys, *argv)[:2]
+
     @pytest.mark.parametrize("claims", [",", " , ", ""])
     def test_verify_claims_naming_no_claim_exit_1(self, capsys, claims):
         code, out, err = run_cli(capsys, "verify", "--claims", claims)

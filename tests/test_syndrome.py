@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 from conftest import all_graphs, graphs
 from diagnoscope.diagnosis import DiagModel, is_t_diagnosable
 from diagnoscope.families import complete, cycle, hypercube, petersen
-from diagnoscope.graphs import GraphError, build_graph
+from diagnoscope.graphs import GraphError, bits_of, build_graph
 from diagnoscope.syndrome import (
     ALL_ONE,
     ALL_ZERO,
     AdversaryPolicy,
     SyndromeError,
+    _options,
+    _validate_shape,
     decode,
     entries,
     generate_syndrome,
@@ -107,6 +109,15 @@ class TestGeneration:
         assert len(stream) == 4
         assert len({tuple(sorted(s.items())) for s in stream}) == 4
 
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_built_in_entry_order(self, model):
+        # the CLI prints the syndrome as built, so its order is the entry order
+        rng = random.Random(f"order-{model.value}")
+        for g in (hypercube(3), petersen(), cycle(5), empty_graph(3), hypercube(6)):
+            faults = rng.sample(range(g.n), min(g.n, 3))
+            for policy in (ALL_ZERO, ALL_ONE, seeded_random(5)):
+                assert list(generate_syndrome(g, faults, model, policy)) == entries(g, model)
+
     def test_policy_validation(self):
         with pytest.raises(SyndromeError):
             AdversaryPolicy("coin_flip")
@@ -153,6 +164,61 @@ class TestDecode:
         candidates = decode(g, syn, len(faults), model)
         assert frozenset(faults) in candidates
         assert consistent_with(g, syn, faults, model)
+
+
+class TestMMOptions:
+    """``_options`` under MM* against the definition: a fault-free w allows
+    X, a subset of N(w) with |X| <= t, iff each entry (w; u, v) reads 1
+    exactly when u or v is in X."""
+
+    @staticmethod
+    def allowed(g, syndrome, w):
+        nbrs = list(bits_of(g.adj_masks[w]))
+        own = [(u, v, bit) for (c, u, v), bit in syndrome.items() if c == w]
+        return [
+            sum(1 << x for x in xs)
+            for size in range(len(nbrs) + 1)
+            for xs in combinations(nbrs, size)
+            if all(bit == (u in xs or v in xs) for u, v, bit in own)
+        ]
+
+    def check(self, g, rng, seen):
+        syndromes = [random_syndrome(g, MM, rng) for _ in range(2)]
+        faults = rng.sample(range(g.n), rng.randint(0, g.n))
+        for policy in (ALL_ZERO, ALL_ONE, seeded_random(rng.randrange(10**6))):
+            syndromes.append(generate_syndrome(g, faults, MM, policy))
+        for syn in syndromes:
+            full = [self.allowed(g, syn, w) for w in range(g.n)]
+            for t in range(g.n + 1):
+                opts = _options(g, syn, t, True)
+                for w in range(g.n):
+                    want = [x for x in full[w] if x.bit_count() <= t]
+                    assert sorted(opts[w]) == sorted(want), (g.edges, sorted(syn.items()), t, w)
+            for w in range(g.n):
+                seen.add((g.degree(w), bool(full[w])))
+
+    def test_every_graph_up_to_five_vertices(self):
+        rng, seen = random.Random("mm-options-small"), set()
+        for n in range(1, 6):
+            for g in all_graphs(n):
+                self.check(g, rng, seen)
+        # degrees 0, 1 and 2 each met, and random bits that no X fits
+        assert {(0, True), (1, True), (2, True), (3, False), (4, False)} <= seen
+
+    def test_seeded_random_graphs(self):
+        rng, seen = random.Random("mm-options-random"), set()
+        for _ in range(100):
+            n = rng.randint(6, 9)
+            p = rng.random()
+            self.check(build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]), rng, seen)
+        assert any(not fits for _, fits in seen)
+
+    def test_no_zero_order(self):
+        # with no 0, N(w) first, then N(w) - y for y ascending
+        g = build_graph(4, [(0, 1), (0, 2), (0, 3)])
+        syn = generate_syndrome(g, [0], MM, ALL_ONE)
+        assert _options(g, syn, 3, True)[0] == [0b1110, 0b1100, 0b1010, 0b0110]
+        assert _options(g, syn, 2, True)[0] == [0b1100, 0b1010, 0b0110]
 
 
 class TestShapeValidation:
@@ -203,6 +269,17 @@ class TestShapeValidation:
                 decode(g, syn, 1, model)
             with pytest.raises(SyndromeError, match=self.MISMATCH):
                 consistent_with(g, syn, [], model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    @pytest.mark.parametrize("bad", [[1], 2])
+    def test_bad_bit_names_its_entry(self, model, bad):
+        g = cycle(5)
+        syn = generate_syndrome(g, [1], model, ALL_ONE)
+        entry = sorted(syn)[2]
+        syn[entry] = bad
+        message = f"syndrome outcome for {entry} must be 0 or 1, got {bad}"
+        with pytest.raises(SyndromeError, match=re.escape(message)):
+            _validate_shape(g, syn, model)
 
     @pytest.mark.parametrize("model", [PMC, MM])
     @pytest.mark.parametrize("syndrome", [None, [], [((0, 1), 0)], "0 1 0"])
