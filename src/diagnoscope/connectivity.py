@@ -38,28 +38,24 @@ All functions are pure and safe to call concurrently.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, GraphError, bits_of
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(NamedTuple):
     kappa: int
     delta: int
     maximally_connected: bool
     witness_cut: frozenset
 
 
-@dataclass(frozen=True)
-class DisjointPaths:
+class DisjointPaths(NamedTuple):
     count: int
     paths: Tuple[Tuple[int, ...], ...]
 
 
-@dataclass(frozen=True)
-class CommonNeighbors:
+class CommonNeighbors(NamedTuple):
     value: int
     pair: Tuple[int, int]
 

@@ -59,9 +59,8 @@ deterministic and safe for concurrent use.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .graphs import Graph, GraphError, bits_of, twin_masks
 
@@ -73,8 +72,7 @@ class DiagModel(enum.Enum):
     MMSTAR = "mm"
 
 
-@dataclass(frozen=True)
-class IndistinguishableWitness:
+class IndistinguishableWitness(NamedTuple):
     """A pair of candidate fault sets that defeats t-diagnosability."""
 
     f1: frozenset
@@ -82,8 +80,7 @@ class IndistinguishableWitness:
     model: DiagModel
 
 
-@dataclass(frozen=True)
-class DiagnosisDecision:
+class DiagnosisDecision(NamedTuple):
     diagnosable: bool
     witness: Optional[IndistinguishableWitness]
 

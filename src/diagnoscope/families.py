@@ -42,9 +42,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, fields
 from itertools import chain, combinations
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
 from .graphs import (
@@ -74,8 +73,7 @@ def common_neighbor_shortcut(delta: int, common: int) -> bool:
     return (delta >= 3 and common <= delta - 2) or (delta >= 4 and common <= delta - 1)
 
 
-@dataclass(frozen=True)
-class GammaSpec:
+class GammaSpec(NamedTuple):
     """Parameters fully determining one exceptional-family instance.
 
     Edge and slot fields hold block-local ids; the role tables ``_INNER``,
@@ -101,8 +99,7 @@ class GammaSpec:
     attach: Tuple[Tuple[int, ...], ...] = () # family 5: core ids per block vertex
 
 
-@dataclass(frozen=True)
-class RecognizedDecomposition:
+class RecognizedDecomposition(NamedTuple):
     """Block structure proving membership: a spec plus the vertex relabeling.
 
     ``vertex_map[i]`` is the input-graph vertex playing layout id ``i`` of
@@ -113,8 +110,7 @@ class RecognizedDecomposition:
     vertex_map: Tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class RecognitionResult:
+class RecognitionResult(NamedTuple):
     member: bool
     index: Optional[int]
     witness: Optional[RecognizedDecomposition]
@@ -200,9 +196,9 @@ def _check_shape(spec: GammaSpec) -> int:
         raise GraphError(
             f"family {fam} requires independent block size l >= {min_l}, got {l}"
         )
-    for f in fields(GammaSpec)[4:]:
-        if f.name not in _FAMILY_FIELDS[fam] and getattr(spec, f.name) != f.default:
-            raise GraphError(f"family {fam} does not use {f.name}")
+    for name, value in zip(GammaSpec._fields[4:], spec[4:]):
+        if name not in _FAMILY_FIELDS[fam] and value != GammaSpec._field_defaults[name]:
+            raise GraphError(f"family {fam} does not use {name}")
     return gamma_vertex_count(fam, delta, l)
 
 

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import MISSING, fields
 from typing import Optional
 
 from .families import _FAMILY_FIELDS, GammaSpec
@@ -207,19 +206,19 @@ def _read_field(name: str, value, depth: int, width: Optional[int]):
 
 def gamma_spec_from_json(payload: dict) -> GammaSpec:
     values = {}
-    unknown = sorted(set(payload) - {f.name for f in fields(GammaSpec)})
+    unknown = sorted(set(payload) - set(GammaSpec._fields))
     if unknown:
         raise FormatError(f"bad family spec: unknown key {unknown[0]!r}")
-    for f in fields(GammaSpec):
-        if f.name in payload:
-            values[f.name] = _read_field(f.name, payload[f.name], *_SHAPES[f.type])
-        elif f.default is MISSING:
-            raise FormatError(f"bad family spec: missing {f.name!r}")
+    for name, kind in GammaSpec.__annotations__.items():  # a string annotation reads as a ForwardRef
+        if name in payload:
+            values[name] = _read_field(name, payload[name], *_SHAPES[getattr(kind, "__forward_arg__", kind)])
+        elif name not in GammaSpec._field_defaults:
+            raise FormatError(f"bad family spec: missing {name!r}")
     # a key, not a value: GammaSpec cannot tell a default field from an omitted one
     used = _FAMILY_FIELDS.get(values["family"])  # a bad index is make_gamma's error
-    for f in fields(GammaSpec)[4:]:
-        if used is not None and f.name in values and f.name not in used:
-            raise FormatError(f"bad family spec: family {values['family']} does not use {f.name}")
+    for name in GammaSpec._fields[4:]:
+        if used is not None and name in values and name not in used:
+            raise FormatError(f"bad family spec: family {values['family']} does not use {name}")
     return GammaSpec(**values)
 
 

@@ -24,9 +24,8 @@ or what an MM* comparator's zeros, one clique, leave out).
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagnosis import DiagModel, _check_model
 from .graphs import Graph, GraphError, bits_of
@@ -36,18 +35,23 @@ class SyndromeError(GraphError):
     """Malformed syndrome or an illegal generation request."""
 
 
-@dataclass(frozen=True)
-class AdversaryPolicy:
-    """How outcomes controlled by faulty units are filled in."""
-
+class _Policy(NamedTuple):
     kind: str  # "all_zero" | "all_one" | "seeded_random"
     seed: Optional[int] = None
 
-    def __post_init__(self):
-        if self.kind not in ("all_zero", "all_one", "seeded_random"):
-            raise SyndromeError(f"unknown adversary policy {self.kind!r}")
-        if self.kind == "seeded_random" and self.seed is None:
+
+class AdversaryPolicy(_Policy):
+    """How outcomes controlled by faulty units are filled in.  Construction
+    validates; ``_replace`` and ``_make`` do not."""
+
+    __slots__ = ()
+
+    def __new__(cls, kind: str, seed: Optional[int] = None):
+        if kind not in ("all_zero", "all_one", "seeded_random"):
+            raise SyndromeError(f"unknown adversary policy {kind!r}")
+        if kind == "seeded_random" and seed is None:
             raise SyndromeError("seeded_random policy requires a seed")
+        return super().__new__(cls, kind, seed)
 
 
 ALL_ZERO = AdversaryPolicy("all_zero")
@@ -101,13 +105,11 @@ def _validate_shape(g: Graph, syndrome, model):
         valid = False
     if not valid:
         raise SyndromeError("syndrome entries do not match the graph's test structure")
-    try:
-        if set(syndrome.values()) <= {0, 1}:
-            return
-    except TypeError:  # an unhashable bit, named by the scan below
-        pass
+    bits = syndrome.values()  # types first: {0, 0.0} is {0}, and a non-int may be unhashable
+    if set(map(type, bits)) <= {int, bool} and set(bits) <= {0, 1}:
+        return
     for entry, bit in syndrome.items():
-        if bit not in (0, 1):
+        if type(bit) not in (int, bool) or bit not in (0, 1):
             raise SyndromeError(f"syndrome outcome for {entry} must be 0 or 1, got {bit}")
 
 

@@ -58,9 +58,8 @@ oracle, so ``verify`` checks exactly what ``analyze`` applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
 from .diagnosis import DiagModel, _before, _check_model, _find_indistinguishable, _search_differences, diagnosability
@@ -72,8 +71,7 @@ METHOD_BRUTE = "brute_force"
 METHOD_THEOREM = "theorem"
 
 
-@dataclass(frozen=True)
-class ToleranceResult:
+class ToleranceResult(NamedTuple):
     h: int
     model: DiagModel
     value: int
@@ -81,15 +79,13 @@ class ToleranceResult:
     method: str
 
 
-@dataclass(frozen=True)
-class BoundCondition:
+class BoundCondition(NamedTuple):
     rule: str
     description: str
     holds: bool
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     lower: Optional[int]
     lower_rule: Optional[str]
     upper: Optional[int]
@@ -389,8 +385,7 @@ def _outside_family(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
 _H_AT_MOST_DELTA = _h_at_most("delta")
 
 
-@dataclass(frozen=True)
-class Theorem:
+class Theorem(NamedTuple):
     """One result of the paper: when every hypothesis holds, the tolerable
     diagnosability at budget h stands in ``relation`` to ``value``."""
 

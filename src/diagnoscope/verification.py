@@ -21,9 +21,8 @@ from __future__ import annotations
 
 import operator
 import random
-from dataclasses import dataclass
 from math import comb
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 from .connectivity import _kappa_value
 from .diagnosis import DiagModel, diagnosability
@@ -61,16 +60,14 @@ CLAIM_CONN_DEL = "connectivity_under_edge_deletion"
 CLAIM_FAM_IRREGULAR = "family_irregularity"
 
 
-@dataclass(frozen=True)
-class Budget:
+class Budget(NamedTuple):
     max_n: int = 16
     max_scenarios: int = 8192
     connectivity_trials_per_graph: int = 8
     seed: int = 20250810
 
 
-@dataclass(frozen=True)
-class ClaimRow:
+class ClaimRow(NamedTuple):
     graph_name: str
     claim: str
     model: Optional[str]
@@ -83,8 +80,7 @@ class ClaimRow:
     recipe: Tuple[Tuple[str, str], ...]
 
 
-@dataclass(frozen=True)
-class FamilyObservation:
+class FamilyObservation(NamedTuple):
     graph_name: str
     family_index: int
     delta: int
@@ -92,14 +88,12 @@ class FamilyObservation:
     dropped_below_delta: bool
 
 
-@dataclass(frozen=True)
-class CorpusEntry:
+class CorpusEntry(NamedTuple):
     name: str
     graph: Graph
 
 
-@dataclass(frozen=True)
-class VerificationReport:
+class VerificationReport(NamedTuple):
     rows: Tuple[ClaimRow, ...]
     observations: Tuple[FamilyObservation, ...]
     corpus: Tuple[Tuple[str, str], ...]  # (name, graph6)
@@ -283,8 +277,7 @@ def _mm_order(f: Facts, h: Optional[int]) -> Tuple[str, bool]:
     return f"|V|={f.n} >= 2*{f.delta}+3={2 * f.delta + 3}", f.n >= 2 * f.delta + 3
 
 
-@dataclass(frozen=True)
-class Claim:
+class Claim(NamedTuple):
     """One checked claim: for each model and budget h, when every
     hypothesis holds, the oracle's value stands in ``relation`` to
     ``value``."""

@@ -8,7 +8,7 @@ every adversary completion).  None of them runs in a command or the
 benchmark, so they live here rather than in the package.
 """
 
-from dataclasses import MISSING, dataclass, fields
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
 
@@ -244,10 +244,9 @@ def gamma_spec_to_json(spec: GammaSpec) -> dict:
     """One key per field: the integers and ``core_edges`` always, other
     fields when nonempty, and ``bridge`` last, for family 4 only."""
     out = {}
-    for f in fields(GammaSpec):
-        value = getattr(spec, f.name)
-        if f.name != "bridge" and (value or f.default is MISSING or f.name == "core_edges"):
-            out[f.name] = _plain(value)
+    for name, value in zip(GammaSpec._fields, spec):
+        if name != "bridge" and (value or name not in GammaSpec._field_defaults or name == "core_edges"):
+            out[name] = _plain(value)
     if spec.family == 4:
         out["bridge"] = list(spec.bridge)
     return out

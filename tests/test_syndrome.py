@@ -282,6 +282,36 @@ class TestShapeValidation:
             _validate_shape(g, syn, model)
 
     @pytest.mark.parametrize("model", [PMC, MM])
+    def test_float_bits_rejected(self, model):
+        # 1.0 == 1, so only the type tells a float bit from an int one
+        g = cycle(4)
+        syn = generate_syndrome(g, [1], model, ALL_ZERO)
+        first = next(iter(syn))
+        floats = {e: float(bit) for e, bit in syn.items()}
+        message = f"syndrome outcome for {first} must be 0 or 1, got {floats[first]}"
+        with pytest.raises(SyndromeError, match=re.escape(message)):
+            decode(g, floats, 1, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_one_float_zero_among_int_zeros(self, model):
+        # {0, 0.0} is {0}: the value set alone cannot see the float
+        g = cycle(4)
+        syn = generate_syndrome(g, [1], model, ALL_ZERO)
+        entry = [e for e, bit in syn.items() if bit == 0][-1]
+        syn[entry] = 0.0
+        message = f"syndrome outcome for {entry} must be 0 or 1, got 0.0"
+        with pytest.raises(SyndromeError, match=re.escape(message)):
+            decode(g, syn, 1, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_bool_bits_decode(self, model):
+        g = cycle(4)
+        syn = generate_syndrome(g, [1], model, ALL_ZERO)
+        bools = {e: bit == 1 for e, bit in syn.items()}
+        assert set(bools.values()) == {True, False}  # both bits occur, as bools
+        assert decode(g, bools, 1, model) == decode(g, syn, 1, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
     @pytest.mark.parametrize("syndrome", [None, [], [((0, 1), 0)], "0 1 0"])
     def test_not_a_dict(self, model, syndrome):
         with pytest.raises(SyndromeError, match="must be a dict"):

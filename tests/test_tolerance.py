@@ -672,6 +672,32 @@ class TestProperties:
             <= edge_tolerable_diagnosability(g, h, PMC).value
         )
 
+    @pytest.mark.parametrize("model, found", [(PMC, 734), (MM, 678)])
+    def test_first_scan_witness_keeps_an_end_of_each_edge_outside(self, model, found):
+        # At t = t_{h-1}, G - (S - e) is t-diagnosable for each e in S, so a
+        # witness pair in G - S is told apart there only through e: some
+        # tester or comparator outside U = F1 | F2 uses it.
+        inputs = [hypercube(3), petersen(), complete(5), complete(6), wheel(7)]
+        inputs += [random_t_connected(n, t, seed) for n in range(6, 10) for t in (2, 3) for seed in range(4)]
+        scenarios = witnesses = 0
+        for g in inputs:
+            for h in range(1, min(g.min_degree, 3) + 1):
+                t = edge_tolerable_diagnosability(g, h - 1, model).value
+                for scenario in combinations(g.edges, h):
+                    adj = list(g.adj_masks)
+                    for u, v in scenario:
+                        adj[u] ^= 1 << v
+                        adj[v] ^= 1 << u
+                    scenarios += 1
+                    pair = _find_indistinguishable(adj, t, model)
+                    if pair is None:
+                        continue
+                    witnesses += 1
+                    union = pair[0] | pair[1]
+                    for u, v in scenario:
+                        assert not (union >> u & union >> v & 1), (g.edges, scenario, t, pair)
+        assert (scenarios, witnesses) == (22488, found)  # not vacuous
+
     def test_budget_zero_is_diagnosability(self):
         for g in (hypercube(3), petersen(), wheel(5)):
             for model in (PMC, MM):
