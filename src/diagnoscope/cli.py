@@ -5,6 +5,9 @@ JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 usage error, 2 input format error, 3 budget or cap exceeded.  Graph input
 takes no options: ``load_graph`` reads the format off the first content
 line, and ``DIAGNOSCOPE_CAP`` is the one vertex-cap setting.
+
+A call builds the parser of the subcommand its first argument names and
+no other; help and error text are the same as with all six built.
 """
 
 from __future__ import annotations
@@ -283,71 +286,65 @@ def _cmd_paths(args) -> int:
     return EXIT_OK
 
 
-def _add_input(sub) -> None:
-    sub.add_argument("input", nargs="?", default="-", help="graph file, or - for stdin")
+_INPUT = ("input", dict(nargs="?", default="-", help="graph file, or - for stdin"))
+_JOBS = ("--jobs", dict(type=_positive, default=1, help="ignored (the sweep runs in one process)"))
+
+# name -> (help, handler, arguments as (flag, add_argument options)), in help order
+_COMMANDS = {
+    "gen": ("generate standard graphs and family instances", _cmd_gen, [
+        ("kind", dict(nargs="*", help="gamma and a spec file, or a standard kind and its integers")),
+        ("--format", dict(choices=("graph6", "edge-list"), default="graph6", help="output format (default graph6)")),
+        ("--seed", dict(type=int, default=0, help="seed for randomized kinds"))]),
+    "analyze": ("full diagnosability report as JSON", _cmd_analyze, [
+        _INPUT,
+        ("--model", dict(choices=("pmc", "mm", "both"), default="both")),
+        ("--h-max", dict(type=_nonnegative, default=1, dest="h_max", help="edge budgets 0..K (default 1)")),
+        ("--method", dict(choices=("brute", "bounds", "auto"), default="auto")),
+        _JOBS,
+        ("--name", dict(default=None, help="graph name echoed in the report"))]),
+    "recognize": ("exceptional-family membership, decided at every size", _cmd_recognize, [_INPUT]),
+    "syndrome": ("inject faults, emit a syndrome, decode it back", _cmd_syndrome, [
+        _INPUT,
+        ("--faults", dict(type=_vertex_list, default="", help="comma-separated fault vertices")),
+        ("--model", dict(choices=("pmc", "mm"), default="pmc")),
+        ("--policy", dict(choices=("zero", "one", "random"), default="zero",
+                          help="adversary completion for faulty-controlled outcomes")),
+        ("--seed", dict(type=int, default=0, help="seed for --policy random")),
+        ("--t", dict(type=_nonnegative, default=None, help="decoding budget (default |faults|)"))]),
+    "verify": ("run the theorem-checking suite", _cmd_verify, [
+        ("--claims", dict(default=None, help="comma-separated claim ids (default all)")),
+        ("--format", dict(dest="report_format", choices=("table", "json"), default="table")),
+        ("--h-max", dict(type=_nonnegative, default=3, dest="h_max")),
+        ("--max-n", dict(type=_nonnegative, default=16)),
+        ("--max-scenarios", dict(type=_nonnegative, default=8192)),
+        ("--trials", dict(type=_nonnegative, default=8, help="edge-deletion connectivity trials per graph")),
+        ("--seed", dict(type=int, default=20250810)),
+        _JOBS]),
+    "paths": ("connectivity and internally disjoint paths", _cmd_paths, [
+        _INPUT,
+        ("--pair", dict(type=int, nargs=2, metavar=("U", "V"),
+                        help="report a maximum disjoint-path family between U and V"))]),
+}
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="diagnoscope", description=__doc__)
+def build_parser(command: Optional[str] = None) -> _Parser:
+    """The parser with ``command``'s subparser alone when it names one, else
+    with all six, so whatever the top level prints still lists all six."""
+    # the module docstring less its last paragraph, which is about this function
+    parser = _Parser(prog="diagnoscope", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command")
-
-    p_gen = sub.add_parser("gen", help="generate standard graphs and family instances")
-    p_gen.add_argument("kind", nargs="*", help="gamma and a spec file, or a standard kind and its integers")
-    p_gen.add_argument(
-        "--format", choices=("graph6", "edge-list"), default="graph6",
-        help="output format (default graph6)",
-    )
-    p_gen.add_argument("--seed", type=int, default=0, help="seed for randomized kinds")
-    p_gen.set_defaults(func=_cmd_gen)
-
-    p_an = sub.add_parser("analyze", help="full diagnosability report as JSON")
-    _add_input(p_an)
-    p_an.add_argument("--model", choices=("pmc", "mm", "both"), default="both")
-    p_an.add_argument("--h-max", type=_nonnegative, default=1, dest="h_max",
-                      help="edge budgets 0..K (default 1)")
-    p_an.add_argument("--method", choices=("brute", "bounds", "auto"), default="auto")
-    p_an.add_argument("--jobs", type=_positive, default=1, help="ignored (the sweep runs in one process)")
-    p_an.add_argument("--name", default=None, help="graph name echoed in the report")
-    p_an.set_defaults(func=_cmd_analyze)
-
-    p_rec = sub.add_parser("recognize", help="exceptional-family membership, decided at every size")
-    _add_input(p_rec)
-    p_rec.set_defaults(func=_cmd_recognize)
-
-    p_syn = sub.add_parser("syndrome", help="inject faults, emit a syndrome, decode it back")
-    _add_input(p_syn)
-    p_syn.add_argument("--faults", type=_vertex_list, default="", help="comma-separated fault vertices")
-    p_syn.add_argument("--model", choices=("pmc", "mm"), default="pmc")
-    p_syn.add_argument("--policy", choices=("zero", "one", "random"), default="zero",
-                       help="adversary completion for faulty-controlled outcomes")
-    p_syn.add_argument("--seed", type=int, default=0, help="seed for --policy random")
-    p_syn.add_argument("--t", type=_nonnegative, default=None, help="decoding budget (default |faults|)")
-    p_syn.set_defaults(func=_cmd_syndrome)
-
-    p_ver = sub.add_parser("verify", help="run the theorem-checking suite")
-    p_ver.add_argument("--claims", default=None, help="comma-separated claim ids (default all)")
-    p_ver.add_argument("--format", dest="report_format", choices=("table", "json"),
-                       default="table")
-    p_ver.add_argument("--h-max", type=_nonnegative, default=3, dest="h_max")
-    p_ver.add_argument("--max-n", type=_nonnegative, default=16)
-    p_ver.add_argument("--max-scenarios", type=_nonnegative, default=8192)
-    p_ver.add_argument("--trials", type=_nonnegative, default=8,
-                       help="edge-deletion connectivity trials per graph")
-    p_ver.add_argument("--seed", type=int, default=20250810)
-    p_ver.add_argument("--jobs", type=_positive, default=1, help="ignored (the sweep runs in one process)")
-    p_ver.set_defaults(func=_cmd_verify)
-
-    p_path = sub.add_parser("paths", help="connectivity and internally disjoint paths")
-    _add_input(p_path)
-    p_path.add_argument("--pair", type=int, nargs=2, metavar=("U", "V"),
-                        help="report a maximum disjoint-path family between U and V")
-    p_path.set_defaults(func=_cmd_paths)
-
+    for name in [command] if command in _COMMANDS else _COMMANDS:
+        help_text, func, arguments = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for flag, options in arguments:
+            p.add_argument(flag, **options)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)
         if not getattr(args, "command", None):

@@ -170,11 +170,17 @@ def _search_differences(adj: Tuple[int, ...], twins: Tuple[int, ...], visit: Cal
             stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1)]
 
 
-def _closures(
-    adj: Tuple[int, ...], d_mask: int, closed: int, below: int, cap: int, bound: int, mm: bool
-) -> List[int]:
-    """The closures of the difference D with at most ``bound`` vertices
-    and |U| + |U & below| <= ``cap``.
+def _holds_a_pair(u_mask: int, pairs: Tuple[int, ...]) -> bool:
+    for p in pairs:  # a loop: any() over a generator costs twice as much at each closure step
+        if u_mask & p == p:
+            return True
+    return False
+
+
+def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, below: int, cap: int, bound: int, mm: bool,
+              pairs: Tuple[int, ...] = ()) -> List[int]:
+    """The closures of the difference D with at most ``bound`` vertices,
+    |U| + |U & below| <= ``cap`` and no mask of ``pairs`` inside U.
 
     A closure is a smallest union U that D forces.  Under PMC the only
     one is ``closed`` = N[D].  Under MM* each vertex x of Gamma(D) =
@@ -185,9 +191,9 @@ def _closures(
     would already be in U), so independence needs no check.  A vertex
     with three neighbors in D starts in U: outside, it would compare two
     of them that share a half of D, or of any D' grown from D, so no
-    witness reached from D has it in Out.  Both limits only grow with U, so a
-    partial union past either one is dropped with every closure that
-    contains it.
+    witness reached from D has it in Out.  The limits only grow with U, so a
+    partial union past one (or holding a mask of ``pairs``) is dropped with
+    every closure that contains it.
     """
     found = []
     u_mask = d_mask
@@ -201,7 +207,7 @@ def _closures(
     while stack:
         u_mask, rest = stack.pop()
         size = u_mask.bit_count()
-        if size > bound or size + (u_mask & below).bit_count() > cap:
+        if size > bound or size + (u_mask & below).bit_count() > cap or pairs and _holds_a_pair(u_mask, pairs):
             continue
         rest &= ~u_mask
         if not rest:
@@ -226,10 +232,12 @@ def _before(u: int, d: int, u_old: int, d_old: int) -> bool:
     return bool(u & diff & -diff) if diff else d < d_old
 
 
-def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twins: Optional[Tuple[int, ...]] = None):
+def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twins: Optional[Tuple[int, ...]] = None,
+                            pairs: Tuple[int, ...] = ()):
     """First indistinguishable pair with both sizes <= t in the graph with
     adjacency masks ``adj``, or None.  ``twins`` is ``twin_masks(adj)``,
-    computed here unless given (a Graph carries its own).
+    computed here unless given (a Graph carries its own).  A caller that
+    knows no witness holds both ends of a mask of ``pairs`` passes them.
 
     "First" is ``_before`` on (U, D) = (F1 | F2, F1 ^ F2).  Any witness
     (U, D) contains a closure of D that is itself a witness with the same
@@ -260,7 +268,7 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twin
     def visit(d_mask: int, closed: int) -> bool:
         nonlocal bound, best
         below = ~d_mask & (1 << d_mask.bit_length() - 1) - 1
-        closures = _closures(adj, d_mask, closed, below, 2 * t, bound, mm)
+        closures = _closures(adj, d_mask, closed, below, 2 * t, bound, mm, pairs)
         dsize = d_mask.bit_count()
         for u_mask in closures:
             usize = u_mask.bit_count()

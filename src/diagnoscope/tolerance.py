@@ -23,7 +23,10 @@ outside F1 | F2 in both sets; x is then neither in the symmetric
 difference nor outside the union, so no PMC test and no MM* comparator
 through e tells the larger pair apart in G.  So t(G) <= t(G - e) + 1,
 and the value at budget h is t_{h-1} or t_{h-1} - 1; the MM* sweep
-decides which with at most two refutation scans, at t >= t_{h-1}.
+decides which with at most two refutation scans, at t >= t_{h-1}.  At the
+first, t = t_{h-1} <= t(G - (S - e)) for each e in S, so a witness pair
+in G - S is told apart in G - (S - e) only through e, by a vertex outside
+its union: the engine drops unions holding both ends of an edge of S.
 Applied edge by edge, the bound gives t(G - S') <= t(G - S) + |S - S'|
 for every S' inside a scenario S.  So once some nonempty S' is known to
 be (t + |S - S'|)-diagnosable, S is t-diagnosable and the sweep does not
@@ -239,7 +242,8 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel, target: int, record: 
             for u, v in scenario:
                 adj[u] ^= 1 << v
                 adj[v] ^= 1 << u
-            if _find_indistinguishable(adj, t, model) is not None:
+            pairs = tuple(1 << u | 1 << v for u, v in scenario) if t == target else ()
+            if _find_indistinguishable(adj, t, model, pairs=pairs) is not None:
                 return t - 1, scenario
             if not group:
                 index = {e: i for i, e in enumerate(g.edges)}

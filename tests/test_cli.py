@@ -4,13 +4,14 @@ import json
 import os
 import subprocess
 import sys
+import textwrap
 import time
 from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
 
-from diagnoscope.cli import load_graph, main
+from diagnoscope.cli import UsageError, build_parser, load_graph, main
 from diagnoscope.families import (
     complete,
     generate_standard,
@@ -24,7 +25,8 @@ from diagnoscope.families import GammaSpec
 from oracles import gamma_spec_to_json
 
 
-GOLDENS = Path(__file__).resolve().parent.parent / "bench" / "goldens"
+SRC = Path(__file__).resolve().parent.parent / "src"
+GOLDENS = SRC.parent / "bench" / "goldens"
 # ``syndrome --faults 0,5`` stdout per graph, model and policy
 SYNDROME_GOLDEN = Path(__file__).resolve().parent / "goldens" / "syndrome-faults-0-5.json"
 SYNDROME_POLICIES = {"zero": ["--policy", "zero"], "one": ["--policy", "one"],
@@ -573,6 +575,87 @@ class TestOtherCommands:
                                *SYNDROME_POLICIES[policy])
         assert code == 0
         assert out == json.loads(SYNDROME_GOLDEN.read_text())[f"{name}-{model}-{policy}"]
+
+
+COMMANDS = ("gen", "analyze", "recognize", "syndrome", "verify", "paths")
+# bad values for the commands' options; recognize takes no option with a value
+BAD_VALUES = [("gen", "--format", "x"), ("gen", "--seed", "x"), ("analyze", "--model", "x"),
+              ("analyze", "--h-max", "-1"), ("analyze", "--jobs", "0"), ("syndrome", "--t", "-1"),
+              ("syndrome", "--faults", "1,1"), ("verify", "--trials", "x"), ("verify", "--format", "x"),
+              ("verify", "--jobs", "0"), ("paths", "--pair", "1", "x"), ("paths", "--pair", "1")]
+
+
+def parse_error(command, argv):
+    with pytest.raises(UsageError) as caught:
+        build_parser(command).parse_args(argv)
+    return str(caught.value)
+
+
+class TestParser:
+    """``main`` builds the parser of the subcommand its first argument
+    names and no other; what a user sees must not tell the two apart."""
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_equals_the_full_parser_help(self, capsys, command):
+        texts = []
+        for parser in (build_parser(command), build_parser()):
+            with pytest.raises(SystemExit) as caught:
+                parser.parse_args([command, "--help"])
+            assert caught.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1]
+        assert texts[0].startswith(f"usage: diagnoscope {command} [-h]")
+
+    @pytest.mark.parametrize("argv", BAD_VALUES)
+    def test_bad_value_error_equals_the_full_parser_error(self, argv):
+        message = parse_error(argv[0], list(argv))
+        assert message == parse_error(None, list(argv))
+        assert message.startswith(f"argument {argv[1]}")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unrecognized_argument_error_equals_the_full_parser_error(self, command):
+        argv = [command, "--bogus"]
+        assert parse_error(command, argv) == parse_error(None, argv) == "unrecognized arguments: --bogus"
+
+    @pytest.mark.parametrize("argv, exit_code", [([], 1), (["-h"], 0), (["--help"], 0), (["bogus"], 1),
+                                                 (["--", "gen"], 1)])
+    def test_no_command_help_or_unknown_command_names_all_six(self, capsys, argv, exit_code):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # help exits 0
+            code = exc.code
+        assert code == exit_code
+        text = "".join(capsys.readouterr())
+        if "choose from " in text:  # an unknown command: the error lists the choices
+            listing = text.split("choose from ")[1].split(")")[0]
+            assert listing.replace("'", "").split(", ") == list(COMMANDS)
+        else:
+            assert "{" + ",".join(COMMANDS) + "}" in text
+
+    def test_one_subparser_per_call_and_none_at_import(self):
+        # count ArgumentParser constructions in a fresh interpreter
+        code = textwrap.dedent("""
+            import argparse, contextlib, io
+            count = 0
+            init = argparse.ArgumentParser.__init__
+            def counted(self, *args, **kwargs):
+                global count
+                count += 1
+                init(self, *args, **kwargs)
+            argparse.ArgumentParser.__init__ = counted
+            from diagnoscope.cli import main
+            counts = [count]
+            for argv in (["syndrome", "-", "--faults", "1"], []):
+                before = count
+                with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+                    main(argv)
+                counts.append(count - before)
+            print(counts)
+        """)
+        env = {**os.environ, "PYTHONPATH": str(SRC)}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, input=emit_graph6(hypercube(3)) + "\n",
+                              capture_output=True, text=True, check=True)
+        assert proc.stdout == "[0, 2, 7]\n"
 
 
 def test_module_entrypoint_subprocess():

@@ -171,9 +171,9 @@ def count_refutations(monkeypatch):
     of thresholds it was called at."""
     calls = []
 
-    def counting(adj, t, model):
+    def counting(adj, t, model, pairs=()):
         calls.append(t)
-        return _find_indistinguishable(adj, t, model)
+        return _find_indistinguishable(adj, t, model, pairs=pairs)
 
     monkeypatch.setattr(tolerance, "_find_indistinguishable", counting)
     return calls
@@ -449,7 +449,7 @@ class TestOrbitSweep:
         # each orbit and records the whole orbit, so every scenario ends up
         # recorded
         calls = []
-        monkeypatch.setattr(tolerance, "_find_indistinguishable", lambda adj, t, model: calls.append(t))
+        monkeypatch.setattr(tolerance, "_find_indistinguishable", lambda adj, t, model, pairs=(): calls.append(t))
         record = {}
         with pytest.raises(AssertionError):
             _scenario_sweep(g, h, MM, 0, record, [])
@@ -509,13 +509,7 @@ class TestOrbitSweep:
     def test_subset_rule_skips_refutations(self, monkeypatch):
         # no automorphism, and the first minimizer is late in each scan: a
         # refutation per scenario made 19,172 engine calls at h = 0..2
-        calls = []
-
-        def counting(adj, t, model):
-            calls.append(t)
-            return _find_indistinguishable(adj, t, model)
-
-        monkeypatch.setattr(tolerance, "_find_indistinguishable", counting)
+        calls = count_refutations(monkeypatch)
         clear_caches()
         g = random_t_connected(40, 5, 1)
         results = [edge_tolerable_diagnosability(g, h, MM) for h in range(3)]
@@ -572,13 +566,7 @@ class TestOrbitSweep:
         # each (graph, model) keeps its own record, so sweeping Petersen in
         # between costs the last level nothing: one shared record made
         # 19,067 engine calls there, a plain ascending run makes 87
-        calls = []
-
-        def counting(adj, t, model):
-            calls.append(t)
-            return _find_indistinguishable(adj, t, model)
-
-        monkeypatch.setattr(tolerance, "_find_indistinguishable", counting)
+        calls = count_refutations(monkeypatch)
         clear_caches()
         g = random_t_connected(40, 5, 1)
         for h in (0, 1):
@@ -646,6 +634,22 @@ class TestWorstScenario:
                 break
 
 
+def first_scans(model):
+    """(G, S, t_{h-1}, adjacency masks of G - S) for every scenario S of
+    the first-scan tests' graphs, h = |S| <= min(delta, 3)."""
+    inputs = [hypercube(3), petersen(), complete(5), complete(6), wheel(7)]
+    inputs += [random_t_connected(n, t, seed) for n in range(6, 10) for t in (2, 3) for seed in range(4)]
+    for g in inputs:
+        for h in range(1, min(g.min_degree, 3) + 1):
+            t = edge_tolerable_diagnosability(g, h - 1, model).value
+            for scenario in combinations(g.edges, h):
+                adj = list(g.adj_masks)
+                for u, v in scenario:
+                    adj[u] ^= 1 << v
+                    adj[v] ^= 1 << u
+                yield g, scenario, t, adj
+
+
 class TestProperties:
     @given(graphs(2, 6), st.sampled_from([PMC, MM]))
     @settings(max_examples=40, deadline=None)
@@ -677,26 +681,52 @@ class TestProperties:
         # At t = t_{h-1}, G - (S - e) is t-diagnosable for each e in S, so a
         # witness pair in G - S is told apart there only through e: some
         # tester or comparator outside U = F1 | F2 uses it.
-        inputs = [hypercube(3), petersen(), complete(5), complete(6), wheel(7)]
-        inputs += [random_t_connected(n, t, seed) for n in range(6, 10) for t in (2, 3) for seed in range(4)]
         scenarios = witnesses = 0
-        for g in inputs:
-            for h in range(1, min(g.min_degree, 3) + 1):
-                t = edge_tolerable_diagnosability(g, h - 1, model).value
-                for scenario in combinations(g.edges, h):
-                    adj = list(g.adj_masks)
-                    for u, v in scenario:
-                        adj[u] ^= 1 << v
-                        adj[v] ^= 1 << u
-                    scenarios += 1
-                    pair = _find_indistinguishable(adj, t, model)
-                    if pair is None:
-                        continue
-                    witnesses += 1
-                    union = pair[0] | pair[1]
-                    for u, v in scenario:
-                        assert not (union >> u & union >> v & 1), (g.edges, scenario, t, pair)
+        for g, scenario, t, adj in first_scans(model):
+            scenarios += 1
+            pair = _find_indistinguishable(adj, t, model)
+            if pair is None:
+                continue
+            witnesses += 1
+            union = pair[0] | pair[1]
+            for u, v in scenario:
+                assert not (union >> u & union >> v & 1), (g.edges, scenario, t, pair)
         assert (scenarios, witnesses) == (22488, found)  # not vacuous
+
+    @pytest.mark.parametrize("model, found", [(PMC, 734), (MM, 678)])
+    def test_first_scan_filter_finds_the_same_witness(self, model, found):
+        # The sweep's first scan passes its scenario's edges as end pairs;
+        # the engine drops only unions no witness has, so it returns the
+        # same first witness, or None, as without them.
+        witnesses = 0
+        for g, scenario, t, adj in first_scans(model):
+            pair = _find_indistinguishable(adj, t, model)
+            pairs = tuple(1 << u | 1 << v for u, v in scenario)
+            assert _find_indistinguishable(adj, t, model, pairs=pairs) == pair, (g.edges, scenario, t)
+            witnesses += pair is not None
+        assert witnesses == found
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_sweep_filters_the_first_scan_only(self, monkeypatch, model):
+        calls = []
+
+        def recording(adj, t, model, pairs=()):
+            calls.append((t, pairs, adj))
+            return _find_indistinguishable(adj, t, model, pairs=pairs)
+
+        monkeypatch.setattr(tolerance, "_find_indistinguishable", recording)
+        scans = set()
+        for g in (hypercube(3), petersen(), complete(6), wheel(7), random_t_connected(9, 3, 1)):
+            value = diagnosability(g, model)
+            for h in range(1, 3):
+                first = value  # t_{h-1}
+                calls.clear()
+                value = _scenario_sweep(g, h, model, first, {}, [])[0]
+                for t, pairs, adj in calls:
+                    deleted = tuple(1 << u | 1 << v for u, v in g.edges if not adj[u] >> v & 1)
+                    assert pairs == (deleted if t == first else ()), (g.edges, h, t)
+                scans |= {t == first for t, _, _ in calls}
+        assert scans == {False, True}  # both scans ran
 
     def test_budget_zero_is_diagnosability(self):
         for g in (hypercube(3), petersen(), wheel(5)):
