@@ -213,19 +213,21 @@ def relabel(g: Graph, perm: Sequence[int]) -> Graph:
     return Graph(g.n, [normalize_edge(perm[u], perm[v]) for u, v in g.edges])
 
 
-def _refine(adj: Tuple[int, ...], colours: Sequence[int], v: int | None = None):
+def _refine(nbrs: Sequence[Tuple[int, ...]], colours: Sequence[int], v: int | None = None):
     """Coarsest equitable refinement of a colouring, ``v`` individualized.
 
-    Each round recolours a vertex by the rank of (colour, sorted neighbour
-    colours), so labels never depend on vertex ids and cells keep their
-    order.  Also returns the last round's sorted keys as an invariant.
+    ``nbrs`` holds each vertex's neighbour tuple.  Each round recolours a
+    vertex by the rank of (colour, sorted neighbour colours), so labels
+    never depend on vertex ids and cells keep their order.  Also returns
+    the last round's sorted keys as an invariant.
     """
     colours = list(colours)
     if v is not None:
         colours[v] = -1
     cells = -1
     while True:
-        keys = [(c, tuple(sorted(colours[u] for u in bits_of(a)))) for c, a in zip(colours, adj)]
+        at = colours.__getitem__
+        keys = [(c, tuple(sorted(map(at, nb)))) for c, nb in zip(colours, nbrs)]
         ranks = {k: i for i, k in enumerate(sorted(set(keys)))}
         colours = [ranks[k] for k in keys]
         if len(ranks) == cells:
@@ -234,7 +236,8 @@ def _refine(adj: Tuple[int, ...], colours: Sequence[int], v: int | None = None):
 
 
 def automorphism_generators(g: Graph) -> Tuple[Tuple[int, ...], ...]:
-    """Generators of the automorphism group; each maps vertex v to perm[v].
+    """At most n - 1 generators of the automorphism group; each maps
+    vertex v to perm[v].
 
     Individualization and refinement (McKay & Piperno, "Practical graph
     isomorphism, II"): the first path individualizes the smallest vertex
@@ -243,28 +246,49 @@ def automorphism_generators(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     colour, sends the level's base point b to each w of its cell not yet
     in b's orbit.  Individualized vertices hold the lowest labels in
     order, so that map fixes the earlier base points; with the stabilizer
-    below, one map per orbit generates the stabilizer at this level.
+    below, any maps of the stabilizer at this level that join b's orbit to
+    every w it can reach generate that stabilizer (orbit-stabilizer).
+
+    So a twin transposition can stand in for a search.  Swapping twins
+    u < v (``Graph.twins`` chains each class by next-smaller twin) is an
+    automorphism that fixes every other vertex.  One of u, v is a base
+    point, since only the identity fixes them all, and the swap lies in
+    the stabilizer of every base point before the first of the two.  It
+    is added at that one's level, before the level's searches, when it
+    joins two orbits; the level then searches only the w it has not
+    joined to b.  Every generator joins two orbits, so there are at most
+    n - 1.
     """
     adj, n = g.adj_masks, g.n
-    colours, _ = _refine(adj, [0] * n)
+    nbrs = [tuple(bits_of(a)) for a in adj]
+    colours, _ = _refine(nbrs, [0] * n)
     path = []  # per level: colours, target cell label, base point, invariant below
     while len(set(colours)) < n:
         target = min(c for c in colours if colours.count(c) > 1)
         base = colours.index(target)
-        below, invariant = _refine(adj, colours, base)
+        below, invariant = _refine(nbrs, colours, base)
         path.append((colours, target, base, invariant))
         colours = below
     leaf = colours
+    level_of = {base: level for level, (_, _, base, _) in enumerate(path)}
+    swaps = [[] for _ in path]  # per level: the twin pairs first joined there
+    for v, twin in enumerate(g.twins):
+        if twin:
+            u = twin.bit_length() - 1
+            swaps[min(level_of.get(u, n), level_of.get(v, n))].append((u, v))
 
     def search(cols, level, choices=None):
         if level == len(path):
-            at = {c: v for v, c in enumerate(cols)}
-            perm = tuple(at[c] for c in leaf)
-            ok = all(sum(1 << perm[u] for u in bits_of(a)) == adj[perm[v]] for v, a in enumerate(adj))
+            at = [0] * n
+            for v, c in enumerate(cols):
+                at[c] = v
+            perm = tuple(map(at.__getitem__, leaf))
+            bit = [1 << w for w in perm]
+            ok = all(sum(map(bit.__getitem__, nb)) == adj[w] for nb, w in zip(nbrs, perm))
             return perm if ok else None
         _, target, _, invariant = path[level]
         for x in choices or [x for x in range(n) if cols[x] == target]:
-            below, inv = _refine(adj, cols, x)
+            below, inv = _refine(nbrs, cols, x)
             found = inv == invariant and search(below, level + 1)
             if found:
                 return found
@@ -280,6 +304,12 @@ def automorphism_generators(g: Graph) -> Tuple[Tuple[int, ...], ...]:
     gens = []
     for level in range(len(path) - 1, -1, -1):
         cols, target, base, _ = path[level]
+        for u, v in swaps[level]:
+            if find(u) != find(v):
+                perm = list(range(n))
+                perm[u], perm[v] = v, u
+                gens.append(tuple(perm))
+                orbit[find(u)] = find(v)
         for w in range(base + 1, n):
             perm = cols[w] == target and find(w) != find(base) and search(cols, level, [w])
             if perm:

@@ -44,10 +44,10 @@ Both rules read earlier levels, so each (graph, model) keeps one profile,
 ``_tolerance_cached(g, model)``: the results decided so far, by budget;
 the sweep record, which maps each scenario shown t-diagnosable, as an
 edge-index mask, to that t, and is closed under automorphisms; and the
-group, the generators' edge-index images, computed when the first orbit
-is recorded.  A level is appended only once decided.  A profile is
-mutable process state, so unlike ``diagnosis`` it is not safe for
-concurrent use.
+group, each generator's image bit of every edge index, computed when the
+first orbit is recorded.  A level is appended only once decided.  A
+profile is mutable process state, so unlike ``diagnosis`` it is not safe
+for concurrent use.
 
 The paper's theorems are stated once, as the rows of ``THEOREMS``: a
 rule name, the ``verify`` claim that checks it, its model, its
@@ -218,7 +218,8 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel, target: int, record: 
     witness, its orbit is recorded at t, so a later leaf of that orbit is
     dropped as its own S'.  ``group`` is empty until the first orbit is
     recorded, then holds one list: per generator, the image of each edge
-    index.
+    index as a one-bit mask, so an orbit member's image is the sum of its
+    edges' images.
     """
     m = g.m
     for t in range(max(target, 1), target + 2):
@@ -248,12 +249,13 @@ def _scenario_sweep(g: Graph, size: int, model: DiagModel, target: int, record: 
             if not group:
                 index = {e: i for i, e in enumerate(g.edges)}
                 gens = automorphism_generators(g)
-                group.append([[index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in gens])
+                group.append([[1 << index[normalize_edge(p[u], p[v])] for u, v in g.edges] for p in gens])
             record[mask] = t
             orbit = [mask]
             for x in orbit:
-                for move in group[0]:
-                    y = sum(1 << move[i] for i in bits_of(x))
+                idx = list(bits_of(x))
+                for image in group[0]:
+                    y = sum(map(image.__getitem__, idx))
                     if record.get(y, -1) < t:
                         record[y] = t
                         orbit.append(y)

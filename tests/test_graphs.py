@@ -9,7 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import all_graphs, graphs
-from diagnoscope.families import GammaSpec, complete, cycle, hypercube, make_gamma, petersen
+from diagnoscope.families import (
+    GammaSpec,
+    complete,
+    complete_bipartite,
+    cycle,
+    hypercube,
+    make_gamma,
+    petersen,
+    random_gamma,
+)
 from diagnoscope.graphs import (
     CapExceededError,
     GraphError,
@@ -205,6 +214,85 @@ def group_order(g, gens):
     return len(seen)
 
 
+def chain_order(n, gens):
+    """Order of the group the permutations generate, by Schreier-Sims: a
+    base and strong generating set, then the product of the basic orbit
+    lengths (Holt, Eick & O'Brien, Handbook of Computational Group Theory,
+    4.4.2).  Permutations compose left to right, as maps v -> p[v]."""
+    identity = tuple(range(n))
+
+    def then(p, q):
+        return tuple(map(q.__getitem__, p))
+
+    def inverse(p):
+        out = [0] * n
+        for v, w in enumerate(p):
+            out[w] = v
+        return tuple(out)
+
+    def moved(p):
+        return next(v for v in range(n) if p[v] != v)
+
+    strong, base = [], []
+    for p in gens:
+        if p != identity:
+            strong.append(p)
+            if all(p[b] == b for b in base):
+                base.append(moved(p))
+    trans = [None] * len(base)
+
+    def sift(p, level):
+        for i in range(level, len(base)):
+            x = p[base[i]]
+            if x not in trans[i]:
+                return p, i
+            p = then(p, inverse(trans[i][x]))
+        return p, len(base)
+
+    i = len(base) - 1
+    while i >= 0:
+        level_gens = [s for s in strong if all(s[b] == b for b in base[:i])]
+        t = trans[i] = {base[i]: identity}
+        queue = [base[i]]
+        for x in queue:
+            for s in level_gens:
+                if s[x] not in t:
+                    t[s[x]] = then(t[x], s)
+                    queue.append(s[x])
+        found = None
+        for x, u in t.items():
+            for s in level_gens:
+                residue, j = sift(then(then(u, s), inverse(t[s[x]])), i + 1)
+                if residue != identity:
+                    found = residue, j
+                    break
+            if found:
+                break
+        if found is None:
+            i -= 1
+            continue
+        residue, j = found
+        strong.append(residue)
+        if j == len(base):
+            base.append(moved(residue))
+            trans.append(None)
+        i = j
+    order = 1
+    for t in trans:
+        order *= len(t)
+    return order
+
+
+def complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
+def disjoint_cliques(m, k):
+    return build_graph(m * k, [(b * k + i, b * k + j) for b in range(m) for i in range(k) for j in range(i + 1, k)])
+
+
 def networkx_order(g):
     nxg = nx.Graph()
     nxg.add_nodes_from(range(g.n))
@@ -266,3 +354,61 @@ class TestAutomorphismGenerators:
         g = build_graph(6, [(0, 1), (1, 2), (2, 3), (3, 4), (2, 4), (4, 5), (1, 4)])
         assert networkx_order(g) == 1
         assert automorphism_generators(g) == ()
+
+
+class TestTwinGenerators:
+    """Twin-heavy graphs, where twin transpositions stand in for most of
+    the leaf searches: each generator is an automorphism, there are at
+    most n - 1, and they generate the whole group."""
+
+    def check(self, g, order):
+        gens = automorphism_generators(g)
+        assert len(gens) <= max(g.n - 1, 0)
+        for perm in gens:
+            assert sorted(perm) == list(range(g.n))
+            assert relabel(g, perm) == g, (g.edges, perm)
+        assert chain_order(g.n, gens) == order, g.edges
+
+    @pytest.mark.parametrize("n", range(1, 8))
+    def test_complete(self, n):
+        self.check(complete(n), networkx_order(complete(n)))
+
+    def test_complete_bipartite(self):
+        for a in range(1, 5):
+            for b in range(a, 5):
+                g = complete_bipartite(a, b)
+                self.check(g, networkx_order(g))
+
+    @pytest.mark.parametrize("sizes", [(2, 2, 2), (1, 3, 3)])
+    def test_complete_multipartite(self, sizes):
+        g = complete_multipartite(*sizes)
+        self.check(g, networkx_order(g))
+
+    def test_seeded_family_instances(self):
+        count = 0
+        for family in (1, 2, 3, 4, 5):
+            for delta in (3, 4):
+                for seed in (1, 2, 3):
+                    _, g = random_gamma(family, delta, seed=seed)
+                    assert g.n <= 12
+                    self.check(g, networkx_order(g))
+                    count += 1
+        assert count == 30
+
+    @pytest.mark.parametrize("m, k", [(2, 3), (3, 3), (4, 3), (3, 4), (4, 4), (6, 2), (5, 1)])
+    def test_disjoint_cliques(self, m, k):
+        # VF2 enumerates all (k!)^m * m! automorphisms, too many here
+        self.check(disjoint_cliques(m, k), factorial(k) ** m * factorial(m))
+
+    def test_chain_order_against_closure(self):
+        # the order routine itself, against closing the group by BFS
+        shift = tuple(range(1, 6)) + (0,)
+        swap = (1, 0) + tuple(range(2, 6))
+        flip = tuple((-v) % 6 for v in range(6))
+        assert chain_order(6, [shift, swap]) == factorial(6)
+        assert chain_order(6, [shift, flip]) == 12
+        assert chain_order(6, [flip, flip]) == 2
+        assert chain_order(6, []) == 1
+        for g in (petersen(), hypercube(3), complete_bipartite(2, 3), disjoint_cliques(2, 3), cycle(7)):
+            gens = automorphism_generators(g)
+            assert chain_order(g.n, gens) == group_order(g, gens)

@@ -603,6 +603,49 @@ class TestOrbitSweep:
             assert ascending_sweep(g, h, MM) == pair
 
 
+def complete_multipartite(*sizes):
+    part = [i for i, size in enumerate(sizes) for _ in range(size)]
+    n = len(part)
+    return build_graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if part[u] != part[v]])
+
+
+# record sizes after MM* h = 0..min(delta, 3): a lost orbit image, or a
+# scenario recorded outside the swept orbits, moves them
+RECORD_SIZES = {
+    "hypercube-3": 12, "hypercube-4": 0, "petersen": 0, "complete-5": 65, "complete-6": 180,
+    "bipartite-3-3": 45, "bipartite-4-4": 136, "prism-5": 0, "circulant-8-1-2": 16, "wheel-9": 0,
+    "gamma1-a": 377, "gamma1-b": 511, "gamma1-c": 353, "gamma2-a": 68, "gamma2-b": 113, "gamma2-c": 339,
+    "gamma3-a": 16, "gamma3-b": 17, "gamma3-c": 57, "gamma4-a": 73, "gamma4-b": 64, "gamma4-c": 100,
+    "gamma5-a": 113, "gamma5-b": 119, "gamma5-c": 104, "random-3conn-9-a": 0, "random-3conn-10-b": 22,
+    "random-3conn-11-c": 29, "random-4conn-10-d": 12, "random-4conn-12-e": 31,
+    "K5,5": 325, "K7": 371, "K2,2,2": 232, "K1,3,3": 120, "K3,3,3": 378,
+}
+
+
+class TestOrbitRecord:
+    """The MM* profile's record is closed under Aut(G) and as large as
+    before; the verify corpus holds K4,4, Q4 and Petersen."""
+
+    def test_record_is_closed_under_the_generators(self):
+        graphs = [(e.name, e.graph) for e in default_corpus()]
+        graphs += [("K5,5", complete_bipartite(5, 5)), ("K7", complete(7))]
+        graphs += [(f"K{a},{b},{c}", complete_multipartite(a, b, c)) for a, b, c in ((2, 2, 2), (1, 3, 3), (3, 3, 3))]
+        clear_caches()
+        sizes = {}
+        for name, g in graphs:
+            for h in range(min(g.min_degree, 3) + 1):
+                edge_tolerable_diagnosability(g, h, MM)
+            record = tolerance._tolerance_cached(g, MM)[1]
+            sizes[name] = len(record)
+            index = {e: i for i, e in enumerate(g.edges)}
+            for perm in automorphism_generators(g):
+                move = [index[tuple(sorted((perm[u], perm[v])))] for u, v in g.edges]
+                for mask, t in record.items():
+                    image = sum(1 << move[i] for i in bits_of(mask))
+                    assert record.get(image) == t, (name, mask, perm)
+        assert sizes == RECORD_SIZES
+
+
 class TestWorstScenario:
     def test_golden_scenarios_q3(self):
         # frozen for determinism across runs and refactors
