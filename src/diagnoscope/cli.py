@@ -13,10 +13,10 @@ no other; help and error text are the same as with all six built.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import warnings
+from json.encoder import encode_basestring_ascii
 from typing import List, Optional, Tuple
 
 from .connectivity import internally_disjoint_paths, vertex_connectivity
@@ -120,8 +120,53 @@ def _load_nonempty(args) -> Tuple[Graph, str]:
     return g, fmt
 
 
+_SCALAR_TEXT = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: ("false", "true").__getitem__,
+    type(None): {None: "null"}.__getitem__,
+}
+
+
+def _json_text(value, indent: str = "") -> str:
+    """``json.dumps(value, indent=2)`` for dicts with ``str`` keys, lists,
+    tuples, ``str``, ``int``, ``bool`` and ``None``, each of exactly that
+    type; any other type, a float or a non-``str`` key included, raises
+    ``TypeError``.  A container is one join of per-item f-strings, and a
+    scalar item is formatted by the C function its exact type maps to in
+    ``_SCALAR_TEXT``, so only containers cost a Python call.
+    """
+    scalar = _SCALAR_TEXT.get
+    text = scalar(type(value))
+    if text is not None:
+        return text(value)
+    inner = indent + "  "
+    if type(value) is dict:
+        items = [
+            f"{encode_basestring_ascii(k)}: {t(v) if (t := scalar(type(v))) else _json_text(v, inner)}"
+            for k, v in value.items()
+        ]
+        opening, closing = "{", "}"
+    elif type(value) is list or type(value) is tuple:
+        items = [t(v) if (t := scalar(type(v))) else _json_text(v, inner) for v in value]
+        opening, closing = "[", "]"
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+    if not items:
+        return opening + closing
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
+
+
 def _print_json(payload) -> None:
-    sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+    """Write ``payload`` as ``json.dumps(payload, indent=2)`` and a newline.
+
+    ``json.dumps`` skips its C encoder whenever ``indent`` is set, and its
+    pure-Python encoder costs a generator step per value; ``_json_text``
+    writes the same text in about half the time.  The output must stay
+    byte-equal to ``json.dumps(payload, indent=2)``: the goldens pin it,
+    and the tests compare the two.
+    """
+    sys.stdout.write(_json_text(payload) + "\n")
 
 
 def _cmd_gen(args) -> int:

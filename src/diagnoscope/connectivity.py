@@ -258,18 +258,23 @@ def internally_disjoint_paths(g: Graph, u: int, v: int) -> DisjointPaths:
     return DisjointPaths(count, tuple(flow.paths()))
 
 
-def _kappa_value(g: Graph) -> int:
-    """Vertex connectivity without witness extraction.
+def _kappa_value(g: Graph, cap: Optional[int] = None) -> int:
+    """Vertex connectivity without witness extraction, or min(kappa, cap).
 
     Conventions: kappa of a complete graph on n vertices is n-1 (including
     kappa(K1) = 0; its pair list is empty, so kappa = delta) and kappa of a
     disconnected graph is 0: the first vertex of the pair list is paired
     with every vertex outside its component, and that pair has flow 0.
+
+    With ``cap`` the search starts from min(delta, cap) instead of delta,
+    so a caller that only asks whether kappa reaches ``cap`` skips every
+    pair with at least ``cap`` common neighbours and stops each flow at
+    ``cap``.
     """
     if g.n == 0:
         raise GraphError("connectivity is undefined for the empty graph")
     adj = g.adj_masks
-    best = g.min_degree
+    best = g.min_degree if cap is None else min(g.min_degree, cap)
     for a, b in _pairs(adj, g.full_mask):
         if (adj[a] & adj[b]).bit_count() < best:
             best = _pair_flow(adj, a, b, best).value

@@ -328,11 +328,23 @@ def diagnosability_cap(g: Graph) -> int:
 
 @lru_cache(maxsize=16384)
 def _diagnosability_cached(g: Graph, model: DiagModel) -> int:
-    cap = diagnosability_cap(g)
-    t = 0
-    while t < cap and is_t_diagnosable(g, t + 1, model).diagnosable:
-        t += 1
-    return t
+    """Top-down: decide at t = ``diagnosability_cap(g)``; on a witness
+    (F1, F2), set t = max(|F1|, |F2|) - 1 and decide again.
+
+    The witness pair has both sets of size at most m = max(|F1|, |F2|), so
+    G is not m-diagnosable, and then not t'-diagnosable for any t' >= m
+    (diagnosability is monotone).  Each step lowers t, and the first t
+    with no witness is the answer.  A graph whose diagnosability is its
+    cap, such as a hypercube, takes one decision where an ascending search
+    takes cap.
+    """
+    t = diagnosability_cap(g)
+    while t > 0:
+        witness = is_t_diagnosable(g, t, model).witness
+        if witness is None:
+            return t
+        t = max(len(witness.f1), len(witness.f2)) - 1
+    return 0
 
 
 def diagnosability(g: Graph, model: DiagModel) -> int:

@@ -238,13 +238,19 @@ def _diagnosability(entry, facts, model, h, budget) -> Optional[int]:
 
 def _deletion_violations(entry, facts, model, h, budget) -> int:
     """How many seeded deletions of at most kappa edges lowered kappa by
-    more than the number of edges deleted."""
+    more than the number of edges deleted.
+
+    Each trial asks only whether kappa(G - S) reaches kappa - |S|, so the
+    connectivity search is capped there, and a trial that deletes kappa
+    edges needs none: connectivity is never negative."""
     g, kappa = entry.graph, facts.kappa
     rng = random.Random(f"{budget.seed}-{entry.name}-edge-deletion")
     violations = 0
     for _ in range(budget.connectivity_trials_per_graph):
         scenario = rng.sample(list(g.edges), min(rng.randrange(0, kappa + 1), g.m))
-        violations += _kappa_value(delete_edges(g, scenario)) < kappa - len(scenario)
+        need = kappa - len(scenario)
+        if need > 0:
+            violations += _kappa_value(delete_edges(g, scenario), need) < need
     return violations
 
 

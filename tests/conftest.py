@@ -1,6 +1,7 @@
 import random
 from itertools import combinations
 
+import networkx as nx
 from hypothesis import strategies as st
 
 from diagnoscope.families import complete, complete_bipartite
@@ -12,6 +13,25 @@ def all_graphs(n):
     pairs = list(combinations(range(n), 2))
     for mask in range(1 << len(pairs)):
         yield build_graph(n, [p for i, p in enumerate(pairs) if mask >> i & 1])
+
+
+def atlas_graphs(max_n):
+    """Every graph on 1..max_n vertices up to isomorphism (max_n <= 7), from
+    the networkx graph atlas."""
+    return [build_graph(h.number_of_nodes(), list(h.edges()))
+            for h in nx.graph_atlas_g()[1:] if h.number_of_nodes() <= max_n]
+
+
+def seeded_random_graphs(count, n_min, n_max, seed):
+    """``count`` seeded G(n, p) graphs, n in n_min..n_max and p drawn per
+    graph, so sparse disconnected graphs come with dense ones."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(n_min, n_max)
+        p = rng.random()
+        out.append(build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
+    return out
 
 
 @st.composite

@@ -10,8 +10,10 @@ from itertools import combinations, islice
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from diagnoscope.cli import UsageError, build_parser, load_graph, main
+from diagnoscope.cli import UsageError, _json_text, build_parser, load_graph, main
 from diagnoscope.families import (
     complete,
     generate_standard,
@@ -656,6 +658,67 @@ class TestParser:
         proc = subprocess.run([sys.executable, "-c", code], env=env, input=emit_graph6(hypercube(3)) + "\n",
                               capture_output=True, text=True, check=True)
         assert proc.stdout == "[0, 2, 7]\n"
+
+
+
+# strings json escapes: quotes, backslashes, control characters, non-ASCII
+# and astral text, which ensure_ascii writes as a surrogate pair
+_TRICKY = st.sampled_from(['', '"', '\\', '\x00\x1f\x7f', '\n\t\r\b\f', 'caf\u00e9', '\u2028', '\U0001f600', '\ud800'])
+_JSON_SCALARS = (st.text() | _TRICKY | st.integers() | st.integers(min_value=-2**200, max_value=2**200)
+                 | st.booleans() | st.none())
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.lists(inner, max_size=4).map(tuple)
+    | st.dictionaries(st.text() | _TRICKY, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+class TestJsonText:
+    """``_json_text`` must write exactly ``json.dumps(value, indent=2)``."""
+
+    @given(_JSON_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_equals_json_dumps_indent_2(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [{}, [], (), {"": {}}, [[], ()], {"a": [{}]}])
+    def test_empty_containers(self, value):
+        assert _json_text(value) == json.dumps(value, indent=2)
+
+    @pytest.mark.parametrize("value", [1.5, [0.0], {"x": float("nan")}, {1: 2}, {None: 0}, {True: 0},
+                                       {(1, 2): 0}, {1, 2}, [b"x"]])
+    def test_other_types_raise_type_error(self, value):
+        with pytest.raises(TypeError):
+            _json_text(value)
+
+
+def _graph_file(tmp_path, g):
+    path = tmp_path / "g.g6"
+    path.write_text(emit_graph6(g) + "\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("graph", [petersen(), hypercube(4)], ids=["petersen", "q4"])
+@pytest.mark.parametrize("argv", [
+    ("analyze", "{}", "--model", "pmc", "--h-max", "2"),
+    ("analyze", "{}", "--model", "mm", "--method", "brute"),
+    ("recognize", "{}"),
+    ("syndrome", "{}", "--faults", "0,5", "--model", "mm", "--policy", "random", "--seed", "3"),
+    ("paths", "{}"),
+    ("paths", "{}", "--pair", "0", "7"),
+])
+def test_json_output_equals_json_dumps_indent_2(capsys, tmp_path, graph, argv):
+    path = _graph_file(tmp_path, graph)
+    code, out, _ = run_cli(capsys, *(arg.format(path) for arg in argv))
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
+
+
+def test_verify_json_output_equals_json_dumps_indent_2(capsys):
+    code, out, _ = run_cli(capsys, "verify", "--format", "json", "--h-max", "1", "--max-n", "10")
+    assert code == 0
+    assert out == json.dumps(json.loads(out), indent=2) + "\n"
 
 
 def test_module_entrypoint_subprocess():

@@ -2,12 +2,11 @@ import random
 from collections import deque
 from itertools import combinations
 
-import networkx as nx
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import graphs
+from conftest import atlas_graphs, graphs, seeded_random_graphs
 from diagnoscope.connectivity import (
     _kappa_value,
     internally_disjoint_paths,
@@ -199,17 +198,7 @@ def reference_witness_cut(g):
     return frozenset(prefix)
 
 
-def seeded_random_graphs(count, n_min, n_max, seed):
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(n_min, n_max)
-        p = rng.random()
-        out.append(build_graph(n, [e for e in combinations(range(n), 2) if rng.random() < p]))
-    return out
-
-
-ATLAS = [build_graph(h.number_of_nodes(), list(h.edges())) for h in nx.graph_atlas_g()[1:]]
+ATLAS = atlas_graphs(7)
 
 
 two_triangles = build_graph(6, [(0, 1), (0, 2), (1, 2), (3, 4), (3, 5), (4, 5)])
@@ -294,6 +283,27 @@ class TestMatchesReference:
         for a in range(1, 9):
             for b in range(a, 9):
                 self.check(complete_bipartite(a, b))
+
+
+
+class TestCappedKappa:
+    """``_kappa_value(g, cap)`` is min(kappa, cap) for every cap in 0..n."""
+
+    @staticmethod
+    def check(g):
+        kappa = _kappa_value(g)
+        for cap in range(g.n + 1):
+            assert _kappa_value(g, cap) == min(kappa, cap), (g.edges, cap)
+
+    def test_atlas_up_to_six_vertices(self):
+        for g in atlas_graphs(6):
+            self.check(g)
+
+    def test_seeded_random(self):
+        sample = seeded_random_graphs(300, 2, 12, seed=7007)
+        assert any(not is_connected(g) for g in sample)
+        for g in sample:
+            self.check(g)
 
 
 class TestFrontier:

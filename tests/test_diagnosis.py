@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, graphs, twin_graphs
+from conftest import all_graphs, atlas_graphs, graphs, seeded_random_graphs, twin_graphs
 from diagnoscope import diagnosis
 from diagnoscope.diagnosis import (
     DiagModel,
@@ -575,6 +575,19 @@ class TestDiagnosability:
 
     def test_two_isolated_vertices(self):
         assert diagnosability(empty_graph(2), PMC) == 0
+
+    @staticmethod
+    def ascending(g, model):
+        t = 0
+        while t < diagnosability_cap(g) and is_t_diagnosable(g, t + 1, model).diagnosable:
+            t += 1
+        return t
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_top_down_equals_ascending_search(self, model):
+        # the top-down search jumps below each witness's larger set
+        for g in atlas_graphs(6) + seeded_random_graphs(300, 2, 12, seed=7007):
+            assert diagnosability(g, model) == self.ascending(g, model), g.edges
 
     @given(graphs(1, 6), st.sampled_from([PMC, MM]))
     @settings(max_examples=60, deadline=None)

@@ -1,6 +1,7 @@
 import json
 import random
 from math import comb
+from types import SimpleNamespace
 
 import pytest
 
@@ -39,6 +40,7 @@ from diagnoscope.verification import (
     FAIL,
     NOT_MET,
     PASS,
+    _deletion_violations,
     _row,
     check_claim,
     default_corpus,
@@ -296,6 +298,20 @@ def _reference_bound_rows(entry, facts, theorem, budget, h_values):
     return rows
 
 
+def _reference_violations(entry, kappa, budget):
+    """The edge-deletion trials with exact, uncapped connectivity."""
+    g = entry.graph
+    rng = random.Random(f"{budget.seed}-{entry.name}-edge-deletion")
+    violations = 0
+    for _ in range(budget.connectivity_trials_per_graph):
+        size = rng.randrange(0, kappa + 1)
+        size = min(size, g.m)
+        scenario = rng.sample(list(g.edges), size)
+        if _kappa_value(delete_edges(g, scenario)) < kappa - size:
+            violations += 1
+    return violations
+
+
 def reference_check_claim(entry, facts, claim, budget, h_sweep):
     g = entry.graph
     kappa, delta = facts.kappa, facts.delta
@@ -309,14 +325,7 @@ def reference_check_claim(entry, facts, claim, budget, h_sweep):
         hypotheses = (_connected(facts, None),)
         if kappa < 1:
             return [_row(entry, claim, None, None, hypotheses, None, None, None, NOT_MET)]
-        rng = random.Random(f"{budget.seed}-{entry.name}-edge-deletion")
-        violations = 0
-        for _ in range(budget.connectivity_trials_per_graph):
-            size = rng.randrange(0, kappa + 1)
-            size = min(size, g.m)
-            scenario = rng.sample(list(g.edges), size)
-            if _kappa_value(delete_edges(g, scenario)) < kappa - size:
-                violations += 1
+        violations = _reference_violations(entry, kappa, budget)
         verdict = PASS if violations == 0 else FAIL
         return [_row(entry, claim, None, None, hypotheses, violations, 0, "==", verdict)]
     if claim == CLAIM_FAM_IRREGULAR:
@@ -393,3 +402,17 @@ class TestClaimTable:
                 assert ours == reference_check_claim(entry, facts, claim, budget, h_sweep), (entry.name, claim)
                 checked += len(ours)
         assert checked > 1500
+
+
+def test_capped_deletion_trials_count_like_uncapped():
+    # the trials stop each connectivity search at kappa - |S|; the count
+    # must be the one exact connectivity gives.  The lemma holds, so the
+    # true kappa counts 0; claiming kappa + 1 makes some trials violate it
+    for entry in default_corpus():
+        kappa = Facts(entry.graph).kappa
+        for seed in range(20):
+            budget = Budget(connectivity_trials_per_graph=16, seed=seed)
+            for claimed in (kappa, kappa + 1):
+                facts = SimpleNamespace(kappa=claimed)
+                assert _deletion_violations(entry, facts, None, None, budget) == \
+                    _reference_violations(entry, claimed, budget), (entry.name, seed, claimed)
