@@ -389,6 +389,8 @@ def build_parser(command: Optional[str] = None) -> _Parser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
+    if argv[:1] == ["--"] and argv[1:2] and argv[1] in _COMMANDS:  # argparse takes '--' for the command
+        argv = argv[1:]
     parser = build_parser(argv[0] if argv else None)
     try:
         args = parser.parse_args(argv)

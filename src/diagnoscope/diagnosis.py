@@ -23,12 +23,25 @@ N(D) - D must be in U or have N(x) inside U, and conditions (2)/(3)
 become a balanced split of D.  By (2)/(3) an outside vertex has at most
 one neighbor in each half of D, so an x with three neighbors in D is in
 U, and in the union of every pair grown from D.  So each D has a few
-minimal unions ("closures"), and the search drops D once none fits in
-2t vertices, counting twice each vertex below D's largest that D
-skipped: the search never adds it to D again, so it is in both fault
-sets of every pair reached from D.  The folded PMC table drops D on
-the same doubled count, less two vertices for each edge a scenario may
-delete.  On highly connected graphs that leaves a handful of small D.
+minimal unions ("closures"), and the search grows D only toward the
+vertices some closure can still afford.  The search adds to D only
+vertices above max D, so every pair (U'', D'') it reaches through D + w
+has D'' disjoint from L = {v < max D} - D and from the range (max D, w),
+and a vertex of U'' there is in both fault sets.  U'' holds w and some
+closure U of D (under PMC N[D]; under MM* each vertex of Gamma(D)
+outside U'' has all its neighbors in U'' and at most two in D), so
+|F1| + |F2| = |U''| + |U'' - D''| >=
+|U| + [w not in U] + |U & L| + |U & (max D, w)|.  So D + w is searched
+only when some closure U allows w: |U & (max D, w)| + [w not in U] <=
+2t - |U| - |U & L| (``_growth``).  Once a witness with |U| = b is
+found, a later one must come before it, so |U''| <= b: closures with
+|U| > b allow nothing, and those with |U| = b only w in U.  D is dropped
+when no closure allows a w; at D itself |U| + |U & L| <= 2|U| - |D| =
+|F1| + |F2|, so no witness at D is lost.  The folded PMC table drops D
+on the same doubled count with U = N[D], less two vertices for each edge
+a scenario may delete, and grows a D it keeps by every vertex above max
+D (a growth mask there saves visits but not time).  On highly connected
+graphs that leaves a handful of small D.
 The search also yields the canonical witness: each (closure, D) it
 visits is a candidate pair, and it keeps the first in witness order
 (``_before``: smallest |U|, then lexicographic U, then ascending D), the
@@ -147,27 +160,34 @@ def _mm_split(adj: Tuple[int, ...], outside: int, d_mask: int, bound: int):
     return part1, d_mask ^ part1
 
 
-def _search_differences(adj: Tuple[int, ...], twins: Tuple[int, ...], visit: Callable[[int, int], bool]) -> None:
+def _search_differences(adj: Tuple[int, ...], twins: Tuple[int, ...], visit: Callable[[int, int], int]) -> None:
     """Call ``visit(D, N[D])`` on the nonempty vertex sets D that hold a
     prefix of every twin class, depth first; ``twins`` is
     ``twin_masks(adj)``.
 
-    Each D is extended by each vertex above its largest one, smallest
-    first, so D comes in lexicographic order of its sorted vertex tuple:
-    {0}, {0, 1}, {0, 1, 2}, ..., {0, 2}, ...  A D is skipped, with
+    Each D is extended by each vertex w above its largest one whose bit is
+    set in the mask ``visit`` returns, smallest w first, so D comes in
+    lexicographic order of its sorted vertex tuple: {0}, {0, 1},
+    {0, 1, 2}, ..., {0, 2}, ...  A visit returning 0 drops D, one returning
+    the full mask extends it by every such w.  A D is skipped, with
     everything above it, when its newest vertex has a next-smaller twin
-    outside D; every sorted prefix of a D that is kept is kept too.  A D
-    whose ``visit`` returns false is not extended.  Dropping D on a size
-    bound is safe, since N[D] and the closures only grow with D: a closure
-    of a larger D contains one of D.  N[D] is carried on the stack, never
-    rebuilt.
+    outside D; every sorted prefix of a D that is kept is kept too.
+    Dropping D + w on a size bound is safe, since N[D] and the closures
+    only grow with D: a closure of a larger D contains one of D.  N[D] is
+    carried on the stack, never rebuilt.
     """
     n = len(adj)
+    full = (1 << n) - 1
     stack = [(1 << v, adj[v] | 1 << v, v) for v in range(n - 1, -1, -1)]
     while stack:
         d_mask, closed, top = stack.pop()
-        if (not twins[top] or twins[top] & d_mask) and visit(d_mask, closed):
+        if twins[top] and not twins[top] & d_mask:
+            continue
+        grow = visit(d_mask, closed)
+        if grow == full:
             stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1)]
+        elif grow:
+            stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1) if grow >> w & 1]
 
 
 def _holds_a_pair(u_mask: int, pairs: Tuple[int, ...]) -> bool:
@@ -220,6 +240,24 @@ def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, below: int, cap: i
     return found
 
 
+def _growth(u_mask: int, top: int, slack: int, full: int) -> int:
+    """The vertices w of ``full`` above ``top`` with
+    |U & (top, w)| + [w not in U] <= ``slack`` for U = ``u_mask``: every
+    vertex up to the slack-th vertex of U above top, and the vertex of U
+    after that one."""
+    above = full >> top + 1 << top + 1
+    rest = u_mask & above
+    if slack <= 0:
+        return rest & -rest if slack == 0 else 0
+    for _ in range(slack - 1):
+        rest &= rest - 1
+    if not rest:
+        return above
+    low = rest & -rest
+    rest ^= low
+    return above & (low << 1) - 1 | rest & -rest
+
+
 def _before(u: int, d: int, u_old: int, d_old: int) -> bool:
     """Whether the pair with union ``u`` and difference ``d`` comes before
     the pair (``u_old``, ``d_old``) in witness order: smaller |U|, then
@@ -246,16 +284,10 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twin
     split of D for each closure that would come before the best witness
     found so far; the pair it keeps last is the first.
 
-    It drops D once no closure passes two limits: |U| at most that of the
-    best witness so far, and |U| + |U & L| <= 2t for L = {v < max D} - D.
-    The search extends D only by vertices above max D, so every pair
-    (U', D') it reaches from D has D' disjoint from L, and a vertex of L
-    in U' is in both fault sets.  U' contains some closure U of D (under
-    PMC U' contains N[D]; under MM* each vertex of Gamma(D) outside U' has
-    all its neighbors in U' and at most two in D), so |F1| + |F2| =
-    |U'| + |U' - D'| >= |U| + |U & L|: a closure past 2t has no witness
-    beyond it.  At D itself |U| + |U & L| <= 2|U| - |D| = |F1| + |F2|, so
-    no witness at D is dropped.
+    Each visit asks only for the closures with |U| at most that of the
+    best witness so far and |U| + |U & L| <= 2t, for L = {v < max D} - D,
+    and returns the vertices they allow D to grow by (the growth rule and
+    its proof are in the module docstring).
     """
     n = len(adj)
     if t <= 0 or n == 0:
@@ -265,9 +297,10 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twin
     bound = min(2 * t, n)
     best = None  # (U, D, the half of D that goes to F1)
 
-    def visit(d_mask: int, closed: int) -> bool:
+    def visit(d_mask: int, closed: int) -> int:
         nonlocal bound, best
-        below = ~d_mask & (1 << d_mask.bit_length() - 1) - 1
+        top = d_mask.bit_length() - 1
+        below = ~d_mask & (1 << top) - 1
         closures = _closures(adj, d_mask, closed, below, 2 * t, bound, mm, pairs)
         dsize = d_mask.bit_count()
         for u_mask in closures:
@@ -285,7 +318,13 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twin
                     rest &= rest - 1
                 half = d_mask ^ rest
             best, bound = (u_mask, d_mask, half), usize
-        return bool(closures)
+        grow = 0
+        for u_mask in closures:
+            usize = u_mask.bit_count()
+            if usize <= bound:
+                allowed = _growth(u_mask, top, 2 * t - usize - (u_mask & below).bit_count(), full)
+                grow |= allowed & u_mask if usize == bound else allowed
+        return grow
 
     _search_differences(adj, twin_masks(adj) if twins is None else twins, visit)
     if best is None:

@@ -133,6 +133,7 @@ def _pmc_break_table(g: Graph):
     delta = g.min_degree
     adj = g.adj_masks
     infinite = n + 2
+    full = (1 << n) - 1
     best = [infinite] * (delta + 1)
     witness: list = [None] * (delta + 1)
     larger = [0] * n  # each vertex's next-larger twin
@@ -140,12 +141,12 @@ def _pmc_break_table(g: Graph):
         if twin:
             larger[twin.bit_length() - 1] = 1 << v
 
-    def visit(d_mask: int, closed: int) -> bool:
+    def visit(d_mask: int, closed: int) -> int:
         size = closed.bit_count()
         below = ~d_mask & (1 << d_mask.bit_length() - 1) - 1
         doubled = size + (closed & below).bit_count()
         if all(size - r > 2 * b or doubled - 2 * r > 2 * b for r, b in enumerate(best)):
-            return False
+            return 0
         base = size - (d_mask.bit_count() >> 1)
         outs = [(0, 0, 0)]  # (Out, |Out|, edges from Out to D)
         rest = closed ^ d_mask
@@ -164,7 +165,7 @@ def _pmc_break_table(g: Graph):
                 continue
             best[r] = threshold
             witness[r] = (u_mask, d_mask)
-        return True
+        return full
 
     _search_differences(adj, g.twins, visit)
     scenarios = tuple(

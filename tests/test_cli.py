@@ -619,8 +619,7 @@ class TestParser:
         argv = [command, "--bogus"]
         assert parse_error(command, argv) == parse_error(None, argv) == "unrecognized arguments: --bogus"
 
-    @pytest.mark.parametrize("argv, exit_code", [([], 1), (["-h"], 0), (["--help"], 0), (["bogus"], 1),
-                                                 (["--", "gen"], 1)])
+    @pytest.mark.parametrize("argv, exit_code", [([], 1), (["-h"], 0), (["--help"], 0), (["bogus"], 1)])
     def test_no_command_help_or_unknown_command_names_all_six(self, capsys, argv, exit_code):
         try:
             code = main(argv)
@@ -633,6 +632,14 @@ class TestParser:
             assert listing.replace("'", "").split(", ") == list(COMMANDS)
         else:
             assert "{" + ",".join(COMMANDS) + "}" in text
+
+    def test_leading_double_dash_before_a_command_is_dropped(self, capsys):
+        outputs = []
+        for argv in (["--", "gen", "petersen"], ["gen", "petersen"]):
+            assert main(argv) == 0
+            outputs.append(capsys.readouterr())
+        assert outputs[0] == outputs[1]
+        assert outputs[0].out and not outputs[0].err
 
     def test_one_subparser_per_call_and_none_at_import(self):
         # count ArgumentParser constructions in a fresh interpreter

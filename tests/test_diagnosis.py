@@ -22,6 +22,7 @@ from diagnoscope.diagnosis import (
     _before,
     _closures,
     _find_indistinguishable,
+    _growth,
     _mm_split,
     _search_differences,
     diagnosability,
@@ -318,7 +319,9 @@ class TestIsTDiagnosable:
     def test_three_neighbors_in_d_prune_dense_searches(self, monkeypatch):
         # D-sets the MM* search visits; before a vertex with three
         # neighbors in D started in every closure: 89,695 on K9,9 and 1,823
-        # on random_t_connected(16, 9, 3). Q5 at t = 3 never has |D| > 2
+        # on random_t_connected(16, 9, 3). Q5 at t = 3 never has |D| > 2.
+        # Before D grew only by the vertices a closure allows: 169 on
+        # random_t_connected(16, 9, 3) and 63 on Q5
         visits = []
 
         def counting(adj, twins, visit):
@@ -331,8 +334,8 @@ class TestIsTDiagnosable:
         monkeypatch.setattr(diagnosis, "_search_differences", counting)
         for g, t, most in [
             (complete_bipartite(9, 9), 7, 18_398),
-            (random_t_connected(16, 9, 3), 7, 169),
-            (hypercube(5), 3, 63),
+            (random_t_connected(16, 9, 3), 7, 38),
+            (hypercube(5), 3, 33),
         ]:
             visits.clear()
             assert _find_indistinguishable(g.adj_masks, t, MM) is None
@@ -441,7 +444,9 @@ class TestSearchDifferences:
     @staticmethod
     def search(g, keep):
         seen = []
-        _search_differences(g.adj_masks, g.twins, lambda d, closed: seen.append((d, closed)) or keep(d))
+        full = (1 << g.n) - 1
+        _search_differences(g.adj_masks, g.twins,
+                            lambda d, closed: seen.append((d, closed)) or (full if keep(d) else 0))
         return seen
 
     @staticmethod
@@ -479,6 +484,36 @@ class TestSearchDifferences:
                 return any(g.vertex_mask(vertices[:k]) in pruned for k in range(1, len(vertices)))
 
             assert seen == [d for d in self.twin_prefixes(g) if not extends_pruned(d)], g.edges
+
+    def test_grows_only_by_the_returned_mask(self):
+        # D + w is visited exactly when D is and w is in D's mask
+        rng = random.Random("search-differences-mask")
+        for g in enumerator_graphs():
+            masks = {d: rng.getrandbits(g.n) for d in range(1, 1 << g.n)}
+            seen = []
+            _search_differences(g.adj_masks, g.twins, lambda d, closed: seen.append(d) or masks[d])
+
+            def grown_in_masks(d):  # each sorted prefix's next vertex is in the prefix's mask
+                vertices = list(bits_of(d))
+                return all(masks[g.vertex_mask(vertices[:k])] >> vertices[k] & 1 for k in range(1, len(vertices)))
+
+            assert seen == [d for d in self.twin_prefixes(g) if grown_in_masks(d)], g.edges
+
+
+class TestGrowth:
+    def test_matches_its_definition(self):
+        # every (max D, U, slack) on up to 12 vertices
+        for n in range(1, 13):
+            full = (1 << n) - 1
+            for top in range(n):
+                for u_mask in range(1 << n):
+                    costs = [
+                        (w, (u_mask >> top + 1 & (1 << w - top - 1) - 1).bit_count() + (not u_mask >> w & 1))
+                        for w in range(top + 1, n)
+                    ]
+                    for slack in range(-1, n - top + 1):
+                        expected = sum(1 << w for w, cost in costs if cost <= slack)
+                        assert _growth(u_mask, top, slack, full) == expected, (n, top, u_mask, slack)
 
 
 class TestTwinClasses:

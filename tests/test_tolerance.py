@@ -34,7 +34,7 @@ from diagnoscope.families import (
     GammaSpec,
 )
 from diagnoscope.graphs import GraphError, automorphism_generators, bits_of, build_graph, delete_edges
-from diagnoscope import tolerance
+from diagnoscope import diagnosis, tolerance
 from diagnoscope.tolerance import (
     METHOD_BRUTE,
     METHOD_THEOREM,
@@ -538,6 +538,32 @@ class TestOrbitSweep:
         results = [edge_tolerable_diagnosability(g, h, MM) for h in range(5)]
         assert [(r.value, r.worst_scenario) for r in results] == [(5 - h, pinned[:h]) for h in range(5)]
         assert len(calls) <= 250
+
+    def test_growth_mask_prunes_the_sweep(self, monkeypatch):
+        # D-sets the MM* engine visits; before D grew only by the vertices a
+        # closure allows: 13,931 over the h <= 1 sweep of
+        # random_t_connected(16, 9, 3) and 16,438 over the verify corpus at
+        # h <= 3 (9,499 when a closure as large as the best witness allows
+        # every vertex it affords)
+        visits = []
+
+        def counting(adj, twins, visit):
+            def counted(d_mask, closed):
+                visits.append(d_mask)
+                return visit(d_mask, closed)
+
+            _search_differences(adj, twins, counted)
+
+        monkeypatch.setattr(diagnosis, "_search_differences", counting)
+        clear_caches()
+        assert edge_tolerable_diagnosability(random_t_connected(16, 9, 3), 1, MM).value == 7
+        assert len(visits) <= 3156
+        visits.clear()
+        clear_caches()
+        for entry in default_corpus():
+            for h in range(4):
+                edge_tolerable_diagnosability(entry.graph, h, MM)
+        assert len(visits) <= 9146
 
     def test_verify_corpus_refutations(self, monkeypatch):
         # the walk refutes what the orbit-by-orbit sweep refuted and no more
