@@ -59,11 +59,18 @@ next-smaller twin of each of its vertices (``_search_differences``),
 with twins taken in the graph it searches: ``Graph.twins``, computed
 once per graph, or ``graphs.twin_masks`` of G - S for a scenario of the
 sweep.  Every sorted prefix of such a D is again one, so the canonical
-witness and both doubled-count bounds are unchanged.  The folded PMC table keeps in U a prefix of each class
-inside Gamma(D) the same way.  The MM* closures keep every choice: for
-twins x < max D < y outside D, keeping x in U counts it twice in the
-bound, but the swapped closure does not count y twice, so dropping a
-closure by symmetry could wrongly drop D.
+witness and both doubled-count bounds are unchanged.  The folded PMC
+table keeps in U a prefix of each class inside Gamma(D) the same way.
+The MM* closures keep only the Out = Gamma(D) - U that meet each twin
+class in a suffix of it (``_closures``).  Twins outside D enter
+Gamma(D) together (a neighbor in D of one is a neighbor of the other),
+so a class meets Gamma(D) in nothing or in all its vertices outside D.
+The first pair (U*, D*) holds a prefix of each class in U*, so for
+every sorted prefix D of D*, the closure of D that U* contains, with
+Out = Gamma(D) - U*, meets each class in nothing or in the class minus
+U*: a suffix.  Those closures are all kept, and they are the ones the
+growth rule needs to reach D* and to find the pair there; a closure
+that is dropped belongs to no first pair.
 
 Everything here is a pure function of immutable inputs; results are
 deterministic and safe for concurrent use.
@@ -166,54 +173,83 @@ def _search_differences(adj: Tuple[int, ...], twins: Tuple[int, ...], visit: Cal
     ``twin_masks(adj)``.
 
     Each D is extended by each vertex w above its largest one whose bit is
-    set in the mask ``visit`` returns, smallest w first, so D comes in
-    lexicographic order of its sorted vertex tuple: {0}, {0, 1},
-    {0, 1, 2}, ..., {0, 2}, ...  A visit returning 0 drops D, one returning
-    the full mask extends it by every such w.  A D is skipped, with
-    everything above it, when its newest vertex has a next-smaller twin
-    outside D; every sorted prefix of a D that is kept is kept too.
-    Dropping D + w on a size bound is safe, since N[D] and the closures
-    only grow with D: a closure of a larger D contains one of D.  N[D] is
-    carried on the stack, never rebuilt.
+    set in the mask ``visit`` returns: the children are pushed by walking
+    those bits from the top down, so the smallest w comes off the stack
+    first and D comes in lexicographic order of its sorted vertex tuple:
+    {0}, {0, 1}, {0, 1, 2}, ..., {0, 2}, ...  A visit returning 0 drops
+    D.  A D is skipped, with everything above it, when its newest vertex
+    has a next-smaller twin outside D; every sorted prefix of a D that is
+    kept is kept too.  Dropping D + w on a size bound is safe, since N[D]
+    and the closures only grow with D: a closure of a larger D contains
+    one of D.  N[D] is carried on the stack, never rebuilt.
     """
-    n = len(adj)
-    full = (1 << n) - 1
-    stack = [(1 << v, adj[v] | 1 << v, v) for v in range(n - 1, -1, -1)]
+    stack = [(1 << v, adj[v] | 1 << v, v) for v in range(len(adj) - 1, -1, -1)]
     while stack:
         d_mask, closed, top = stack.pop()
         if twins[top] and not twins[top] & d_mask:
             continue
-        grow = visit(d_mask, closed)
-        if grow == full:
-            stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1)]
-        elif grow:
-            stack += [(d_mask | 1 << w, closed | adj[w] | 1 << w, w) for w in range(n - 1, top, -1) if grow >> w & 1]
+        grow = visit(d_mask, closed) >> top + 1 << top + 1
+        while grow:
+            w = grow.bit_length() - 1
+            bit = 1 << w
+            grow ^= bit
+            stack.append((d_mask | bit, closed | adj[w] | bit, w))
 
 
 def _holds_a_pair(u_mask: int, pairs: Tuple[int, ...]) -> bool:
-    for p in pairs:  # a loop: any() over a generator costs twice as much at each closure step
+    # called only when U holds two endpoints or has just taken one; a loop,
+    # since any() over a generator costs twice as much
+    for p in pairs:
         if u_mask & p == p:
             return True
     return False
 
 
+def _twin_links(twins: Tuple[int, ...]) -> Tuple[int, Tuple[int, ...], Tuple[int, ...]]:
+    """The twin rule's input to ``_closures`` from ``twins`` =
+    ``twin_masks(adj)``: the mask of the vertices with a next-smaller twin
+    ORed with that of those with a next-larger one, ``twins`` itself, and
+    each vertex's next-larger twin as a one-bit mask (0 for none).  The
+    mask is 0 on a twin-free graph."""
+    larger = [0] * len(twins)
+    twinned = 0
+    for v, twin in enumerate(twins):
+        if twin:
+            larger[twin.bit_length() - 1] = 1 << v
+            twinned |= twin | 1 << v
+    return twinned, twins, tuple(larger)
+
+
 def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, below: int, cap: int, bound: int, mm: bool,
-              pairs: Tuple[int, ...] = ()) -> List[int]:
+              pairs: Tuple[int, ...] = (), ends: int = 0,
+              links: Tuple[int, Tuple[int, ...], Tuple[int, ...]] = (0, (), ())) -> List[int]:
     """The closures of the difference D with at most ``bound`` vertices,
-    |U| + |U & below| <= ``cap`` and no mask of ``pairs`` inside U.
+    |U| + |U & below| <= ``cap`` and no mask of ``pairs`` inside U;
+    ``ends`` is the OR of ``pairs``.
 
     A closure is a smallest union U that D forces.  Under PMC the only
     one is ``closed`` = N[D].  Under MM* each vertex x of Gamma(D) =
     N[D] - D either joins U or stays outside, and then all of N(x) must
     join U; the closures are
-    D | (Gamma(D) - Out) | N(Out) over independent sets Out.  An
+    D | (Gamma(D) - Out) | N(Out) over independent sets Out.  The vertices
+    are decided in ascending order: U takes each in place, and the choice
+    to leave it out is pushed when that union is within ``bound``.  An
     undecided vertex is never adjacent to an outside one (that neighbor
     would already be in U), so independence needs no check.  A vertex
     with three neighbors in D starts in U: outside, it would compare two
     of them that share a half of D, or of any D' grown from D, so no
-    witness reached from D has it in Out.  The limits only grow with U, so a
-    partial union past one (or holding a mask of ``pairs``) is dropped with
-    every closure that contains it.
+    witness reached from D has it in Out.  The limits only grow with U, so
+    a partial union past one (or holding a mask of ``pairs``) is dropped
+    with every closure that contains it.  The pairs are tested only when
+    U holds two endpoints, and after U takes x only when x is one: U held
+    no pair before.
+
+    With ``links`` = ``_twin_links(twin_masks(adj))`` only the closures
+    whose Out meets each twin class in a suffix of it come back (why that
+    loses no witness is in the module docstring): a vertex whose
+    next-smaller twin is out must go out too, and a vertex goes out only
+    while its next-larger twin is outside U and its own neighborhood (a
+    true twin's holds it).
     """
     found = []
     u_mask = d_mask
@@ -223,20 +259,35 @@ def _closures(adj: Tuple[int, ...], d_mask: int, closed: int, below: int, cap: i
             u_mask |= twice & adj[v]
             twice |= once & adj[v]
             once |= adj[v]
+    twinned, twins, larger = links
     stack = [(u_mask, closed ^ d_mask) if mm else (closed, 0)]
     while stack:
         u_mask, rest = stack.pop()
         size = u_mask.bit_count()
-        if size > bound or size + (u_mask & below).bit_count() > cap or pairs and _holds_a_pair(u_mask, pairs):
+        weight = size + (u_mask & below).bit_count()
+        held = u_mask & ends
+        if size > bound or weight > cap or held & held - 1 and _holds_a_pair(u_mask, pairs):
             continue
         rest &= ~u_mask
-        if not rest:
+        while rest:  # U takes the lowest undecided vertex; leaving it out is pushed
+            low = rest & -rest
+            rest ^= low
+            v = low.bit_length() - 1
+            out = u_mask | adj[v]
+            if low & twinned:
+                if not larger[v] & out and out.bit_count() <= bound:
+                    stack.append((out, rest))
+                if twins[v] & ~u_mask:
+                    break
+            elif out.bit_count() <= bound:
+                stack.append((out, rest))
+            u_mask |= low
+            size += 1
+            weight += 2 if low & below else 1
+            if size > bound or weight > cap or low & ends and _holds_a_pair(u_mask, pairs):
+                break
+        else:
             found.append(u_mask)
-            continue
-        low = rest & -rest
-        rest ^= low
-        stack.append((u_mask | adj[low.bit_length() - 1], rest))
-        stack.append((u_mask | low, rest))
     return found
 
 
@@ -296,12 +347,18 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twin
     mm = model is DiagModel.MMSTAR
     bound = min(2 * t, n)
     best = None  # (U, D, the half of D that goes to F1)
+    if twins is None:
+        twins = twin_masks(adj)
+    links = _twin_links(twins) if mm and any(twins) else (0, (), ())
+    ends = 0
+    for p in pairs:
+        ends |= p
 
     def visit(d_mask: int, closed: int) -> int:
         nonlocal bound, best
         top = d_mask.bit_length() - 1
         below = ~d_mask & (1 << top) - 1
-        closures = _closures(adj, d_mask, closed, below, 2 * t, bound, mm, pairs)
+        closures = _closures(adj, d_mask, closed, below, 2 * t, bound, mm, pairs, ends, links)
         dsize = d_mask.bit_count()
         for u_mask in closures:
             usize = u_mask.bit_count()
@@ -326,7 +383,7 @@ def _find_indistinguishable(adj: Tuple[int, ...], t: int, model: DiagModel, twin
                 grow |= allowed & u_mask if usize == bound else allowed
         return grow
 
-    _search_differences(adj, twin_masks(adj) if twins is None else twins, visit)
+    _search_differences(adj, twins, visit)
     if best is None:
         return None
     u_mask, d_mask, half = best

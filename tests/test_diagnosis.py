@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, atlas_graphs, graphs, seeded_random_graphs, twin_graphs
+from conftest import all_graphs, atlas_graphs, graphs, planted_twins, seeded_random_graphs, twin_graphs
 from diagnoscope import diagnosis
 from diagnoscope.diagnosis import (
     DiagModel,
@@ -25,6 +25,7 @@ from diagnoscope.diagnosis import (
     _growth,
     _mm_split,
     _search_differences,
+    _twin_links,
     diagnosability,
     diagnosability_cap,
     is_t_diagnosable,
@@ -522,10 +523,12 @@ class TestTwinClasses:
     direct pair scan's."""
 
     def test_first_witness_matches_references(self):
+        # every t under MM*, whose closures keep only the Outs that are
+        # suffixes of the twin classes
         for name, g in twin_graphs():
             cap = diagnosability_cap(g)
-            for t in range(max(cap - 1, 0), cap + 2):
-                for model in (PMC, MM):
+            for model, ts in ((PMC, range(max(cap - 1, 0), cap + 2)), (MM, range(1, cap + 2))):
+                for t in ts:
                     found = _find_indistinguishable(g.adj_masks, t, model)
                     assert found == reference_first_witness(g, t, model), (name, t, model)
                     if g.n <= 9:
@@ -547,6 +550,28 @@ class TestTwinClasses:
         diagnosis._diagnosability_cached.cache_clear()
         assert diagnosability(complete_bipartite(12, 12), MM) == 10
         assert len(visits) <= 122
+
+    def test_twin_suffix_rule_prunes_frontier_closures(self, monkeypatch):
+        # closures the MM* search returns; 737,673 on the family instance
+        # and 131,042 on K16,16 when every Out was kept
+        returned = []
+
+        def counting(*args):
+            found = _closures(*args)
+            returned.append(len(found))
+            return found
+
+        monkeypatch.setattr(diagnosis, "_closures", counting)
+        _, family = random_gamma(2, 5, 55, seed=1)
+        k16 = complete_bipartite(16, 16)
+        for g, t, most, f1, f2 in [
+            (family, 5, 41, [0, 2, 3, 4, 5], [1, 2, 3, 4, 5]),
+            (k16, 15, 34, [0, *range(2, 16)], [1, *range(2, 16)]),
+        ]:
+            returned.clear()
+            witness = is_t_diagnosable(g, t, MM).witness
+            assert (sorted(witness.f1), sorted(witness.f2)) == (f1, f2)
+            assert sum(returned) <= most, g.edges
 
 
 class TestClosures:
@@ -571,6 +596,50 @@ class TestClosures:
             out = (out - free) & free
             if not out:
                 return found
+
+    @staticmethod
+    def twin_classes(g):
+        """The twin classes of g, each in ascending vertex order, from the
+        definition: u and v are twins when N(u) - v = N(v) - u."""
+        classes = []
+        for v in range(g.n):
+            for c in classes:
+                if g.neighbors(c[0]) - {v} == g.neighbors(v) - {c[0]}:
+                    c.append(v)
+                    break
+            else:
+                classes.append([v])
+        return classes
+
+    @classmethod
+    def reference_suffix_closures(cls, g, d_mask, classes):
+        """The reference closures whose Out = Gamma(D) - U meets each twin
+        class of ``classes`` in a suffix of that class."""
+        closed = d_mask
+        for v in bits_of(d_mask):
+            closed |= g.adj_masks[v]
+        found = set()
+        for u_mask in cls.reference_mm_closures(g, d_mask):
+            out = closed & ~u_mask
+            kept = [[v for v in c if out >> v & 1] for c in classes]
+            if all(k == c[len(c) - len(k):] for k, c in zip(kept, classes)):
+                found.add(u_mask)
+        return found
+
+    def test_mm_closures_with_twins_keep_the_twin_suffix_outs(self):
+        rng = random.Random("suffix-closures")
+        gs = list(enumerator_graphs()) + [g for _, g in twin_graphs()] + [planted_twins(rng) for _ in range(100)]
+        for g in gs:
+            adj = g.adj_masks
+            links = _twin_links(g.twins)
+            classes = self.twin_classes(g)
+            for d_mask in range(1, 1 << g.n):
+                closed = d_mask
+                for v in bits_of(d_mask):
+                    closed |= adj[v]
+                closures = _closures(adj, d_mask, closed, 0, 2 * g.n, g.n, True, (), 0, links)
+                assert len(set(closures)) == len(closures)
+                assert set(closures) == self.reference_suffix_closures(g, d_mask, classes), (g.edges, d_mask)
 
     def test_mm_closures_keep_every_vertex_with_three_neighbors_in_d(self):
         rng = random.Random("mm-closures")
