@@ -265,13 +265,17 @@ def _cmd_syndrome(args) -> int:
     syndrome = generate_syndrome(g, faults, model, policy)
     budget = args.t if args.t is not None else len(faults)
     candidates = decode(g, syndrome, budget, model)
-    fmt = "%s " * len(next(iter(syndrome), ())) + "%s"  # an entry's vertex ids, then its bit
+    ids = list(map(str, range(g.n)))  # an entry's vertex ids, then its bit, an int 0 or 1
+    if model is DiagModel.PMC:
+        lines = [f"{ids[w]} {ids[v]} {'01'[bit]}" for (w, v), bit in syndrome.items()]
+    else:
+        lines = [f"{ids[w]} {ids[u]} {ids[v]} {'01'[bit]}" for (w, u, v), bit in syndrome.items()]
     payload = {
         "model": model.value,
         "faults": faults,
         "policy": args.policy,
         "t": budget,
-        "syndrome": [fmt % (*entry, bit) for entry, bit in syndrome.items()],
+        "syndrome": lines,
         "candidates": [sorted(c) for c in candidates],
         "unique": len(candidates) == 1,
     }

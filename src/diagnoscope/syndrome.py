@@ -7,7 +7,9 @@ pair of its neighbors).  The dict does not name its model; every
 function that reads one takes the model as an argument, and a dict whose
 keys are not the model's entries on the graph is rejected.  A fault-free
 w reports 1 exactly when one of those neighbors is faulty; a faulty w
-reports an arbitrary bit.
+reports an arbitrary bit.  So only a faulty w or a neighbor of one can
+report a 1.  Sorted, each w's entries are one slice: generation writes,
+and decoding reads entry by entry, only the slices that can hold a 1.
 
 "Arbitrary" is made concrete by an adversary policy: fixed all-zero or
 all-one answers, or a seeded random completion.
@@ -24,7 +26,7 @@ or what an MM* comparator's zeros, one clique, leave out).
 from __future__ import annotations
 
 import random
-from itertools import combinations
+from itertools import accumulate, combinations, compress
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
 from .diagnosis import DiagModel, _check_model
@@ -63,82 +65,89 @@ def seeded_random(seed: int) -> AdversaryPolicy:
 
 
 def entries(g: Graph, model) -> List[Tuple[int, ...]]:
-    """Every entry of the model on g, sorted."""
+    """Every entry of the model on g, sorted, so w's entries are one slice:
+    d(w) of them under PMC, d(w)(d(w) - 1)/2 under MM*."""
     _check_model(model)
     nbrs = [[] for _ in range(g.n)]
     for u, v in g.edges:  # sorted, so each list comes out ascending
         nbrs[u].append(v)
         nbrs[v].append(u)
-    k = 1 if model is DiagModel.PMC else 2
-    return [(w,) + tested for w in range(g.n) for tested in combinations(nbrs[w], k)]
+    if model is DiagModel.PMC:
+        return [(w, v) for w, ns in enumerate(nbrs) for v in ns]
+    return [(w, u, v) for w, ns in enumerate(nbrs) for u, v in combinations(ns, 2)]
+
+
+def _starts(g: Graph, mm: bool) -> List[int]:
+    """Where each w's slice of the entry list starts, then where the last ends."""
+    return list(accumulate((d * (d - 1) // 2 if mm else d for d in g.degrees), initial=0))
 
 
 def generate_syndrome(g: Graph, faults: Iterable[int], model, policy: AdversaryPolicy):
     """The syndrome the fault set produces under the model semantics, with
     the entries its members control filled in by the policy, in entry order."""
+    es = entries(g, model)
     fault_mask = g.vertex_mask(faults)
     rng = random.Random(policy.seed) if policy.kind == "seeded_random" else None
     fixed = int(policy.kind == "all_one")
-    outcomes = {}
-    for e in entries(g, model):
-        if fault_mask >> e[0] & 1:
-            outcomes[e] = rng.getrandbits(1) if rng else fixed
-        else:  # e[1] is e[-1] under PMC
-            outcomes[e] = (fault_mask >> e[1] | fault_mask >> e[-1]) & 1
+    outcomes = dict.fromkeys(es, 0)
+    starts = _starts(g, model is DiagModel.MMSTAR)
+    for w, nbrs in enumerate(g.adj_masks):
+        if (1 << w | nbrs) & fault_mask:  # only a faulty w or a neighbor of one can report a 1
+            for e in es[starts[w]:starts[w + 1]]:
+                if fault_mask >> w & 1:
+                    outcomes[e] = rng.getrandbits(1) if rng else fixed
+                else:  # e[1] is e[-1] under PMC
+                    outcomes[e] = (fault_mask >> e[1] | fault_mask >> e[-1]) & 1
     return outcomes
 
 
 def _validate_shape(g: Graph, syndrome, model):
+    """The model's entries on g and the syndrome's bit for each, in entry order."""
     _check_model(model)
     if not isinstance(syndrome, dict):
         raise SyndromeError(f"syndrome must be a dict, got {type(syndrome).__name__}")
-    # as many keys as the graph has entries, each one an entry of the model
-    adj, n, keys = g.adj_masks, g.n, syndrome
-    try:
-        if model is DiagModel.PMC:
-            valid = len(keys) == 2 * g.m and all(0 <= u < n and v >= 0 and adj[u] >> v & 1 for u, v in keys)
-        else:
-            valid = len(keys) == sum(d * (d - 1) // 2 for d in g.degrees) and all(
-                0 <= w < n and 0 <= u < v and adj[w] >> u & adj[w] >> v & 1 for w, u, v in keys
-            )
-    except (TypeError, ValueError):  # a key that is not a tuple of ints of the model's width
-        valid = False
-    if not valid:
+    es = entries(g, model)
+    bits = list(map(syndrome.get, es))  # None where an entry is missing
+    # types first: {0, 0.0} is {0}, and a non-int may be unhashable
+    if len(syndrome) == len(es) and set(map(type, bits)) <= {int, bool} and set(bits) <= {0, 1}:
+        return es, bits
+    if len(syndrome) != len(es) or not all(map(syndrome.__contains__, es)):
         raise SyndromeError("syndrome entries do not match the graph's test structure")
-    bits = syndrome.values()  # types first: {0, 0.0} is {0}, and a non-int may be unhashable
-    if set(map(type, bits)) <= {int, bool} and set(bits) <= {0, 1}:
-        return
     for entry, bit in syndrome.items():
         if type(bit) not in (int, bool) or bit not in (0, 1):
             raise SyndromeError(f"syndrome outcome for {entry} must be 0 or 1, got {bit}")
 
 
-def _options(g: Graph, syndrome, t: int, mm: bool) -> List[List[int]]:
+def _options(g: Graph, syndrome, t: int, mm: bool, shape=None) -> List[List[int]]:
     """Per vertex w, every X = F & N(w) with |X| <= t that w's entries
-    allow if w is fault-free (none: w must be faulty).
+    allow if w is fault-free (none: w must be faulty); ``shape`` is
+    ``_validate_shape``'s (entries, bits), computed when omitted.
 
-    PMC tests read X off directly.  Under MM*, a fault-free w reads 0 on
-    (w; u, v) exactly when u and v are both outside X, so its zeros are
-    all the pairs of one clique N(w) - X.  If w has c > 0 zeros, touching
-    the k neighbors in touched[w], X is N(w) - touched[w] and is allowed
-    iff 2c = k(k - 1).  With no zero, at most one neighbor is outside X:
-    the candidates are N(w), then N(w) - y for each y ascending.
+    PMC tests read X off directly, from the ones alone.  Under MM*, a
+    fault-free w reads 0 on (w; u, v) exactly when u and v are both
+    outside X, so its zeros are all the pairs of one clique N(w) - X: all
+    zero, X is empty; if w has c > 0 zeros touching the k neighbors in r,
+    X is N(w) - r and is allowed iff 2c = k(k - 1).  With no zero, at most
+    one neighbor is outside X: the candidates are N(w), then N(w) - y for
+    each y ascending.
     """
-    adj = g.adj_masks
+    es, bits = shape or _validate_shape(g, syndrome, DiagModel.MMSTAR if mm else DiagModel.PMC)
     if not mm:
         ones = [0] * g.n
-        for (u, v), bit in syndrome.items():
-            ones[u] |= bit << v
+        for w, v in compress(es, bits):
+            ones[w] |= 1 << v
         return [[x] if x.bit_count() <= t else [] for x in ones]
-    count = [0] * g.n
-    touched = [0] * g.n
-    for (w, u, v), bit in syndrome.items():
-        if not bit:
-            count[w] += 1
-            touched[w] |= 1 << u | 1 << v
+    starts = _starts(g, mm)
     opts = []
-    for nbrs, c, r in zip(adj, count, touched):
-        if c:
+    for nbrs, s, e in zip(g.adj_masks, starts, starts[1:]):
+        seg = bits[s:e]
+        c = seg.count(0)
+        if c == e - s and c:
+            cands = [0]
+        elif c:
+            r = 0
+            for (_, u, v), bit in zip(es[s:e], seg):
+                r |= 0 if bit else 1 << u | 1 << v
             k = r.bit_count()
             cands = [nbrs ^ r] if 2 * c == k * (k - 1) else []
         else:
@@ -149,7 +158,9 @@ def _options(g: Graph, syndrome, t: int, mm: bool) -> List[List[int]]:
 
 def decode(g: Graph, syndrome, t: int, model) -> Tuple[frozenset, ...]:
     """Every fault set of size at most t consistent with the syndrome,
-    ascending by size then lexicographically.
+    ascending by size then lexicographically.  The syndrome's keys must be
+    the model's entries as a set, compared by equality: a key whose ids
+    are bools or floats equal to an entry's reads as that entry.
 
     A set fits exactly when each vertex outside it sees an X that its own
     entries allow (``_options``).  A depth-first search fixes the vertices
@@ -159,10 +170,10 @@ def decode(g: Graph, syndrome, t: int, model) -> Tuple[frozenset, ...]:
     """
     if t < 0:
         raise GraphError(f"fault budget must be nonnegative, got {t}")
-    _validate_shape(g, syndrome, model)
+    shape = _validate_shape(g, syndrome, model)
     t = min(t, g.n)
     adj = g.adj_masks
-    opts = _options(g, syndrome, t, model is DiagModel.MMSTAR)
+    opts = _options(g, syndrome, t, model is DiagModel.MMSTAR, shape)
     found = []
     stack = [(0, 0, 0)]
     while stack:

@@ -4,10 +4,13 @@ Each one states a question by its definition, with no shortcut the
 library's engines take: the distinguishability predicates pair by pair,
 the tolerable diagnosability by its defining quantifier over every
 scenario size, and the syndrome-level link (consistency, compatibility,
-every adversary completion).  None of them runs in a command or the
-benchmark, so they live here rather than in the package.
+every adversary completion), plus the syndrome layer's one-pass
+generation and option reading, frozen as references.  None of them
+runs in a command or the benchmark, so they live here rather than in
+the package.
 """
 
+import random
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
@@ -110,6 +113,49 @@ def every_syndrome(g: Graph, faults: Iterable[int], model):
         for i, entry in enumerate(controlled):
             outcomes[entry] = (pattern >> i) & 1
         yield outcomes
+
+
+def reference_generate(g: Graph, faults: Iterable[int], model, policy):
+    """``generate_syndrome`` as one pass over every entry, frozen as the
+    reference: a faulty w's entries take the policy's bits in entry order,
+    every other entry the fault-free bit."""
+    fault_mask = g.vertex_mask(faults)
+    rng = random.Random(policy.seed) if policy.kind == "seeded_random" else None
+    fixed = int(policy.kind == "all_one")
+    outcomes = {}
+    for e in entries(g, model):
+        if fault_mask >> e[0] & 1:
+            outcomes[e] = rng.getrandbits(1) if rng else fixed
+        else:  # e[1] is e[-1] under PMC
+            outcomes[e] = (fault_mask >> e[1] | fault_mask >> e[-1]) & 1
+    return outcomes
+
+
+def reference_options(g: Graph, syndrome, t: int, mm: bool):
+    """``syndrome._options`` as one pass over every entry, frozen as the
+    reference: a PMC tester's ones give X; an MM* comparator's zeros are
+    counted with the neighbors they touch (see ``_options``)."""
+    adj = g.adj_masks
+    if not mm:
+        ones = [0] * g.n
+        for (u, v), bit in syndrome.items():
+            ones[u] |= bit << v
+        return [[x] if x.bit_count() <= t else [] for x in ones]
+    count = [0] * g.n
+    touched = [0] * g.n
+    for (w, u, v), bit in syndrome.items():
+        if not bit:
+            count[w] += 1
+            touched[w] |= 1 << u | 1 << v
+    opts = []
+    for nbrs, c, r in zip(adj, count, touched):
+        if c:
+            k = r.bit_count()
+            cands = [nbrs ^ r] if 2 * c == k * (k - 1) else []
+        else:
+            cands = [nbrs] + [nbrs ^ 1 << y for y in bits_of(nbrs)]
+        opts.append([x for x in cands if x.bit_count() <= t])
+    return opts
 
 
 def fault_free_report(entry, model, faults) -> int:

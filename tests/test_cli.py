@@ -33,6 +33,10 @@ GOLDENS = SRC.parent / "bench" / "goldens"
 SYNDROME_GOLDEN = Path(__file__).resolve().parent / "goldens" / "syndrome-faults-0-5.json"
 SYNDROME_POLICIES = {"zero": ["--policy", "zero"], "one": ["--policy", "one"],
                      "random-7": ["--policy", "random", "--seed", "7"]}
+# the same on Q6, the vertex cap, at two faults and at six with --t 6
+SYNDROME_Q6_GOLDEN = SYNDROME_GOLDEN.with_name("syndrome-q6.json")
+SYNDROME_Q6_FAULTS = {"faults-0-5": ["--faults", "0,5"],
+                      "faults-1-2-4-8-16-32-t6": ["--faults", "1,2,4,8,16,32", "--t", "6"]}
 FAMILY_3 = {"family": 3, "delta": 3, "l": 4, "assign_left": [0, 1, 0, 1], "assign_right": [0, 1, 0, 1]}
 
 
@@ -577,6 +581,16 @@ class TestOtherCommands:
                                *SYNDROME_POLICIES[policy])
         assert code == 0
         assert out == json.loads(SYNDROME_GOLDEN.read_text())[f"{name}-{model}-{policy}"]
+
+    @pytest.mark.parametrize("faults", list(SYNDROME_Q6_FAULTS))
+    @pytest.mark.parametrize("policy", list(SYNDROME_POLICIES))
+    @pytest.mark.parametrize("model", ["pmc", "mm"])
+    def test_syndrome_q6_json_matches_golden(self, capsys, monkeypatch, model, policy, faults):
+        monkeypatch.setattr("sys.stdin", io.StringIO(emit_edge_list(hypercube(6))))
+        code, out, _ = run_cli(capsys, "syndrome", "-", *SYNDROME_Q6_FAULTS[faults], "--model", model,
+                               *SYNDROME_POLICIES[policy])
+        assert code == 0
+        assert out == json.loads(SYNDROME_Q6_GOLDEN.read_text())[f"q6-{model}-{policy}-{faults}"]
 
 
 COMMANDS = ("gen", "analyze", "recognize", "syndrome", "verify", "paths")

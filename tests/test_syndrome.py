@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import all_graphs, graphs
+from conftest import all_graphs, graphs, seeded_random_graphs
 from diagnoscope.diagnosis import DiagModel, is_t_diagnosable
 from diagnoscope.families import complete, cycle, hypercube, petersen
 from diagnoscope.graphs import GraphError, bits_of, build_graph
@@ -27,6 +27,8 @@ from oracles import (
     consistent_with,
     every_syndrome,
     fault_free_report,
+    reference_generate,
+    reference_options,
     unique_decoding_everywhere,
 )
 
@@ -222,8 +224,8 @@ class TestMMOptions:
 
 
 class TestShapeValidation:
-    """Count-plus-membership validation raises exactly where comparing the
-    key set with the full entry list did, with the same messages."""
+    """Validation raises exactly where comparing the key set with the full
+    entry list does, keys compared by equality, with the same messages."""
 
     MISMATCH = re.escape("syndrome entries do not match the graph's test structure")
 
@@ -271,7 +273,7 @@ class TestShapeValidation:
                 consistent_with(g, syn, [], model)
 
     @pytest.mark.parametrize("model", [PMC, MM])
-    @pytest.mark.parametrize("bad", [[1], 2])
+    @pytest.mark.parametrize("bad", [[1], 2, None])
     def test_bad_bit_names_its_entry(self, model, bad):
         g = cycle(5)
         syn = generate_syndrome(g, [1], model, ALL_ONE)
@@ -345,6 +347,105 @@ class TestShapeValidation:
                     else:
                         with pytest.raises(SyndromeError, match=self.MISMATCH):
                             decode(g, syn, 1, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_entries_checked_before_bits(self, model):
+        g = cycle(5)
+        syn = generate_syndrome(g, [1], model, ALL_ONE)
+        syn[min(syn)] = 2
+        del syn[max(syn)]
+        with pytest.raises(SyndromeError, match=self.MISMATCH):
+            decode(g, syn, 1, model)
+
+
+class TestKeyTypes:
+    """A key matches the entry it equals: ids given as bools or floats
+    decode exactly like the ints they equal, and a key equal to no entry is
+    a shape mismatch, never another exception."""
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_equal_ids_decode_like_ints(self, model):
+        rng = random.Random(f"key-types-{model.value}")
+        casts = [float, lambda x: bool(x) if x < 2 else x, lambda x: float(x) if rng.random() < 0.5 else x]
+        for g in (cycle(5), complete(4), hypercube(3), petersen()):
+            for size in range(4):
+                syn = generate_syndrome(g, rng.sample(range(g.n), size), model, seeded_random(rng.randrange(10**6)))
+                for t in range(4):
+                    want = decode(g, syn, t, model)
+                    for cast in casts:
+                        keyed = {tuple(map(cast, e)): bit for e, bit in syn.items()}
+                        assert {type(x) for key in keyed for x in key} != {int}
+                        assert decode(g, keyed, t, model) == want
+                        for faults in want:
+                            assert consistent_with(g, keyed, faults, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    @pytest.mark.parametrize("stray", [0.5, "0", None, (0,), float("nan"), 1j, True + 0.5])
+    def test_unequal_ids_are_a_mismatch(self, model, stray):
+        g = cycle(5)
+        for where in range(3 if model is MM else 2):
+            syn = generate_syndrome(g, [1], model, ALL_ONE)
+            entry = max(syn)
+            del syn[entry]
+            syn[entry[:where] + (stray,) + entry[where + 1:]] = 0
+            with pytest.raises(SyndromeError, match=TestShapeValidation.MISMATCH):
+                decode(g, syn, 1, model)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    @pytest.mark.parametrize("stray", [4, "04", None, frozenset({0, 4}), 4.0, (), ((0, 1), 1)])
+    def test_non_tuple_keys_are_a_mismatch(self, model, stray):
+        g = cycle(5)
+        syn = generate_syndrome(g, [1], model, ALL_ONE)
+        del syn[max(syn)]
+        syn[stray] = 0
+        with pytest.raises(SyndromeError, match=TestShapeValidation.MISMATCH):
+            decode(g, syn, 1, model)
+
+
+class TestMatchesFrozenReferences:
+    """``generate_syndrome`` and ``_options`` against their one-pass forms
+    in tests/oracles.py: syndrome items in order, option lists in order."""
+
+    @staticmethod
+    def check_generate(g, rng):
+        for model in (PMC, MM):
+            for size in range(g.n + 1):
+                faults = rng.sample(range(g.n), size)
+                for policy in (ALL_ZERO, ALL_ONE, seeded_random(rng.randrange(10**6))):
+                    got = generate_syndrome(g, faults, model, policy)
+                    want = reference_generate(g, faults, model, policy)
+                    assert list(got.items()) == list(want.items()), (g.edges, model, faults, policy)
+
+    @staticmethod
+    def check_options(g, rng):
+        for model in (PMC, MM):
+            p = rng.random()  # sparse ones leave many MM* comparators all zero
+            syn = {e: int(rng.random() < p) for e in entries(g, model)}
+            generated = generate_syndrome(g, rng.sample(range(g.n), rng.randint(0, g.n)), model, ALL_ONE)
+            for base in (syn, generated):
+                for bits in (base, {e: bit == 1 for e, bit in base.items()}):
+                    for t in range(g.n + 1):
+                        got = _options(g, bits, t, model is MM)
+                        assert got == reference_options(g, bits, t, model is MM), (g.edges, model, t)
+
+    def test_every_graph_up_to_five_vertices(self):
+        rng = random.Random("frozen-small")
+        for n in range(6):
+            for g in all_graphs(n):
+                self.check_generate(g, rng)
+                self.check_options(g, rng)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random("frozen-random")
+        for g in seeded_random_graphs(200, 6, 10, "frozen-random-graphs"):
+            self.check_generate(g, rng)
+            self.check_options(g, rng)
+
+    def test_q6(self):
+        rng = random.Random("frozen-q6")
+        self.check_generate(hypercube(6), rng)
+        for _ in range(4):
+            self.check_options(hypercube(6), rng)
 
 
 class TestDecodeMatchesReference:
