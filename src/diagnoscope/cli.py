@@ -6,8 +6,9 @@ JSON results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 takes no options: ``load_graph`` reads the format off the first content
 line, and ``DIAGNOSCOPE_CAP`` is the one vertex-cap setting.
 
-A call builds the parser of the subcommand its first argument names and
-no other; help and error text are the same as with all six built.
+A call whose first argument names a command builds that command's parser
+alone, one parser and no top-level one; help, usage and error text are
+the same as those of its subparser with all six built.
 """
 
 from __future__ import annotations
@@ -376,31 +377,44 @@ _COMMANDS = {
 }
 
 
-def build_parser(command: Optional[str] = None) -> _Parser:
-    """The parser with ``command``'s subparser alone when it names one, else
-    with all six, so whatever the top level prints still lists all six."""
-    # the module docstring less its last paragraph, which is about this function
+def _add_arguments(parser: _Parser, command: str) -> _Parser:
+    _, func, arguments = _COMMANDS[command]
+    for flag, options in arguments:
+        parser.add_argument(flag, **options)
+    parser.set_defaults(func=func)
+    return parser
+
+
+def build_parser() -> _Parser:
+    """The parser with all six subparsers, for a call that names no command."""
+    # the module docstring less its last paragraph, which is about parser building
     parser = _Parser(prog="diagnoscope", description=__doc__ and __doc__.rsplit("\n\n", 1)[0])
     sub = parser.add_subparsers(dest="command")
-    for name in [command] if command in _COMMANDS else _COMMANDS:
-        help_text, func, arguments = _COMMANDS[name]
-        p = sub.add_parser(name, help=help_text)
-        for flag, options in arguments:
-            p.add_argument(flag, **options)
-        p.set_defaults(func=func)
+    for name, (help_text, _, _) in _COMMANDS.items():
+        _add_arguments(sub.add_parser(name, help=help_text), name)
     return parser
+
+
+def _command_parser(command: str) -> _Parser:
+    """The parser of one command alone.  It is built as ``build_parser``
+    builds that command's subparser, with the same prog, so its help,
+    usage and error text are the same."""
+    return _add_arguments(_Parser(prog=f"diagnoscope {command}"), command)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     if argv[:1] == ["--"] and argv[1:2] and argv[1] in _COMMANDS:  # argparse takes '--' for the command
         argv = argv[1:]
-    parser = build_parser(argv[0] if argv else None)
     try:
-        args = parser.parse_args(argv)
-        if not getattr(args, "command", None):
-            parser.print_help(sys.stderr)
-            return EXIT_USAGE
+        if argv and argv[0] in _COMMANDS:
+            args = _command_parser(argv[0]).parse_args(argv[1:])
+        else:
+            parser = build_parser()
+            args = parser.parse_args(argv)
+            if not args.command:
+                parser.print_help(sys.stderr)
+                return EXIT_USAGE
         with warnings.catch_warnings():
             # a repaired input (a duplicate edge) warns: show the message, not the source line
             warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)

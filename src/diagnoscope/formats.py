@@ -13,7 +13,7 @@ import warnings
 from typing import Optional
 
 from .families import _FAMILY_FIELDS, GammaSpec
-from .graphs import Graph, GraphError, check_vertex_count, normalize_edge
+from .graphs import Graph, GraphError, check_vertex_count
 from .tolerance import BoundReport
 
 
@@ -47,10 +47,9 @@ def parse_edge_list(text: str) -> Graph:
     declared = 0
     n = 0
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
+        parts = raw.split()  # strip() and split() agree on whitespace
+        if not parts or parts[0][0] == "#":
             continue
-        parts = line.split()
         if header is None:
             if len(parts) != 2:
                 raise FormatError("header must be 'n m'", line=lineno)
@@ -63,17 +62,17 @@ def parse_edge_list(text: str) -> Graph:
             header = lineno
             continue
         if len(parts) != 2:
-            raise FormatError(f"expected 'u v', got {line!r}", line=lineno)
+            raise FormatError(f"expected 'u v', got {raw.strip()!r}", line=lineno)
         try:
             u, v = int(parts[0]), int(parts[1])
         except ValueError:
-            raise FormatError(f"edge endpoints must be integers, got {line!r}", line=lineno)
+            raise FormatError(f"edge endpoints must be integers, got {raw.strip()!r}", line=lineno)
         if u == v:
             raise FormatError(f"self-loop at vertex {u}", line=lineno)
         if not (0 <= u < n and 0 <= v < n):
             raise FormatError(f"edge ({u}, {v}) out of range 0..{n - 1}", line=lineno)
         listed += 1
-        key = normalize_edge(u, v)
+        key = (u, v) if u < v else (v, u)
         if key in edges:
             warnings.warn(f"duplicate edge ({u}, {v}) on line {lineno}; deduplicated")
             continue

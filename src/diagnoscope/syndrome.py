@@ -10,6 +10,9 @@ w reports 1 exactly when one of those neighbors is faulty; a faulty w
 reports an arbitrary bit.  So only a faulty w or a neighbor of one can
 report a 1.  Sorted, each w's entries are one slice: generation writes,
 and decoding reads entry by entry, only the slices that can hold a 1.
+The entries are built once per graph and model and kept on the graph;
+a syndrome whose keys come in entry order, as generated ones do, is
+validated in one pass over its bits.
 
 "Arbitrary" is made concrete by an adversary policy: fixed all-zero or
 all-one answers, or a seeded random completion.
@@ -67,14 +70,26 @@ def seeded_random(seed: int) -> AdversaryPolicy:
 def entries(g: Graph, model) -> List[Tuple[int, ...]]:
     """Every entry of the model on g, sorted, so w's entries are one slice:
     d(w) of them under PMC, d(w)(d(w) - 1)/2 under MM*."""
+    return list(_entry_tuple(g, model))
+
+
+def _entry_tuple(g: Graph, model) -> Tuple[Tuple[int, ...], ...]:
+    """``entries`` as a tuple, built once per graph and model and kept in
+    ``g.syndrome_entries``."""
     _check_model(model)
-    nbrs = [[] for _ in range(g.n)]
-    for u, v in g.edges:  # sorted, so each list comes out ascending
-        nbrs[u].append(v)
-        nbrs[v].append(u)
-    if model is DiagModel.PMC:
-        return [(w, v) for w, ns in enumerate(nbrs) for v in ns]
-    return [(w, u, v) for w, ns in enumerate(nbrs) for u, v in combinations(ns, 2)]
+    cache = g.syndrome_entries
+    if cache is None:
+        cache = g.syndrome_entries = {}
+    if model not in cache:
+        nbrs = [[] for _ in range(g.n)]
+        for u, v in g.edges:  # sorted, so each list comes out ascending
+            nbrs[u].append(v)
+            nbrs[v].append(u)
+        if model is DiagModel.PMC:
+            cache[model] = tuple([(w, v) for w, ns in enumerate(nbrs) for v in ns])
+        else:
+            cache[model] = tuple([(w, u, v) for w, ns in enumerate(nbrs) for u, v in combinations(ns, 2)])
+    return cache[model]
 
 
 def _starts(g: Graph, mm: bool) -> List[int]:
@@ -85,29 +100,36 @@ def _starts(g: Graph, mm: bool) -> List[int]:
 def generate_syndrome(g: Graph, faults: Iterable[int], model, policy: AdversaryPolicy):
     """The syndrome the fault set produces under the model semantics, with
     the entries its members control filled in by the policy, in entry order."""
-    es = entries(g, model)
+    es = _entry_tuple(g, model)
     fault_mask = g.vertex_mask(faults)
     rng = random.Random(policy.seed) if policy.kind == "seeded_random" else None
     fixed = int(policy.kind == "all_one")
-    outcomes = dict.fromkeys(es, 0)
+    bits = [0] * len(es)
     starts = _starts(g, model is DiagModel.MMSTAR)
     for w, nbrs in enumerate(g.adj_masks):
         if (1 << w | nbrs) & fault_mask:  # only a faulty w or a neighbor of one can report a 1
-            for e in es[starts[w]:starts[w + 1]]:
-                if fault_mask >> w & 1:
-                    outcomes[e] = rng.getrandbits(1) if rng else fixed
-                else:  # e[1] is e[-1] under PMC
-                    outcomes[e] = (fault_mask >> e[1] | fault_mask >> e[-1]) & 1
-    return outcomes
+            s, e = starts[w], starts[w + 1]
+            if fault_mask >> w & 1:
+                bits[s:e] = [rng.getrandbits(1) for _ in range(s, e)] if rng else [fixed] * (e - s)
+            else:  # entry[1] is entry[-1] under PMC
+                bits[s:e] = [(fault_mask >> entry[1] | fault_mask >> entry[-1]) & 1 for entry in es[s:e]]
+    return dict(zip(es, bits))
 
 
 def _validate_shape(g: Graph, syndrome, model):
-    """The model's entries on g and the syndrome's bit for each, in entry order."""
-    _check_model(model)
+    """The model's entries on g and the syndrome's bit for each, in entry order.
+
+    A dict whose keys come in entry order, as ``generate_syndrome`` writes
+    them, is read in one pass over its values; any other order is looked
+    up entry by entry.
+    """
+    es = _entry_tuple(g, model)
     if not isinstance(syndrome, dict):
         raise SyndromeError(f"syndrome must be a dict, got {type(syndrome).__name__}")
-    es = entries(g, model)
-    bits = list(map(syndrome.get, es))  # None where an entry is missing
+    if type(syndrome) is dict and tuple(syndrome) == es:  # a subclass may override get()
+        bits = list(syndrome.values())
+    else:
+        bits = list(map(syndrome.get, es))  # None where an entry is missing
     # types first: {0, 0.0} is {0}, and a non-int may be unhashable
     if len(syndrome) == len(es) and set(map(type, bits)) <= {int, bool} and set(bits) <= {0, 1}:
         return es, bits

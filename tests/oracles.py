@@ -5,19 +5,21 @@ library's engines take: the distinguishability predicates pair by pair,
 the tolerable diagnosability by its defining quantifier over every
 scenario size, and the syndrome-level link (consistency, compatibility,
 every adversary completion), plus the syndrome layer's one-pass
-generation and option reading, frozen as references.  None of them
-runs in a command or the benchmark, so they live here rather than in
-the package.
+generation and option reading and the edge-list parser's per-line loop,
+frozen as references.  None of them runs in a command or the benchmark,
+so they live here rather than in the package.
 """
 
 import random
+import warnings
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, Iterable, Optional, Tuple
 
 from diagnoscope.diagnosis import DiagModel, diagnosability_cap, is_t_diagnosable
 from diagnoscope.families import GammaSpec, RecognizedDecomposition, make_gamma
-from diagnoscope.graphs import Graph, GraphError, bits_of, delete_edges, relabel
+from diagnoscope.formats import FormatError
+from diagnoscope.graphs import Graph, GraphError, bits_of, check_vertex_count, delete_edges, normalize_edge, relabel
 from diagnoscope.syndrome import ALL_ZERO, _validate_shape, entries, generate_syndrome
 
 
@@ -96,6 +98,61 @@ def edge_tolerable_by_definition(g: Graph, h: int, model) -> int:
             break
         value = t
     return value
+
+
+# ---------------------------------------------------------------------------
+# the edge-list parser
+
+
+def reference_parse_edge_list(text: str) -> Graph:
+    """``formats.parse_edge_list`` as a loop that strips each line, then
+    splits it, and normalizes each edge by ``normalize_edge``, frozen as
+    the reference: the same graph, errors and warnings."""
+    header = None
+    edges = set()
+    listed = 0
+    declared = 0
+    n = 0
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        if header is None:
+            if len(parts) != 2:
+                raise FormatError("header must be 'n m'", line=lineno)
+            try:
+                n, declared = int(parts[0]), int(parts[1])
+            except ValueError:
+                raise FormatError("header must contain two integers", line=lineno)
+            if n < 0 or declared < 0:
+                raise FormatError("header counts must be nonnegative", line=lineno)
+            header = lineno
+            continue
+        if len(parts) != 2:
+            raise FormatError(f"expected 'u v', got {line!r}", line=lineno)
+        try:
+            u, v = int(parts[0]), int(parts[1])
+        except ValueError:
+            raise FormatError(f"edge endpoints must be integers, got {line!r}", line=lineno)
+        if u == v:
+            raise FormatError(f"self-loop at vertex {u}", line=lineno)
+        if not (0 <= u < n and 0 <= v < n):
+            raise FormatError(f"edge ({u}, {v}) out of range 0..{n - 1}", line=lineno)
+        listed += 1
+        key = normalize_edge(u, v)
+        if key in edges:
+            warnings.warn(f"duplicate edge ({u}, {v}) on line {lineno}; deduplicated")
+            continue
+        edges.add(key)
+    if header is None:
+        raise FormatError("empty input: expected an 'n m' header", line=1)
+    if listed != declared:
+        raise FormatError(
+            f"header declared {declared} edges but {listed} were listed", line=header
+        )
+    check_vertex_count(n)
+    return Graph(n, edges)
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import gzip
 import io
 import json
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from diagnoscope.cli import UsageError, _json_text, build_parser, load_graph, main
+from diagnoscope.cli import UsageError, _command_parser, _json_text, build_parser, load_graph, main
 from diagnoscope.families import (
     complete,
     generate_standard,
@@ -601,26 +602,58 @@ BAD_VALUES = [("gen", "--format", "x"), ("gen", "--seed", "x"), ("analyze", "--m
               ("verify", "--jobs", "0"), ("paths", "--pair", "1", "x"), ("paths", "--pair", "1")]
 
 
+# one bad argument per command, as a user would type it
+BAD_ARGUMENT = {"gen": ["--format", "x"], "analyze": ["--h-max", "-1"], "recognize": ["a", "b"],
+                "syndrome": ["--faults", "1,1"], "verify": ["--trials", "x"], "paths": ["--pair", "1", "x"]}
+
+
 def parse_error(command, argv):
+    """The parse error of ``argv``: with ``command``, from that command's
+    parser alone (``argv`` less the command, as ``main`` parses it), else
+    from the parser with all six subparsers."""
     with pytest.raises(UsageError) as caught:
-        build_parser(command).parse_args(argv)
+        if command is None:
+            build_parser().parse_args(argv)
+        else:
+            _command_parser(command).parse_args(argv[1:])
     return str(caught.value)
 
 
+def full_subparser(command):
+    """``command``'s subparser in the parser with all six."""
+    (subparsers,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return subparsers.choices[command]
+
+
 class TestParser:
-    """``main`` builds the parser of the subcommand its first argument
-    names and no other; what a user sees must not tell the two apart."""
+    """``main`` builds the parser of the command its first argument names
+    and no other; what a user sees must not tell it from that command's
+    subparser in the parser with all six."""
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_help_equals_the_full_parser_help(self, capsys, command):
         texts = []
-        for parser in (build_parser(command), build_parser()):
+        for call in (lambda: main([command, "--help"]), lambda: build_parser().parse_args([command, "--help"])):
             with pytest.raises(SystemExit) as caught:
-                parser.parse_args([command, "--help"])
+                call()
             assert caught.value.code == 0
             texts.append(capsys.readouterr().out)
         assert texts[0] == texts[1]
         assert texts[0].startswith(f"usage: diagnoscope {command} [-h]")
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_help_and_usage_equal_the_subparser(self, command):
+        alone, sub = _command_parser(command), full_subparser(command)
+        assert alone.format_help() == sub.format_help()
+        assert alone.format_usage() == sub.format_usage()
+        assert alone.prog == sub.prog == f"diagnoscope {command}"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_bad_argument_error_text_equals_the_full_parser(self, capsys, command):
+        argv = [command, *BAD_ARGUMENT[command]]
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: {parse_error(None, argv)}\n"
 
     @pytest.mark.parametrize("argv", BAD_VALUES)
     def test_bad_value_error_equals_the_full_parser_error(self, argv):
@@ -678,7 +711,7 @@ class TestParser:
         env = {**os.environ, "PYTHONPATH": str(SRC)}
         proc = subprocess.run([sys.executable, "-c", code], env=env, input=emit_graph6(hypercube(3)) + "\n",
                               capture_output=True, text=True, check=True)
-        assert proc.stdout == "[0, 2, 7]\n"
+        assert proc.stdout == "[0, 1, 7]\n"
 
 
 

@@ -1,5 +1,6 @@
 import json
 import time
+import warnings
 
 import networkx as nx
 import pytest
@@ -18,7 +19,86 @@ from diagnoscope.formats import (
     parse_graph6,
 )
 from diagnoscope.graphs import CapExceededError, build_graph
-from oracles import gamma_spec_to_json
+from oracles import gamma_spec_to_json, reference_parse_edge_list
+
+
+# ids as ASCII, Arabic-Indic or fullwidth digits, all of which int() reads
+_DIGITS = ("0123456789", "\u0660\u0661\u0662\u0663\u0664\u0665\u0666\u0667\u0668\u0669",
+           "\uff10\uff11\uff12\uff13\uff14\uff15\uff16\uff17\uff18\uff19")
+_SPACE = st.sampled_from([" ", "  ", "\t", " \t ", "\u3000"])
+
+
+@st.composite
+def _number(draw, low, high):
+    value = draw(st.integers(low, high))
+    digits = draw(st.sampled_from(_DIGITS))
+    sign = "-" if value < 0 else draw(st.sampled_from(["", "", "+"]))
+    return sign + "".join(digits[int(c)] for c in str(abs(value)))
+
+
+_TOKEN = _number(-2, 9) | st.sampled_from(["x", "1.0", "1_0", "#", "0x1", "\u00bd"])
+# an edge line is the common case, so most texts parse; each other kind,
+# an error among them, turns up now and then
+_KINDS = ["edge"] * 14 + ["repeat"] * 5 + ["comment", "comment", "blank", "blank", "loop", "range", "width", "junk"]
+
+
+@st.composite
+def _line(draw, n, edges):
+    """One line of an edge list on n vertices: mostly an edge, often a
+    repeat of an earlier one in either orientation, else a comment, a
+    blank, a self-loop, an id out of range or a line of the wrong width."""
+    kind = draw(st.sampled_from(_KINDS))
+    if kind == "repeat" and edges:
+        u, v = draw(st.sampled_from(edges))
+        tokens = [v, u] if draw(st.booleans()) else [u, v]
+    elif kind in ("edge", "repeat") and n >= 2:
+        u, v = draw(st.lists(st.integers(0, n - 1), min_size=2, max_size=2, unique=True))
+        edges.append((u, v))
+        tokens = [u, v]
+    elif kind == "comment":
+        return draw(st.sampled_from(["", " ", "\t"])) + "#" + draw(st.sampled_from(["", " c", "# 1 2", "0 1"]))
+    elif kind == "blank":
+        return draw(st.sampled_from(["", " ", "\t\t", "\u3000"]))
+    elif kind == "loop":
+        tokens = [draw(st.integers(-1, n))] * 2
+    elif kind == "width":
+        tokens = draw(st.lists(st.integers(0, 9), min_size=1, max_size=4).filter(lambda t: len(t) != 2))
+    elif kind == "junk":
+        tokens = [draw(_TOKEN), draw(_TOKEN)]
+    else:  # an id out of range, or no edge fits on n < 2 vertices
+        tokens = [draw(st.integers(-2, n)), draw(st.sampled_from([-1, n, n + 1]))]
+    text = [t if isinstance(t, str) else draw(_number(t, t)) for t in tokens]
+    lead = draw(st.sampled_from(["", "", " ", "\t"]))
+    return lead + "".join(t + draw(_SPACE) for t in text[:-1]) + text[-1] + draw(st.sampled_from(["", "", " ", "\t"]))
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list text, valid or nearly so: a header whose counts may be
+    negative or off by one, or no header at all, lines of ``_line``, and
+    LF, CRLF or CR line ends."""
+    n = draw(st.integers(0, 7))
+    edges = []
+    body = draw(st.lists(_line(n, edges), max_size=14))
+    listed = sum(1 for line in body if line.split() and line.split()[0][0] != "#")
+    n_text = draw(st.sampled_from([n] * 8 + [-1])) if draw(st.integers(0, 9)) else draw(_TOKEN)
+    declared = max(listed + draw(st.sampled_from([0] * 6 + [-1, 1])), -1)
+    header = f"{n_text if isinstance(n_text, str) else draw(_number(n_text, n_text))}{draw(_SPACE)}{declared}"
+    head = draw(st.sampled_from([[header], [header], ["# c", header], ["", header], []]))
+    ends = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    return ends.join(head + body) + draw(st.sampled_from(["", ends]))
+
+
+def parse_outcome(parse, text):
+    """The graph or the exception type, message and line, and every
+    warning message in order."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            result = parse(text)
+        except (FormatError, CapExceededError) as exc:
+            result = (type(exc), str(exc), getattr(exc, "line", None))
+    return result, [str(w.message) for w in caught]
 
 
 class TestEdgeList:
@@ -58,6 +138,20 @@ class TestEdgeList:
     def test_cap(self):
         with pytest.raises(CapExceededError):
             parse_edge_list("100 0\n")
+
+    @given(edge_list_texts())
+    @settings(max_examples=400)
+    def test_matches_the_frozen_reference(self, text):
+        assert parse_outcome(parse_edge_list, text) == parse_outcome(reference_parse_edge_list, text)
+
+    @pytest.mark.parametrize("text, message", [
+        ("3 2\n0 1\n1\t2\t3\n", "expected 'u v', got '1\\t2\\t3' (line 3)"),
+        ("3 2\n0 1\n  1   x \r\n", "edge endpoints must be integers, got '1   x' (line 3)"),
+        ("3 2\n0 1\n1 1\n", "self-loop at vertex 1 (line 3)"),
+    ])
+    def test_error_quotes_the_stripped_line(self, text, message):
+        assert parse_outcome(parse_edge_list, text) == ((FormatError, message, int(message[-2])), [])
+        assert parse_outcome(reference_parse_edge_list, text) == ((FormatError, message, int(message[-2])), [])
 
     @given(graphs(0, 9))
     @settings(max_examples=50)

@@ -402,6 +402,82 @@ class TestKeyTypes:
             decode(g, syn, 1, model)
 
 
+class TestEntryOrderAndCache:
+    """Validation reads a dict whose keys come in entry order in one pass,
+    and looks any other order up entry by entry: the two must decode and
+    reject alike.  The entries are built once per graph and kept on it,
+    which must leave the public list, equality and the hash alone."""
+
+    @staticmethod
+    def shuffled(syn, rng):
+        items = list(syn.items())
+        rng.shuffle(items)
+        return dict(items)
+
+    @staticmethod
+    def outcome(g, syn, t, model):
+        try:
+            return decode(g, syn, t, model)
+        except SyndromeError as exc:
+            return str(exc)
+
+    def check(self, g, rng):
+        for model in (PMC, MM):
+            faults = rng.sample(range(g.n), rng.randint(0, min(g.n, 3)))
+            syn = generate_syndrome(g, faults, model, seeded_random(rng.randrange(10**6)))
+            t = rng.randint(0, g.n)
+            want = decode(g, syn, t, model)
+            assert decode(g, self.shuffled(syn, rng), t, model) == want
+            bools = {e: bit == 1 for e, bit in syn.items()}
+            assert decode(g, bools, t, model) == decode(g, self.shuffled(bools, rng), t, model) == want
+            if not syn:
+                continue
+            entry = rng.choice(list(syn))
+            for bad in (float(syn[entry]), 2, None):
+                broken = {**syn, entry: bad}
+                message = f"syndrome outcome for {entry} must be 0 or 1, got {bad}"
+                assert self.outcome(g, broken, t, model) == self.outcome(g, self.shuffled(broken, rng), t, model) == message
+            mismatch = "syndrome entries do not match the graph's test structure"
+            missing = {e: bit for e, bit in syn.items() if e != entry}
+            extra = {**syn, (g.n,) * len(entry): 0}
+            for broken in (missing, extra):
+                assert self.outcome(g, broken, t, model) == self.outcome(g, self.shuffled(broken, rng), t, model) == mismatch
+
+    def test_every_graph_up_to_five_vertices(self):
+        rng = random.Random("entry-order-small")
+        for n in range(6):
+            for g in all_graphs(n):
+                self.check(g, rng)
+
+    def test_seeded_random_graphs(self):
+        rng = random.Random("entry-order-random")
+        for g in seeded_random_graphs(100, 6, 12, "entry-order-random-graphs"):
+            self.check(g, rng)
+
+    @pytest.mark.parametrize("model", [PMC, MM])
+    def test_mutating_the_entry_list_changes_nothing(self, model):
+        g, fresh = petersen(), petersen()
+        want = entries(fresh, model)
+        syn = generate_syndrome(fresh, [0, 5], model, seeded_random(3))
+        listed = entries(g, model)
+        listed.reverse()
+        listed.append((0,) * len(listed[0]))
+        entries(g, model).clear()
+        assert entries(g, model) == want
+        assert generate_syndrome(g, [0, 5], model, seeded_random(3)) == syn
+        assert list(generate_syndrome(g, [0, 5], model, seeded_random(3))) == want
+        assert decode(g, syn, 2, model) == decode(fresh, syn, 2, model) == (frozenset({0, 5}),)
+
+    def test_cached_entries_leave_equality_and_hash(self):
+        for a, b in ((petersen(), petersen()), (hypercube(3), hypercube(3)), (empty_graph(0), empty_graph(0))):
+            assert a.syndrome_entries is None and b.syndrome_entries is None
+            for model in (PMC, MM):
+                entries(a, model)
+                assert a == b and b == a and hash(a) == hash(b)
+                assert repr(a) == repr(b)
+            assert a.syndrome_entries is not None and b.syndrome_entries is None
+
+
 class TestMatchesFrozenReferences:
     """``generate_syndrome`` and ``_options`` against their one-pass forms
     in tests/oracles.py: syndrome items in order, option lists in order."""
