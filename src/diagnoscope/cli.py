@@ -25,7 +25,6 @@ from .diagnosis import DiagModel
 from .families import RecognitionResult, generate_standard, make_gamma, recognize_exceptional
 from .formats import (
     FormatError,
-    bounds_to_json,
     emit_edge_list,
     emit_graph6,
     parse_edge_list,
@@ -40,7 +39,7 @@ from .syndrome import (
     generate_syndrome,
     seeded_random,
 )
-from .tolerance import Facts, edge_tolerable_diagnosability, theoretical_bounds
+from .tolerance import BoundReport, Facts, edge_tolerable_diagnosability, theoretical_bounds
 from .verification import ALL_CLAIMS, Budget, run_suite
 
 EXIT_OK = 0
@@ -89,13 +88,15 @@ def _vertex_list(text: str) -> List[int]:
 
 
 def _read_input(path: str) -> str:
-    if path == "-":
-        return sys.stdin.read()
     try:
+        if path == "-":
+            return sys.stdin.read()
         with open(path, "r", encoding="utf-8") as fh:
             return fh.read()
     except OSError as exc:
         raise UsageError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"cannot decode {path}: {exc}")
 
 
 def load_graph(path: str) -> Tuple[Graph, str]:
@@ -207,6 +208,25 @@ def _family_json(result: RecognitionResult) -> dict:
     return payload
 
 
+def _bounds_json(report: BoundReport) -> dict:
+    """The bounds fragment of each ``analyze`` result; absent values are
+    omitted keys."""
+    out: dict = {}
+    if report.lower is not None:
+        out["lower"] = report.lower
+        out["lower_rule"] = report.lower_rule
+    if report.upper is not None:
+        out["upper"] = report.upper
+        out["upper_rule"] = report.upper_rule
+    if report.exact is not None:
+        out["exact"] = report.exact
+    out["conditions"] = [
+        {"rule": c.rule, "condition": c.description, "holds": c.holds}
+        for c in report.conditions
+    ]
+    return out
+
+
 def _cmd_analyze(args) -> int:
     g, fmt = _load_nonempty(args)
     if args.h_max > max(g.m, 1):  # one row per budget, and no budget deletes more than m edges
@@ -227,7 +247,7 @@ def _cmd_analyze(args) -> int:
                 entry["method"] = tol.method
                 if tol.worst_scenario is not None:
                     entry["worst_scenario"] = [list(e) for e in tol.worst_scenario]
-            entry["bounds"] = bounds_to_json(bounds)
+            entry["bounds"] = _bounds_json(bounds)
             results.append(entry)
     report = {
         "graph": {"name": name, "n": g.n, "m": g.m, "format_echo": fmt},

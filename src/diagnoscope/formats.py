@@ -14,7 +14,6 @@ from typing import Optional
 
 from .families import _FAMILY_FIELDS, GammaSpec
 from .graphs import Graph, GraphError, check_vertex_count
-from .tolerance import BoundReport
 
 
 class FormatError(ValueError):
@@ -229,25 +228,3 @@ def parse_gamma_spec(text: str) -> GammaSpec:
     if not isinstance(payload, dict):
         raise FormatError("family spec must be a JSON object")
     return gamma_spec_from_json(payload)
-
-
-# ---------------------------------------------------------------------------
-# report fragments (JSON numbers only; absent values are omitted keys)
-
-
-def bounds_to_json(report: BoundReport) -> dict:
-    out: dict = {}
-    if report.lower is not None:
-        out["lower"] = report.lower
-        out["lower_rule"] = report.lower_rule
-    if report.upper is not None:
-        out["upper"] = report.upper
-        out["upper_rule"] = report.upper_rule
-    if report.exact is not None:
-        out["exact"] = report.exact
-    out["conditions"] = [
-        {"rule": c.rule, "condition": c.description, "holds": c.holds}
-        for c in report.conditions
-    ]
-    return out
-

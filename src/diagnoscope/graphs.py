@@ -68,12 +68,9 @@ class Graph:
             set iff {u, v} is an edge); every edge query, equality and the
             hash read it.
         twins: ``twin_masks(adj_masks)``, computed once per graph.
-        syndrome_entries: ``syndrome.entries``' tuples by model, built on
-            first use and ``None`` until then; equality and the hash
-            ignore it.
     """
 
-    __slots__ = ("n", "edges", "adj_masks", "twins", "syndrome_entries", "_hash")
+    __slots__ = ("n", "edges", "adj_masks", "twins", "_hash")
 
     def __init__(self, n: int, edges: Sequence[Edge]):
         # Callers must pass normalized, deduplicated, validated edges;
@@ -86,7 +83,6 @@ class Graph:
             masks[v] |= 1 << u
         self.adj_masks = tuple(masks)
         self.twins = twin_masks(self.adj_masks)
-        self.syndrome_entries = None
         self._hash = hash(self.adj_masks)
 
     # -- basic queries -------------------------------------------------

@@ -10,9 +10,10 @@ w reports 1 exactly when one of those neighbors is faulty; a faulty w
 reports an arbitrary bit.  So only a faulty w or a neighbor of one can
 report a 1.  Sorted, each w's entries are one slice: generation writes,
 and decoding reads entry by entry, only the slices that can hold a 1.
-The entries are built once per graph and model and kept on the graph;
-a syndrome whose keys come in entry order, as generated ones do, is
-validated in one pass over its bits.
+The entries and their slice starts are built once per graph and model
+and kept in this module's small cache, never on the graph; a syndrome
+whose keys come in entry order, as generated ones do, is validated in
+one pass over its bits.
 
 "Arbitrary" is made concrete by an adversary policy: fixed all-zero or
 all-one answers, or a seeded random completion.
@@ -29,6 +30,7 @@ or what an MM* comparator's zeros, one clique, leave out).
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 from itertools import accumulate, combinations, compress
 from typing import Iterable, List, NamedTuple, Optional, Tuple
 
@@ -70,42 +72,34 @@ def seeded_random(seed: int) -> AdversaryPolicy:
 def entries(g: Graph, model) -> List[Tuple[int, ...]]:
     """Every entry of the model on g, sorted, so w's entries are one slice:
     d(w) of them under PMC, d(w)(d(w) - 1)/2 under MM*."""
-    return list(_entry_tuple(g, model))
-
-
-def _entry_tuple(g: Graph, model) -> Tuple[Tuple[int, ...], ...]:
-    """``entries`` as a tuple, built once per graph and model and kept in
-    ``g.syndrome_entries``."""
     _check_model(model)
-    cache = g.syndrome_entries
-    if cache is None:
-        cache = g.syndrome_entries = {}
-    if model not in cache:
-        nbrs = [[] for _ in range(g.n)]
-        for u, v in g.edges:  # sorted, so each list comes out ascending
-            nbrs[u].append(v)
-            nbrs[v].append(u)
-        if model is DiagModel.PMC:
-            cache[model] = tuple([(w, v) for w, ns in enumerate(nbrs) for v in ns])
-        else:
-            cache[model] = tuple([(w, u, v) for w, ns in enumerate(nbrs) for u, v in combinations(ns, 2)])
-    return cache[model]
+    return list(_layout(g, model is DiagModel.MMSTAR)[0])
 
 
-def _starts(g: Graph, mm: bool) -> List[int]:
-    """Where each w's slice of the entry list starts, then where the last ends."""
-    return list(accumulate((d * (d - 1) // 2 if mm else d for d in g.degrees), initial=0))
+@lru_cache(maxsize=2)  # one graph under both models: a CLI call or a generate-then-decode pair
+def _layout(g: Graph, mm: bool) -> Tuple[Tuple[Tuple[int, ...], ...], Tuple[int, ...]]:
+    """The entries as a tuple, and where each w's slice of them starts,
+    then where the last ends."""
+    nbrs = [[] for _ in range(g.n)]
+    for u, v in g.edges:  # sorted, so each list comes out ascending
+        nbrs[u].append(v)
+        nbrs[v].append(u)
+    if mm:
+        es = tuple([(w, u, v) for w, ns in enumerate(nbrs) for u, v in combinations(ns, 2)])
+    else:
+        es = tuple([(w, v) for w, ns in enumerate(nbrs) for v in ns])
+    return es, tuple(accumulate((len(ns) * (len(ns) - 1) // 2 if mm else len(ns) for ns in nbrs), initial=0))
 
 
 def generate_syndrome(g: Graph, faults: Iterable[int], model, policy: AdversaryPolicy):
     """The syndrome the fault set produces under the model semantics, with
     the entries its members control filled in by the policy, in entry order."""
-    es = _entry_tuple(g, model)
+    _check_model(model)
+    es, starts = _layout(g, model is DiagModel.MMSTAR)
     fault_mask = g.vertex_mask(faults)
     rng = random.Random(policy.seed) if policy.kind == "seeded_random" else None
     fixed = int(policy.kind == "all_one")
     bits = [0] * len(es)
-    starts = _starts(g, model is DiagModel.MMSTAR)
     for w, nbrs in enumerate(g.adj_masks):
         if (1 << w | nbrs) & fault_mask:  # only a faulty w or a neighbor of one can report a 1
             s, e = starts[w], starts[w + 1]
@@ -117,13 +111,14 @@ def generate_syndrome(g: Graph, faults: Iterable[int], model, policy: AdversaryP
 
 
 def _validate_shape(g: Graph, syndrome, model):
-    """The model's entries on g and the syndrome's bit for each, in entry order.
+    """The syndrome's bit for each of the model's entries on g, in entry order.
 
     A dict whose keys come in entry order, as ``generate_syndrome`` writes
     them, is read in one pass over its values; any other order is looked
     up entry by entry.
     """
-    es = _entry_tuple(g, model)
+    _check_model(model)
+    es = _layout(g, model is DiagModel.MMSTAR)[0]
     if not isinstance(syndrome, dict):
         raise SyndromeError(f"syndrome must be a dict, got {type(syndrome).__name__}")
     if type(syndrome) is dict and tuple(syndrome) == es:  # a subclass may override get()
@@ -132,7 +127,7 @@ def _validate_shape(g: Graph, syndrome, model):
         bits = list(map(syndrome.get, es))  # None where an entry is missing
     # types first: {0, 0.0} is {0}, and a non-int may be unhashable
     if len(syndrome) == len(es) and set(map(type, bits)) <= {int, bool} and set(bits) <= {0, 1}:
-        return es, bits
+        return bits
     if len(syndrome) != len(es) or not all(map(syndrome.__contains__, es)):
         raise SyndromeError("syndrome entries do not match the graph's test structure")
     for entry, bit in syndrome.items():
@@ -140,10 +135,10 @@ def _validate_shape(g: Graph, syndrome, model):
             raise SyndromeError(f"syndrome outcome for {entry} must be 0 or 1, got {bit}")
 
 
-def _options(g: Graph, syndrome, t: int, mm: bool, shape=None) -> List[List[int]]:
+def _options(g: Graph, bits: List[int], t: int, mm: bool) -> List[List[int]]:
     """Per vertex w, every X = F & N(w) with |X| <= t that w's entries
-    allow if w is fault-free (none: w must be faulty); ``shape`` is
-    ``_validate_shape``'s (entries, bits), computed when omitted.
+    allow if w is fault-free (none: w must be faulty); ``bits`` are
+    ``_validate_shape``'s, in entry order.
 
     PMC tests read X off directly, from the ones alone.  Under MM*, a
     fault-free w reads 0 on (w; u, v) exactly when u and v are both
@@ -153,13 +148,12 @@ def _options(g: Graph, syndrome, t: int, mm: bool, shape=None) -> List[List[int]
     one neighbor is outside X: the candidates are N(w), then N(w) - y for
     each y ascending.
     """
-    es, bits = shape or _validate_shape(g, syndrome, DiagModel.MMSTAR if mm else DiagModel.PMC)
+    es, starts = _layout(g, mm)
     if not mm:
         ones = [0] * g.n
         for w, v in compress(es, bits):
             ones[w] |= 1 << v
         return [[x] if x.bit_count() <= t else [] for x in ones]
-    starts = _starts(g, mm)
     opts = []
     for nbrs, s, e in zip(g.adj_masks, starts, starts[1:]):
         seg = bits[s:e]
@@ -192,10 +186,10 @@ def decode(g: Graph, syndrome, t: int, model) -> Tuple[frozenset, ...]:
     """
     if t < 0:
         raise GraphError(f"fault budget must be nonnegative, got {t}")
-    shape = _validate_shape(g, syndrome, model)
+    bits = _validate_shape(g, syndrome, model)
     t = min(t, g.n)
     adj = g.adj_masks
-    opts = _options(g, syndrome, t, model is DiagModel.MMSTAR, shape)
+    opts = _options(g, bits, t, model is DiagModel.MMSTAR)
     found = []
     stack = [(0, 0, 0)]
     while stack:

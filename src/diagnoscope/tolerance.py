@@ -65,7 +65,9 @@ from functools import cached_property, lru_cache
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .connectivity import _kappa_value, max_common_neighbors
-from .diagnosis import DiagModel, _before, _check_model, _find_indistinguishable, _search_differences, diagnosability
+from .diagnosis import (
+    DiagModel, _before, _check_model, _find_indistinguishable, _search_differences, _twin_links, diagnosability,
+)
 from .diagnosis import is_t_diagnosable  # noqa: F401  (bench/selftest.py checks the tracer patches this binding)
 from .families import RecognitionResult, common_neighbor_shortcut, recognize_exceptional
 from .graphs import Edge, Graph, GraphError, automorphism_generators, bits_of, normalize_edge
@@ -136,10 +138,7 @@ def _pmc_break_table(g: Graph):
     full = (1 << n) - 1
     best = [infinite] * (delta + 1)
     witness: list = [None] * (delta + 1)
-    larger = [0] * n  # each vertex's next-larger twin
-    for v, twin in enumerate(g.twins):
-        if twin:
-            larger[twin.bit_length() - 1] = 1 << v
+    larger = _twin_links(g.twins)[2]  # each vertex's next-larger twin
 
     def visit(d_mask: int, closed: int) -> int:
         size = closed.bit_count()

@@ -295,6 +295,23 @@ class TestAnalyze:
         assert code == 2
         assert "line 2" in err
 
+    @pytest.mark.parametrize("argv", [("analyze",), ("paths",), ("recognize",), ("syndrome",), ("gen", "gamma")])
+    def test_non_utf8_file_exit_2(self, capsys, tmp_path, argv):
+        path = tmp_path / "bad"
+        path.write_bytes(b"\xff\xfe")
+        code, out, err = run_cli(capsys, *argv, str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("input error: cannot decode") and "Traceback" not in err
+
+    def test_non_utf8_stdin_exit_2(self):
+        env = {**os.environ, "PYTHONPATH": str(SRC), "PYTHONIOENCODING": "utf-8:strict"}
+        proc = subprocess.run([sys.executable, "-m", "diagnoscope", "analyze", "-"], env=env, input=b"\xff\xfe",
+                              capture_output=True)
+        assert proc.returncode == 2
+        assert proc.stdout == b""
+        assert proc.stderr.startswith(b"input error: cannot decode") and b"Traceback" not in proc.stderr
+
     @pytest.mark.parametrize("argv", [("analyze",), ("paths",), ("paths", "--pair", "0", "1")])
     def test_empty_graph_exit_2(self, capsys, tmp_path, argv):
         path = tmp_path / "empty.el"
